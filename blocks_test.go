@@ -6,15 +6,16 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/vm"
+	"repro/internal/workloads"
 )
 
 // Block-compilation equivalence property tests: the predecode block
 // compiler (internal/vm/blocks.go) turns straight-line traces into single
-// compiled segments with their own inlined executors, and — exactly like
-// superinstruction fusion — it must be invisible to everything except
-// wall-clock time. These tests run every bundled micro and webstack
-// workload under the baseline/CPS/CPI configurations twice, once on the
-// default predecoding and once with NoBlockCompile, and require identical
+// compiled segments with their own inlined executors, and it must be
+// invisible to everything except wall-clock time. These tests run every
+// bundled micro and webstack workload under the baseline configuration and
+// the cps/cpi/pac backends twice, once on the default predecoding and once
+// with NoBlockCompile (plain per-instruction dispatch), and require identical
 // Output, Cycles, Steps, exit codes and trap details. Dispatches is
 // deliberately NOT compared: absorbing dispatch round trips is the whole
 // point of the stage, and Result.BlockFrac reports the difference.
@@ -23,6 +24,35 @@ import (
 // at many different points, so a budget trap landing in the middle of a
 // segment — including between the constituents of a merged pair op — must
 // report the same step count and PC as the plain dispatch loop.
+
+// equivConfigs are the protection configurations the equivalence must
+// hold under: segments inline flagged-load/store fallbacks and metadata
+// maintenance that only the enforcement backends arm.
+func equivConfigs() []core.Config {
+	return []core.Config{
+		{DEP: true},
+		{Protect: core.CPS, DEP: true},
+		{Protect: core.CPI, DEP: true},
+		{Backend: "pac", DEP: true},
+	}
+}
+
+// cfgName labels an equivConfigs entry in failure messages.
+func cfgName(cfg core.Config) string {
+	if cfg.Backend != "" {
+		return cfg.Backend
+	}
+	return cfg.Protect.String()
+}
+
+// equivWorkloads is the bundled workload set the property runs over.
+func equivWorkloads() []workloads.Workload {
+	set := append([]workloads.Workload{}, workloads.Micro()...)
+	for _, p := range workloads.WebStack() {
+		set = append(set, workloads.Workload{Name: p.Name, Src: p.Src})
+	}
+	return set
+}
 
 // runBlocksBoth executes one compiled program on the block-compiled and
 // block-free streams with the given step budget (0 = default).
@@ -79,10 +109,10 @@ func compareBlockResults(t *testing.T, name string, blocks, noblocks *vm.Result)
 }
 
 // TestBlockCompileEquivalence runs every bundled workload to completion
-// under all three protection configurations, block-compiled vs not.
+// under every equivConfigs configuration, block-compiled vs not.
 func TestBlockCompileEquivalence(t *testing.T) {
-	for _, w := range fusionWorkloads() {
-		for _, cfg := range fusionConfigs() {
+	for _, w := range equivWorkloads() {
+		for _, cfg := range equivConfigs() {
 			prog, err := core.Compile(w.Src, cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", w.Name, err)
@@ -90,7 +120,7 @@ func TestBlockCompileEquivalence(t *testing.T) {
 			if code := prog.Predecoded(); code.BlockSegs == 0 {
 				t.Errorf("%s: default predecoding built no segments — property test would be vacuous", w.Name)
 			}
-			name := w.Name + "/" + cfg.Protect.String()
+			name := w.Name + "/" + cfgName(cfg)
 			blocks, noblocks := runBlocksBoth(t, prog, 0)
 			compareBlockResults(t, name, blocks, noblocks)
 			if blocks.Trap != vm.TrapExit {
@@ -113,13 +143,13 @@ func TestBlockCompileEquivalenceTruncated(t *testing.T) {
 	// branch-dense (trace-extending conditional branches and merged
 	// compare+branch pairs). Between them every segment executor runs.
 	for _, wn := range []string{"micro.fib", "micro.sieve"} {
-		var w = fusionWorkloads()[0]
-		for _, cand := range fusionWorkloads() {
+		var w = equivWorkloads()[0]
+		for _, cand := range equivWorkloads() {
 			if cand.Name == wn {
 				w = cand
 			}
 		}
-		for _, cfg := range fusionConfigs() {
+		for _, cfg := range equivConfigs() {
 			prog, err := core.Compile(w.Src, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -131,7 +161,7 @@ func TestBlockCompileEquivalenceTruncated(t *testing.T) {
 				}
 				compareBlockResults(t, w.Name, blocks, noblocks)
 				if t.Failed() {
-					t.Fatalf("first divergence at budget %d under %v", budget, cfg.Protect)
+					t.Fatalf("first divergence at budget %d under %s", budget, cfgName(cfg))
 				}
 			}
 		}
@@ -144,7 +174,7 @@ func TestBlockCompileEquivalenceTruncated(t *testing.T) {
 // cache behavior both were tuned against, so a size change must be a
 // deliberate decision, not a side effect of adding a field.
 func TestPInsSize(t *testing.T) {
-	if got := unsafe.Sizeof(vm.PIns{}); got != 240 {
-		t.Errorf("unsafe.Sizeof(vm.PIns) = %d, want 240", got)
+	if got := unsafe.Sizeof(vm.PIns{}); got != 160 {
+		t.Errorf("unsafe.Sizeof(vm.PIns) = %d, want 160", got)
 	}
 }

@@ -113,8 +113,9 @@ type Config struct {
 	// traps (vm.TrapAuditSensitive) if a value with code provenance is
 	// ever loaded from or stored to memory through an uninstrumented
 	// operation. Audit machines route every load/store through the general
-	// handlers and disable fusion, so cycle counts are not comparable to
-	// normal runs.
+	// handlers and skip block compilation, so they run slower; both are
+	// cycle-exact, so a run the oracle does not trap reports the same
+	// Cycles and Steps as a normal run.
 	AuditSensitive bool
 
 	// System-level defenses, composable with any Protect level (the RIPE
@@ -299,11 +300,10 @@ func (p *Program) Predecoded() *vm.Code {
 	opt := vm.PredecodeOptions{NoBlockCompile: p.Cfg.NoBlockCompile}
 	if p.Cfg.AuditSensitive {
 		// The audit checks live in the general load/store paths only:
-		// force them (and disable fusion and block compilation, whose
+		// AuditHooks forces them (and disables block compilation, whose
 		// executors inline memory accesses) so no access can bypass the
 		// oracle.
 		opt.AuditHooks = true
-		opt.NoFuse = true
 	}
 	if p.pre == nil {
 		// Program built by hand rather than Compile: predecode unshared.
@@ -315,7 +315,7 @@ func (p *Program) Predecoded() *vm.Code {
 
 // VMConfig derives the runtime machine configuration from the compile
 // configuration. Exported so tests can build machines around alternative
-// predecodings (e.g. vm.PredecodeWith with fusion disabled) of the same
+// predecodings (e.g. vm.PredecodeWith with NoBlockCompile) of the same
 // compiled program.
 func (p *Program) VMConfig() vm.Config {
 	c := vm.Config{

@@ -5,14 +5,14 @@ import (
 )
 
 // This file implements the block-compilation stage of predecode: after
-// superinstruction fusion, every basic-block head (and every call return
-// site) anchors a straight-line segment — the block body, extended across
+// handler resolution, every basic-block head (and every call return site)
+// anchors a straight-line segment — the block body, extended across
 // unconditional branches into a trace — that executes as ONE dispatch-loop
 // round trip. Each constituent is flattened at compile time into a segOp
 // micro-op with its operand fields pre-extracted (register numbers,
 // immediates, pre-summed frame offsets), so the segment runner
 // (runSegment) streams through a dense array instead of chasing
-// 240-byte-stride PIns records, holds the frame's register file, pc and
+// PIns-stride records, holds the frame's register file, pc and
 // the cycle/step counters in locals across the body, and inlines the
 // page-translation-cache hit paths of the hottest operand shapes; only
 // control-flow joins, traps and uncompiled code return to dispatch. A
@@ -23,20 +23,16 @@ import (
 //
 // Block compilation is pure dispatch elimination: every constituent charges
 // its own Cycles/Steps in original order, budget traps fire at the same
-// step with the same pc, and the memory semantics are the unfused handler
-// bodies verbatim — so the golden Cycles/Steps tables and every trap
-// outcome are bit-identical with PredecodeOptions.NoBlockCompile. The
+// step with the same pc, and the memory semantics are the per-instruction
+// handler bodies verbatim — so the golden Cycles/Steps tables and every
+// trap outcome are bit-identical with PredecodeOptions.NoBlockCompile. The
 // block differential suite pins this.
 //
-// Interplay with fusion: segments execute the ORIGINAL (unfused)
-// constituents of every slot they cover — fusion's head rewrites only
-// replace the head's run handler and stash trailing-constituent mirrors in
-// fields the head's own opcode never reads, so re-resolving each slot's
-// unfused handler (chooseHandler) and shape at compile time is always
-// valid. A fused head that anchors a segment simply has its fused handler
-// superseded; branch targets that land mid-segment still execute the slot
-// handlers (fused or not) through the dispatch loop, exactly as targets
-// landing after a fused head always have.
+// Entry slots: installing a segment replaces only the entry slot's run
+// handler (with hSeg); every slot keeps its predecoded fields, so segOps
+// re-resolve each constituent's own handler (chooseHandler) at compile
+// time, and branch targets that land mid-segment execute their slot's
+// handler through the dispatch loop.
 //
 // Config independence: a Code is shared by machines with different
 // vm.Configs (NewShared), so segments never bake in SafeStack/SFI/
@@ -49,7 +45,7 @@ import (
 const segMaxOps = 256
 
 // segOp kinds: the shape-specialized constituent executors runSegment
-// inlines. Everything else runs through its unfused handler (skGeneric).
+// inlines. Everything else runs through its own handler (skGeneric).
 const (
 	skGeneric uint8 = iota
 	skBinRR         // reg ⊗ reg
@@ -107,9 +103,8 @@ type segRef struct {
 }
 
 // makeSegOp flattens one slot into a micro-op, mirroring the shape dispatch
-// of chooseHandler for the shapes runSegment inlines. It reads only fields
-// the slot's own opcode owns, so it is valid on fused heads (whose mirror
-// fields alias unrelated constituents).
+// of chooseHandler for the shapes runSegment inlines. The generic handler is
+// re-resolved rather than read from in.run, which is hSeg on entry slots.
 func makeSegOp(in *PIns) segOp {
 	op := segOp{kind: skGeneric, in: in, h: chooseHandler(in, false)}
 	switch in.Op {
@@ -206,9 +201,8 @@ func makeSegOp(in *PIns) segOp {
 // per call return site. Even single-op segments are kept — their terminal
 // runs at dispatch-loop cost when entered from the loop, but they let the
 // trampoline chain call/return/branch continuations without surfacing, so
-// tight recursion never leaves the segment runner. Runs after fusion (its
-// entry-handler overwrite must win) and after fc.Ins is fully built
-// (segOps hold pointers into it). Returns the number of segments
+// tight recursion never leaves the segment runner. Runs after fc.Ins is
+// fully built (segOps hold pointers into it). Returns the number of segments
 // installed. fc.Segs is always allocated — the trampoline indexes it for
 // every function a run can enter.
 func compileBlocks(c *Code, fc *FuncCode) int {
@@ -370,7 +364,7 @@ func hSeg(m *Machine, f *frame, in *PIns) {
 // trace needs. The entry constituent's step and dispatch were already
 // charged by the dispatch loop (or by the trampoline hop), so ticks start
 // at the second constituent — a budget miss therefore reports the next
-// instruction's position, exactly like the dispatch loop and fusedTick.
+// instruction's position, exactly like the dispatch loop.
 //
 // Metadata elision (tm): register metadata is behaviorally dead unless some
 // consumer is armed — the CPI/CPS/SoftBound checks, the safe store
@@ -803,7 +797,7 @@ activation:
 					break activation
 				}
 
-			default: // skGeneric: the slot's unfused handler, flushed around
+			default: // skGeneric: the slot's own handler, flushed around
 				f.pc = pc
 				m.cycles += cyc
 				cyc = 0
@@ -853,6 +847,63 @@ activation:
 	m.blockEntries += entries
 	m.blockSteps += (steps - steps0) + 1
 	m.extraDisp += entries - 1
+}
+
+// isCmp reports whether the operator is one of the comparison ALU ops
+// (results are 0/1 and can never fault).
+func isCmp(op ir.ALU) bool {
+	switch op {
+	case ir.ALt, ir.AGt, ir.ALe, ir.AGe, ir.AEq, ir.ANe:
+		return true
+	}
+	return false
+}
+
+// cmpEval evaluates a comparison operator (callers guarantee isCmp).
+func cmpEval(op ir.ALU, ua, ub uint64) uint64 {
+	a, b := int64(ua), int64(ub)
+	var c bool
+	switch op {
+	case ir.ALt:
+		c = a < b
+	case ir.AGt:
+		c = a > b
+	case ir.ALe:
+		c = a <= b
+	case ir.AGe:
+		c = a >= b
+	case ir.AEq:
+		c = ua == ub
+	default: // ir.ANe
+		c = ua != ub
+	}
+	if c {
+		return 1
+	}
+	return 0
+}
+
+// binEval is aluEval with the two overwhelmingly common (and never-
+// faulting) operators peeled off before the call.
+func (m *Machine) binEval(op ir.ALU, a, b uint64) (uint64, bool) {
+	switch op {
+	case ir.AAdd:
+		return a + b, true
+	case ir.ASub:
+		return a - b, true
+	}
+	v, err := aluEval(op, a, b)
+	if err != nil {
+		m.trapf(TrapDivZero, 0, ViaNone, "division by zero")
+		return 0, false
+	}
+	return v, true
+}
+
+// budgetTrap raises the step-budget trap from inside a segment, outlined so
+// the segment loop's hot path carries no formatting call.
+func (m *Machine) budgetTrap() {
+	m.trapf(TrapMaxSteps, 0, ViaNone, "after %d steps", m.steps)
 }
 
 // segRet executes a skRet terminal: the fast path inlines retFinish+popFrame

@@ -18,9 +18,9 @@ import (
 // Every handler preserves the dispatch semantics and cost charging of the
 // original step() switch exactly; the golden determinism tables pin this.
 
-// handler executes one predecoded instruction (or one fused pair; see
-// fusion.go). It must leave f.pc at the next instruction to execute, or set
-// m.trap.
+// handler executes one predecoded instruction (or, as hSeg, one
+// block-compiled segment; see blocks.go). It must leave f.pc at the next
+// instruction to execute, or set m.trap.
 type handler func(m *Machine, f *frame, in *PIns)
 
 // chooseHandler resolves the handler for one predecoded instruction from
@@ -251,7 +251,8 @@ func hCast(m *Machine, f *frame, in *PIns) {
 // ---- OpGEP ----
 
 // finishGEP commits a pointer-arithmetic result with based-on propagation
-// (§3.1 case (iv)) and charges the GEP costs. Shared by the fused GEP pairs.
+// (§3.1 case (iv)) and charges the GEP costs: shared tail of every GEP
+// handler.
 func finishGEP(m *Machine, f *frame, in *PIns, addr uint64, meta Meta) {
 	f.regs[in.Dst] = addr
 	f.meta[in.Dst] = meta
@@ -345,7 +346,7 @@ func frameAddr(m *Machine, f *frame, v *PVal) (uint64, Meta, bool) {
 }
 
 func hLoadReg(m *Machine, f *frame, in *PIns) {
-	m.loadInto(f, f.regs[in.A.Reg], f.meta[in.A.Reg], false, true, in.Dst, in.Size, in.Flags)
+	m.loadInto(f, in, f.regs[in.A.Reg], f.meta[in.A.Reg], false, true)
 }
 
 // hLoadRegPlain / hLoadFramePlain skip the flag test and the loadInto call
@@ -361,7 +362,7 @@ func hLoadFramePlain(m *Machine, f *frame, in *PIns) {
 
 func hLoadFrame(m *Machine, f *frame, in *PIns) {
 	addr, meta, onSafe := frameAddr(m, f, &in.A)
-	m.loadInto(f, addr, meta, onSafe, false, in.Dst, in.Size, in.Flags)
+	m.loadInto(f, in, addr, meta, onSafe, false)
 }
 
 // frameWordAddr resolves a ValFrame operand's address and address space
@@ -452,12 +453,12 @@ func hStoreFrameW8Plain(m *Machine, f *frame, in *PIns) {
 
 func hLoadGen(m *Machine, f *frame, in *PIns) {
 	addr, meta, onSafe := m.addrSpaceP(f, &in.A)
-	m.loadInto(f, addr, meta, onSafe, in.A.Kind == ir.ValReg, in.Dst, in.Size, in.Flags)
+	m.loadInto(f, in, addr, meta, onSafe, in.A.Kind == ir.ValReg)
 }
 
 func hStoreReg(m *Machine, f *frame, in *PIns) {
 	val, valMeta := m.evalVal(f, &in.B)
-	m.storeFrom(f, f.regs[in.A.Reg], f.meta[in.A.Reg], false, true, val, valMeta, in.Size, in.Flags)
+	m.storeFrom(f, in, f.regs[in.A.Reg], f.meta[in.A.Reg], false, true, val, valMeta)
 }
 
 func hStoreRegPlain(m *Machine, f *frame, in *PIns) {
@@ -474,22 +475,22 @@ func hStoreFramePlain(m *Machine, f *frame, in *PIns) {
 func hStoreFrame(m *Machine, f *frame, in *PIns) {
 	addr, meta, onSafe := frameAddr(m, f, &in.A)
 	val, valMeta := m.evalVal(f, &in.B)
-	m.storeFrom(f, addr, meta, onSafe, false, val, valMeta, in.Size, in.Flags)
+	m.storeFrom(f, in, addr, meta, onSafe, false, val, valMeta)
 }
 
 func hStoreGen(m *Machine, f *frame, in *PIns) {
 	addr, meta, onSafe := m.addrSpaceP(f, &in.A)
 	val, valMeta := m.evalVal(f, &in.B)
-	m.storeFrom(f, addr, meta, onSafe, in.A.Kind == ir.ValReg, val, valMeta, in.Size, in.Flags)
+	m.storeFrom(f, in, addr, meta, onSafe, in.A.Kind == ir.ValReg, val, valMeta)
 }
 
 // ---- control transfer ----
 
-func hCall(m *Machine, f *frame, in *PIns) { m.execCallWith(f, in, in.Dst, in.Flags) }
+func hCall(m *Machine, f *frame, in *PIns) { m.execCall(f, in) }
 
 // hCallPlan is the register-calling-convention call handler, chosen at
 // predecode for direct calls with an argument plan.
-func hCallPlan(m *Machine, f *frame, in *PIns) { m.execCallPlan(f, in, in.Dst) }
+func hCallPlan(m *Machine, f *frame, in *PIns) { m.execCallPlan(f, in) }
 
 func hICall(m *Machine, f *frame, in *PIns) { m.execICall(f, in) }
 

@@ -24,9 +24,8 @@ func (m *Machine) Run(entry string) *Result {
 	m.pushFrame(fi, nil, nil, 0, -1, -1)
 
 	// The dispatch loop: one step of bookkeeping, then one indirect call
-	// through the handler resolved at predecode time (dispatch.go). Fused
-	// superinstructions count their second constituent themselves
-	// (fusedTick), and block-compiled segments count theirs in the segment
+	// through the handler resolved at predecode time (dispatch.go).
+	// Block-compiled segments count their later constituents in the segment
 	// runner (blocks.go), so m.steps is always the constituent step count,
 	// while disp counts loop round trips. Segment trampoline hops are
 	// dispatches the loop never sees (m.extraDisp); the total is what

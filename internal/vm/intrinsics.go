@@ -15,8 +15,9 @@ import (
 // prove the arguments insensitive it sets ProtSafeIntr and the safe-region-
 // aware variant runs (per-word safe pointer store maintenance, the measured
 // source of memcpy-related CPI overhead).
-func (m *Machine) execIntrinsic(f *frame, pin *PIns, dst int32, flags ir.Prot) {
+func (m *Machine) execIntrinsic(f *frame, pin *PIns) {
 	in := pin.In
+	dst, flags := pin.Dst, pin.Flags
 	cost := &m.cfg.Cost
 	m.cycles += cost.IntrBase
 
@@ -250,7 +251,7 @@ func (m *Machine) execIntrinsic(f *frame, pin *PIns, dst int32, flags ir.Prot) {
 		m.trapf(TrapAbort, 0, ViaNone, "abort() called")
 
 	case builtins.Setjmp:
-		m.setjmp(f, dst, flags, m.jmpSiteAddr(pin.SiteOrd), arg(0))
+		m.setjmp(f, pin, m.jmpSiteAddr(pin.SiteOrd), arg(0))
 
 	case builtins.Longjmp:
 		m.longjmp(arg(0), arg(1))

@@ -83,16 +83,14 @@ func (m *Machine) checkTrapKind(fl ir.Prot) TrapKind {
 	return TrapCPIViolation
 }
 
-// loadInto performs a load whose address operand has already been resolved
-// to (addr, ptrMeta, onSafe). regAddr says the address came from a register
-// operand (direct frame/global operands were proven safe statically and are
-// never bounds-checked); dst is the destination register; size and flags
-// come from whichever constituent of a (possibly fused) instruction this
-// load is. On success the pc advances by one; on a trap it does not. The
-// shape-specialized handlers (dispatch.go) and the fused superinstructions
-// (fusion.go) all funnel into this one implementation of the §3.2.2
-// semantics.
-func (m *Machine) loadInto(f *frame, addr uint64, ptrMeta Meta, onSafe, regAddr bool, dst int32, size uint8, flags ir.Prot) {
+// loadInto performs the load in whose address operand has already been
+// resolved to (addr, ptrMeta, onSafe). regAddr says the address came from a
+// register operand (direct frame/global operands were proven safe statically
+// and are never bounds-checked). On success the pc advances by one; on a
+// trap it does not. The general load handlers (dispatch.go) all funnel into
+// this one implementation of the §3.2.2 semantics.
+func (m *Machine) loadInto(f *frame, in *PIns, addr uint64, ptrMeta Meta, onSafe, regAddr bool) {
+	dst, size, flags := in.Dst, in.Size, in.Flags
 	if m.cfg.AuditSensitive && !m.auditLoad(addr, onSafe, size, flags) {
 		return
 	}
@@ -211,9 +209,10 @@ func (m *Machine) violationKind(cps bool) TrapKind {
 	return TrapCPIViolation
 }
 
-// storeFrom performs a store whose address and value operands have already
-// been resolved; regAddr and pc behaviour as in loadInto.
-func (m *Machine) storeFrom(f *frame, addr uint64, ptrMeta Meta, onSafe, regAddr bool, val uint64, valMeta Meta, size uint8, flags ir.Prot) {
+// storeFrom performs the store in whose address and value operands have
+// already been resolved; regAddr and pc behaviour as in loadInto.
+func (m *Machine) storeFrom(f *frame, in *PIns, addr uint64, ptrMeta Meta, onSafe, regAddr bool, val uint64, valMeta Meta) {
+	size, flags := in.Size, in.Flags
 	if m.cfg.AuditSensitive && !m.auditStore(addr, onSafe, size, flags, valMeta) {
 		return
 	}

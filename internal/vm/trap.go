@@ -113,8 +113,8 @@ type Result struct {
 	// Dispatches is the number of dispatch round trips the run took — loop
 	// iterations plus segment trampoline hops, so a block-compiled segment
 	// activation counts once however it was entered. Steps counts executed
-	// constituents; the gap is split between superinstruction fusion
-	// (FusedFrac) and block compilation (BlockFrac).
+	// constituents; the gap is the dispatches block compilation absorbed
+	// (BlockFrac).
 	Dispatches int64
 	// BlockSteps and BlockEntries are the constituents executed inside
 	// block-compiled segments and the number of segment activations; their
@@ -161,17 +161,6 @@ type Result struct {
 
 // Ok reports whether the program exited normally.
 func (r *Result) Ok() bool { return r.Trap == TrapExit }
-
-// FusedFrac returns the fraction of executed constituents whose dispatch
-// superinstruction fusion absorbed — constituents that paid neither a
-// dispatch round trip nor rode inside a block-compiled segment. 0 when
-// nothing ran (or nothing fused).
-func (r *Result) FusedFrac() float64 {
-	if r.Steps == 0 {
-		return 0
-	}
-	return float64(r.Steps-r.Dispatches-(r.BlockSteps-r.BlockEntries)) / float64(r.Steps)
-}
 
 // BlockFrac returns the fraction of executed constituents whose dispatch
 // block compilation absorbed: constituents that ran inside a compiled

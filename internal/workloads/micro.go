@@ -18,8 +18,8 @@ func Micro() []Workload {
 // branch-dense counterpoint to the call-heavy micros. Almost every dynamic
 // step sits in one of three loops (initialization, the prime scan with its
 // per-element conditional, and the composite-marking inner loop), so this
-// workload measures straight-line and branchy loop execution — fusion
-// windows and block-compiled traces — with almost no call traffic at all.
+// workload measures straight-line and branchy loop execution — block-compiled
+// traces and merged compare+branch pairs — with almost no call traffic at all.
 const srcSieve = `
 int flags[2048];
 

@@ -29,8 +29,8 @@ func oracleWorkloads() []workloads.Workload {
 	return set
 }
 
-// TestAuditSensitiveOracle runs every workload under cps and cpi, with and
-// without points-to pruning, in the VM's provenance-audit mode. The audit
+// TestAuditSensitiveOracle runs every workload under cps, cpi and pac, with
+// and without points-to pruning, in the VM's provenance-audit mode. The audit
 // traps (TrapAuditSensitive) the moment a code-provenance value crosses an
 // uninstrumented memory operation, so a clean TrapExit on the full matrix is
 // a dynamic ground-truth proof that the static classification — pruned or
@@ -40,21 +40,21 @@ func TestAuditSensitiveOracle(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			for _, prot := range []core.Protection{core.CPS, core.CPI} {
+			for _, bk := range []string{"cps", "cpi", "pac"} {
 				for _, noPT := range []bool{false, true} {
-					cfg := core.Config{Protect: prot, DEP: true,
+					cfg := core.Config{Backend: bk, DEP: true,
 						NoPointsTo: noPT, AuditSensitive: true}
 					prog, err := core.Compile(w.Src, cfg)
 					if err != nil {
-						t.Fatalf("%v noPT=%v: compile: %v", prot, noPT, err)
+						t.Fatalf("%s noPT=%v: compile: %v", bk, noPT, err)
 					}
 					r, err := prog.Run()
 					if err != nil {
-						t.Fatalf("%v noPT=%v: run: %v", prot, noPT, err)
+						t.Fatalf("%s noPT=%v: run: %v", bk, noPT, err)
 					}
 					if r.Trap != vm.TrapExit {
-						t.Errorf("%v noPT=%v: audit trap %v (%v)\noutput: %s",
-							prot, noPT, r.Trap, r.Err, r.Output)
+						t.Errorf("%s noPT=%v: audit trap %v (%v)\noutput: %s",
+							bk, noPT, r.Trap, r.Err, r.Output)
 					}
 				}
 			}
