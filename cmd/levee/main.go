@@ -48,9 +48,29 @@ func main() {
 	flag.Parse()
 
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: levee [flags] file.c")
-		flag.Usage()
-		os.Exit(2)
+		usage("usage: levee [flags] file.c")
+	}
+	// One protection per compilation, as with the paper's compiler flags.
+	protect := core.Vanilla
+	var given []string
+	for _, pf := range []struct {
+		name string
+		on   bool
+		p    core.Protection
+	}{
+		{"-fcpi", *fcpi, core.CPI},
+		{"-fcps", *fcps, core.CPS},
+		{"-fstack-protector-safe", *fsafestack, core.SafeStack},
+		{"-fsoftbound", *fsoftbound, core.SoftBound},
+		{"-fcfi", *fcfi, core.CFI},
+	} {
+		if pf.on {
+			protect = pf.p
+			given = append(given, pf.name)
+		}
+	}
+	if len(given) > 1 {
+		usage("levee: at most one protection flag may be given, got " + strings.Join(given, " "))
 	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
@@ -60,7 +80,7 @@ func main() {
 	cfg := core.Config{
 		DEP: *dep, ASLR: *aslr, PIE: *pie, StackCookies: *cookies,
 		Fortify: *fortify, SPS: *spsOrg, Seed: *seed, Input: []byte(*input),
-		DebugDualStore: *debugDual, TemporalSafety: *temporal,
+		DebugDualStore: *debugDual, TemporalSafety: *temporal, Protect: protect,
 	}
 	switch strings.ToLower(*isolation) {
 	case "segment":
@@ -72,19 +92,6 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown isolation %q", *isolation))
 	}
-	switch {
-	case *fcpi:
-		cfg.Protect = core.CPI
-	case *fcps:
-		cfg.Protect = core.CPS
-	case *fsafestack:
-		cfg.Protect = core.SafeStack
-	case *fsoftbound:
-		cfg.Protect = core.SoftBound
-	case *fcfi:
-		cfg.Protect = core.CFI
-	}
-
 	prog, err := core.Compile(string(src), cfg)
 	if err != nil {
 		fatal(err)
@@ -173,6 +180,13 @@ func writeStatsJSON(path, src string, cfg core.Config, prog *core.Program) error
 		return err
 	}
 	return os.WriteFile(path, append(b, '\n'), 0o644)
+}
+
+// usage reports a command-line error and exits with status 2.
+func usage(msg string) {
+	fmt.Fprintln(os.Stderr, msg)
+	flag.Usage()
+	os.Exit(2)
 }
 
 func fatal(err error) {

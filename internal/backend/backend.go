@@ -1,8 +1,9 @@
 // Package backend defines the pluggable pointer-integrity enforcement
 // abstraction. A Backend describes, for the instrumentation pass, *what* to
 // protect (its Scope) and *how* each protected operation is marked (the
-// ir.Prot flags it emits); the VM side picks the matching runtime enforcer
-// by name (vm.Config.Backend / the safe-region defaults).
+// ir.Prot flags it emits); the VM side runs the enforcer of the same name
+// (vm.Config.Backend, selected in vm's newEnforcer together with the flag
+// bits that activate it).
 //
 // The classification pipeline in front of the backend is shared: the safe
 // stack direct-access skip, the type classifier, the char* string

@@ -8,13 +8,17 @@
 //	prog, err := core.Compile(src, core.Config{Protect: core.CPI})
 //	res, err := prog.Run()
 //
-// Each protection level composes the right passes and runtime switches:
+// Config.Backend is the one protection selector: it names a registered
+// pointer-integrity backend (cps, cpi, pac, ...), which fixes both the
+// instrumentation (instrument.WithBackend) and the VM enforcer of the same
+// name. Protect is a thin alias resolved here and nowhere else:
 //
 //	Vanilla    — nothing (DEP/ASLR/cookies are separate toggles)
 //	SafeStack  — safe stack only (-fstack-protector-safe)
-//	CPS        — safe stack + code-pointer separation (-fcps)
-//	CPI        — safe stack + full code-pointer integrity (-fcpi)
-//	SoftBound  — full spatial memory safety baseline
+//	CPS        — Backend "cps": safe stack + code-pointer separation (-fcps)
+//	CPI        — Backend "cpi": safe stack + full code-pointer integrity (-fcpi)
+//	SoftBound  — full spatial memory safety baseline (its own pass, VM
+//	             enforcer "softbound")
 //	CFI        — coarse-grained control-flow integrity baseline
 package core
 
@@ -66,11 +70,12 @@ type Config struct {
 	Protect Protection
 
 	// Backend selects the pointer-integrity enforcement backend by
-	// registered name ("cps", "cpi", "pac", ...). Empty means derive it
-	// from Protect: CPS and CPI map to the safe-region backends of the
-	// same name, everything else compiles without a backend. Setting both
-	// Backend and a conflicting Protect is an error; Backend "cps"/"cpi"
-	// with Protect Vanilla is exactly equivalent to Protect CPS/CPI.
+	// registered name ("cps", "cpi", "pac", ...); the VM runs the enforcer
+	// of the same name. Empty means derive it from Protect: CPS and CPI
+	// map to the safe-region backends of the same name, everything else
+	// compiles without a backend. Setting both Backend and a conflicting
+	// Protect is an error; Backend "cps"/"cpi" with Protect Vanilla is
+	// exactly equivalent to Protect CPS/CPI.
 	Backend string
 
 	// PacBits is the modeled MAC width of the pac backend (bits 47..62 of
@@ -145,36 +150,23 @@ type Config struct {
 	Cost     vm.CostModel
 }
 
-// backendName resolves the enforcement backend of the configuration: an
-// explicit Backend wins, otherwise Protect CPS/CPI map to the safe-region
-// backends of the same name. Empty means no backend (vanilla, safestack,
-// and the softbound/cfi baselines).
-func (c Config) backendName() (string, error) {
-	fromProt := ""
-	switch c.Protect {
-	case CPS:
-		fromProt = "cps"
-	case CPI:
-		fromProt = "cpi"
-	}
-	if c.Backend == "" {
-		return fromProt, nil
-	}
-	if fromProt != "" && fromProt != c.Backend {
-		return "", fmt.Errorf("conflicting Protect %s and Backend %q", c.Protect, c.Backend)
-	}
-	if fromProt == "" && c.Protect != Vanilla {
-		return "", fmt.Errorf("Backend %q cannot compose with Protect %s", c.Backend, c.Protect)
-	}
-	return c.Backend, nil
-}
-
-// backend resolves the configuration's backend against the registry (nil
-// when the configuration uses none).
+// backend resolves the configuration's enforcement backend against the
+// registry: Protect CPS/CPI alias the safe-region backends of the same
+// name, an explicit Backend must agree with them and composes with no
+// other Protect level. Nil means no backend (vanilla, safestack, and the
+// softbound/cfi baselines).
 func (c Config) backend() (backend.Backend, error) {
-	name, err := c.backendName()
-	if err != nil || name == "" {
-		return nil, err
+	name := c.Backend
+	switch {
+	case c.Protect == CPS || c.Protect == CPI:
+		if name != "" && name != c.Protect.String() {
+			return nil, fmt.Errorf("conflicting Protect %s and Backend %q", c.Protect, name)
+		}
+		name = c.Protect.String()
+	case name == "":
+		return nil, nil
+	case c.Protect != Vanilla:
+		return nil, fmt.Errorf("Backend %q cannot compose with Protect %s", name, c.Protect)
 	}
 	bk, ok := backend.Get(name)
 	if !ok {
@@ -335,36 +327,17 @@ func (p *Program) VMConfig() vm.Config {
 		Input:          p.Cfg.Input,
 		MaxSteps:       p.Cfg.MaxSteps,
 		Cost:           p.Cfg.Cost,
+		PacBits:        p.Cfg.PacBits,
+		SafeStack:      p.Cfg.Protect == SafeStack,
+		CFI:            p.Cfg.Protect == CFI,
 	}
-	name, _ := p.Cfg.backendName() // Compile already validated
-	switch name {
-	case "cps":
-		// The safe-region backends map onto the VM's native CPS/CPI
-		// enforcement switches (the safe-region enforcer is the VM default,
-		// so Config.Backend stays empty and the runtime paths are
-		// bit-identical to the pre-seam machine).
-		c.SafeStack = true
-		c.CPS = true
-	case "cpi":
-		c.SafeStack = true
-		c.CPI = true
-	case "":
-		switch p.Cfg.Protect {
-		case SafeStack:
-			c.SafeStack = true
-		case SoftBound:
-			c.SoftBound = true
-		case CFI:
-			c.CFI = true
-		}
-	default:
-		// A runtime-pluggable backend (pac): the VM selects its enforcer by
-		// name. Every current backend composes with the safe stack.
-		if bk, ok := backend.Get(name); ok && bk.SafeStack() {
-			c.SafeStack = true
-		}
-		c.Backend = name
-		c.PacBits = p.Cfg.PacBits
+	// The resolved backend names the VM's enforcer (Compile already
+	// validated it); SoftBound's enforcer has no compile-side backend.
+	if bk, _ := p.Cfg.backend(); bk != nil {
+		c.Backend = bk.Name()
+		c.SafeStack = bk.SafeStack()
+	} else if p.Cfg.Protect == SoftBound {
+		c.Backend = "softbound"
 	}
 	return c
 }

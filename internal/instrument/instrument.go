@@ -5,18 +5,19 @@
 //   - SafeStack (§3.2.4): escape analysis decides which frame objects move
 //     to the unsafe stack; everything else (return addresses, scalars,
 //     proven-safe objects) stays on the isolated safe stack.
-//   - CPI (§3.2.1–§3.2.2): loads/stores of sensitive pointers go through
-//     the safe pointer store with metadata; dereferences through sensitive
-//     pointers are checked; memcpy-family calls that may touch sensitive
-//     data use safe variants.
-//   - CPS (§3.3): the relaxation — code pointers and universal pointers
-//     only, no bounds metadata.
+//   - WithBackend: the one pointer-integrity pass. A shared classification
+//     front (safe-stack skip, type classifier, char* string heuristic,
+//     points-to pruning) decides which operations are sensitive; the
+//     registered backend (cps §3.3, cpi §3.2.1–§3.2.2, pac, ...) decides how
+//     each is flagged. CPS and CPI are shorthands for the two safe-region
+//     backends.
 //   - SoftBound: full spatial memory safety baseline (every pointer-typed
 //     access carries metadata, every computed access is checked).
 //   - CFI: coarse-grained indirect-call target checks (baseline).
 //
-// Passes are idempotent and ordered: SafeStack must run before CPI/CPS so
-// accesses to safe-stack objects can be left uninstrumented.
+// Passes are idempotent and ordered: SafeStack must run before a backend
+// that composes with it, so accesses to safe-stack objects can be left
+// uninstrumented.
 package instrument
 
 import (
@@ -43,7 +44,7 @@ func SafeStack(p *ir.Program) {
 	p.Protection = append(p.Protection, "safestack")
 }
 
-// Opts configures the CPI/CPS passes.
+// Opts configures the backend pass.
 type Opts struct {
 	// SensitiveStructs lists struct tags the programmer marked sensitive
 	// (§3.2.1: "such as struct ucred used in the FreeBSD kernel to store
@@ -60,16 +61,16 @@ type Opts struct {
 	PointsTo *analysis.PointsTo
 }
 
-// CPI runs the CPI instrumentation pass and returns its statistics.
+// CPI runs the registered "cpi" backend with no annotations or pruning.
 // SafeStack must have run first (the paper's CPI includes the safe stack).
 func CPI(p *ir.Program) analysis.Stats {
-	return CPIWith(p, Opts{})
+	return WithBackend(p, mustBackend("cpi"), Opts{})
 }
 
-// CPIWith runs CPI with programmer annotations and/or points-to pruning.
-// It routes through the backend seam (the registered "cpi" backend).
-func CPIWith(p *ir.Program, opts Opts) analysis.Stats {
-	return WithBackend(p, mustBackend("cpi"), opts)
+// CPS runs the registered "cps" backend (the relaxed code-pointer
+// separation) with no pruning.
+func CPS(p *ir.Program) analysis.Stats {
+	return WithBackend(p, mustBackend("cps"), Opts{})
 }
 
 // WithBackend runs the protection instrumentation for one registered
@@ -82,7 +83,7 @@ func WithBackend(p *ir.Program, bk backend.Backend, opts Opts) analysis.Stats {
 	annotated := annotSet{}
 	if bk.Scope() == backend.ScopeFull {
 		// Annotations are a full-scope feature; code-scope backends ignore
-		// SensitiveStructs entirely (as CPS always has).
+		// SensitiveStructs entirely.
 		for _, n := range opts.SensitiveStructs {
 			annotated[n] = true
 		}
@@ -91,7 +92,7 @@ func WithBackend(p *ir.Program, bk backend.Backend, opts Opts) analysis.Stats {
 		if f.External {
 			continue
 		}
-		instrumentFuncBackend(p, f, bk, annotated, opts.PointsTo)
+		instrumentFunc(p, f, bk, annotated, opts.PointsTo)
 	}
 	markGlobals(p, annotated)
 	p.Protection = append(p.Protection, bk.Name())
@@ -106,7 +107,7 @@ func mustBackend(name string) backend.Backend {
 	return bk
 }
 
-// annotSet holds the sensitive-struct tags of one CPIWith run. It is
+// annotSet holds the sensitive-struct tags of one WithBackend run. It is
 // threaded through the pass explicitly so concurrent compilations (the
 // parallel evaluation harness) never share mutable pass state.
 type annotSet map[string]bool
@@ -132,44 +133,43 @@ func (a annotSet) covers(t *ctypes.Type) bool {
 	return false
 }
 
-// CPS runs the relaxed code-pointer-separation pass.
-func CPS(p *ir.Program) analysis.Stats {
-	return CPSWith(p, Opts{})
-}
-
-// CPSWith runs CPS with points-to pruning (SensitiveStructs is ignored:
-// annotations are a CPI feature, and code-scope backends never see the
-// annotated class). It routes through the backend seam.
-func CPSWith(p *ir.Program, opts Opts) analysis.Stats {
-	return WithBackend(p, mustBackend("cps"), opts)
-}
-
-// ReferenceCPS and ReferenceCPI run the frozen pre-refactor mode-based
-// passes. They are not used by any compilation path; the refactor-
-// equivalence differential suite compiles every workload through both this
-// reference and the backend seam and requires bit-identical flags and runs.
-// Do not extend these when adding backends — they are the fixed point the
-// seam is measured against.
-func ReferenceCPS(p *ir.Program, opts Opts) analysis.Stats {
-	instrumentProgramOpts(p, modeCPS, nil, opts.PointsTo)
-	p.Protection = append(p.Protection, "cps")
-	return analysis.Collect(p)
-}
-
-// ReferenceCPI is the frozen mode-based CPI pass; see ReferenceCPS.
-func ReferenceCPI(p *ir.Program, opts Opts) analysis.Stats {
-	annotated := annotSet{}
-	for _, n := range opts.SensitiveStructs {
-		annotated[n] = true
-	}
-	instrumentProgramOpts(p, modeCPI, annotated, opts.PointsTo)
-	p.Protection = append(p.Protection, "cpi")
-	return analysis.Collect(p)
-}
-
-// SoftBound runs the full-memory-safety baseline pass.
+// SoftBound runs the full-memory-safety baseline pass: every pointer-typed
+// access maintains metadata and every computed access is checked. There is
+// no safe stack, so all slots are in regular memory and direct accesses are
+// instrumented too; there is no points-to pruning either.
 func SoftBound(p *ir.Program) analysis.Stats {
-	instrumentProgram(p, modeSB)
+	for _, f := range p.Funcs {
+		if f.External {
+			continue
+		}
+		fi := analysis.Analyze(f)
+		markFrame(f)
+		for _, b := range f.Blocks {
+			for i := range b.Ins {
+				in := &b.Ins[i]
+				switch in.Op {
+				case ir.OpLoad, ir.OpStore:
+					if in.Ty == nil {
+						continue
+					}
+					if in.Ty.IsPtr() {
+						in.Flags |= ir.ProtSB
+						if in.Ty.IsUniversalPtr() {
+							in.Flags |= ir.ProtUniversal
+						}
+					}
+					if in.A.Kind == ir.ValReg {
+						in.Flags |= ir.ProtSBCheck
+					}
+				case ir.OpCall:
+					if in.Callee < 0 {
+						flagIntrinsic(p, fi, in, nil, ir.ProtCPIStore, ir.ProtSafeIntr, containsPtr)
+					}
+				}
+			}
+		}
+	}
+	markGlobals(p, nil)
 	p.Protection = append(p.Protection, "softbound")
 	return analysis.Collect(p)
 }
@@ -188,28 +188,6 @@ func CFI(p *ir.Program) {
 	p.Protection = append(p.Protection, "cfi")
 }
 
-type mode uint8
-
-const (
-	modeCPI mode = iota
-	modeCPS
-	modeSB
-)
-
-func instrumentProgram(p *ir.Program, md mode) {
-	instrumentProgramOpts(p, md, nil, nil)
-}
-
-func instrumentProgramOpts(p *ir.Program, md mode, annotated annotSet, pt *analysis.PointsTo) {
-	for _, f := range p.Funcs {
-		if f.External {
-			continue
-		}
-		instrumentFunc(p, f, md, annotated, pt)
-	}
-	markGlobals(p, annotated)
-}
-
 // markGlobals marks sensitive globals (informational; the loader seeds the
 // backend's metadata from initializers either way) and annotated ones (the
 // loader must seed their initial values).
@@ -224,49 +202,34 @@ func markGlobals(p *ir.Program, annotated annotSet) {
 	}
 }
 
-// instrumentFuncBackend is the backend-seam counterpart of instrumentFunc:
-// the same per-function analyses and walk order, with flag decisions
-// delegated to the backend.
-func instrumentFuncBackend(p *ir.Program, f *ir.Func, bk backend.Backend, annotated annotSet, pt *analysis.PointsTo) {
-	fi := analysis.Analyze(f)
-	uses := analysis.Uses(f)
+// markFrame marks the frame objects of sensitive type.
+func markFrame(f *ir.Func) {
 	for _, obj := range f.Frame {
 		if ctypes.Sensitive(obj.Type) {
 			obj.Sensitive = true
-		}
-	}
-	for _, b := range f.Blocks {
-		for i := range b.Ins {
-			in := &b.Ins[i]
-			switch in.Op {
-			case ir.OpLoad, ir.OpStore:
-				flagMemOpBackend(p, fi, uses, in, bk, annotated, pt)
-			case ir.OpCall:
-				if in.Callee < 0 {
-					flagIntrinsicBackend(p, fi, in, bk, pt)
-				}
-			}
 		}
 	}
 }
 
-func instrumentFunc(p *ir.Program, f *ir.Func, md mode, annotated annotSet, pt *analysis.PointsTo) {
+// instrumentFunc flags one function's sensitive operations for bk.
+func instrumentFunc(p *ir.Program, f *ir.Func, bk backend.Backend, annotated annotSet, pt *analysis.PointsTo) {
 	fi := analysis.Analyze(f)
 	uses := analysis.Uses(f)
-	for _, obj := range f.Frame {
-		if ctypes.Sensitive(obj.Type) {
-			obj.Sensitive = true
-		}
+	markFrame(f)
+	touches := ctypes.Sensitive
+	if bk.Scope() == backend.ScopeCode {
+		// Code-scope backends care about code-pointer-carrying regions only.
+		touches = func(t *ctypes.Type) bool { return containsCodePtr(t, map[*ctypes.Struct]bool{}) }
 	}
 	for _, b := range f.Blocks {
 		for i := range b.Ins {
 			in := &b.Ins[i]
 			switch in.Op {
 			case ir.OpLoad, ir.OpStore:
-				flagMemOp(p, fi, uses, in, md, annotated, pt)
+				flagMemOp(p, fi, uses, in, bk, annotated, pt)
 			case ir.OpCall:
 				if in.Callee < 0 {
-					flagIntrinsic(p, fi, in, md, pt)
+					flagIntrinsic(p, fi, in, pt, bk.SetjmpFlags(), bk.SafeIntrFlags(), touches)
 				}
 			}
 		}
@@ -280,151 +243,42 @@ func safeStackDirect(fi *analysis.FuncInfo, v ir.Value) bool {
 	return v.Kind == ir.ValFrame && !fi.Fn.Frame[v.Index].Unsafe
 }
 
-// flagMemOp decides the instrumentation of one load/store.
-func flagMemOp(p *ir.Program, fi *analysis.FuncInfo, uses map[int][]*ir.Instr, in *ir.Instr, md mode, annotated annotSet, pt *analysis.PointsTo) {
+// flagMemOp decides the instrumentation of one load/store: the shared
+// classification front — safe-stack skip, annotation covers, type
+// classifier, string heuristic, points-to pruning — picks the class, the
+// backend emits the flags.
+func flagMemOp(p *ir.Program, fi *analysis.FuncInfo, uses map[int][]*ir.Instr, in *ir.Instr, bk backend.Backend, annotated annotSet, pt *analysis.PointsTo) {
 	ty := in.Ty
-	if ty == nil {
-		return
-	}
-
-	switch md {
-	case modeSB:
-		// SoftBound: every pointer-typed access maintains metadata, every
-		// computed access is checked. No safe stack: all slots are in
-		// regular memory, so direct accesses are instrumented too.
-		if ty.IsPtr() {
-			in.Flags |= ir.ProtSB
-			if ty.IsUniversalPtr() {
-				in.Flags |= ir.ProtUniversal
-			}
-		}
-		if in.A.Kind == ir.ValReg {
-			in.Flags |= ir.ProtSBCheck
-		}
-		return
-
-	case modeCPS:
-		// Code pointers and universal pointers only (§3.3), skipping
-		// accesses to safe-stack objects.
-		if safeStackDirect(fi, in.A) {
-			return
-		}
-		switch {
-		case ty.IsFuncPtr():
-			if pt.Prunable(fi.Fn, in.A) {
-				return // targets provably never hold code pointers
-			}
-			in.Flags |= ir.ProtCPS
-		case ty.IsUniversalPtr():
-			if stringHeuristic(fi, uses, in) {
-				return
-			}
-			if pt.Prunable(fi.Fn, in.A) {
-				return
-			}
-			in.Flags |= ir.ProtCPS | ir.ProtUniversal
-		}
-		return
-
-	case modeCPI:
-		if safeStackDirect(fi, in.A) {
-			return
-		}
-		// Programmer-annotated data (§3.2.1): keep the value itself in the
-		// safe store, whatever its type.
-		if len(annotated) > 0 && in.Size == 8 {
-			if t := fi.PointeeType(p, in.A, 0); t != nil && annotated.covers(t) {
-				in.Flags |= ir.ProtCPIStore | ir.ProtCPILoad | ir.ProtAnnotated
-				if in.A.Kind == ir.ValReg {
-					in.Flags |= ir.ProtCPICheck
-				}
-				return
-			}
-		}
-		if !ctypes.SensitivePtr(ty) && !ctypes.Sensitive(ty) {
-			return
-		}
-		// Whole-program refinement: the type classifier says sensitive, but
-		// if every abstract target of the address is provably non-sensitive
-		// the safe store can hold nothing under it — leave it plain.
-		if pt.Prunable(fi.Fn, in.A) {
-			return
-		}
-		if ty.IsUniversalPtr() {
-			if stringHeuristic(fi, uses, in) {
-				return
-			}
-			in.Flags |= ir.ProtCPIStore | ir.ProtCPILoad | ir.ProtUniversal
-		} else {
-			in.Flags |= ir.ProtCPIStore | ir.ProtCPILoad
-		}
-		if in.A.Kind == ir.ValReg {
-			in.Flags |= ir.ProtCPICheck
-		}
-	}
-}
-
-// flagMemOpBackend decides the instrumentation of one load/store through
-// the backend seam. The classification front — safe-stack skip, annotation
-// covers, type classifier, points-to pruning, string heuristic — is shared
-// verbatim with the frozen reference passes; only the emitted flags come
-// from the backend.
-func flagMemOpBackend(p *ir.Program, fi *analysis.FuncInfo, uses map[int][]*ir.Instr, in *ir.Instr, bk backend.Backend, annotated annotSet, pt *analysis.PointsTo) {
-	ty := in.Ty
-	if ty == nil {
-		return
-	}
-	if safeStackDirect(fi, in.A) {
+	if ty == nil || safeStackDirect(fi, in.A) {
 		return
 	}
 	regAddr := in.A.Kind == ir.ValReg
-
-	switch bk.Scope() {
-	case backend.ScopeCode:
-		// Code pointers and universal pointers only (§3.3).
-		switch {
-		case ty.IsFuncPtr():
-			if pt.Prunable(fi.Fn, in.A) {
-				return // targets provably never hold code pointers
-			}
-			in.Flags |= bk.MemOp(backend.ClassFuncPtr, regAddr)
-		case ty.IsUniversalPtr():
-			if stringHeuristic(fi, uses, in) {
-				return
-			}
-			if pt.Prunable(fi.Fn, in.A) {
-				return
-			}
-			in.Flags |= bk.MemOp(backend.ClassUniversal, regAddr)
-		}
-
-	case backend.ScopeFull:
+	var class backend.Class
+	switch {
+	case bk.Scope() == backend.ScopeFull && len(annotated) > 0 && in.Size == 8 &&
+		annotated.covers(fi.PointeeType(p, in.A, 0)):
 		// Programmer-annotated data (§3.2.1): protect the value itself,
 		// whatever its type.
-		if len(annotated) > 0 && in.Size == 8 {
-			if t := fi.PointeeType(p, in.A, 0); t != nil && annotated.covers(t) {
-				in.Flags |= bk.MemOp(backend.ClassAnnotated, regAddr)
-				return
-			}
-		}
-		if !ctypes.SensitivePtr(ty) && !ctypes.Sensitive(ty) {
-			return
-		}
-		// Whole-program refinement: the type classifier says sensitive, but
-		// if every abstract target of the address is provably non-sensitive
-		// the backend can protect nothing under it — leave it plain.
-		if pt.Prunable(fi.Fn, in.A) {
-			return
-		}
-		if ty.IsUniversalPtr() {
-			if stringHeuristic(fi, uses, in) {
-				return
-			}
-			in.Flags |= bk.MemOp(backend.ClassUniversal, regAddr)
-		} else {
-			in.Flags |= bk.MemOp(backend.ClassSensitive, regAddr)
-		}
+		in.Flags |= bk.MemOp(backend.ClassAnnotated, regAddr)
+		return
+	case ty.IsUniversalPtr():
+		class = backend.ClassUniversal
+	case bk.Scope() == backend.ScopeCode && ty.IsFuncPtr():
+		// Code scope: code pointers and universal pointers only (§3.3).
+		class = backend.ClassFuncPtr
+	case bk.Scope() == backend.ScopeFull && (ctypes.SensitivePtr(ty) || ctypes.Sensitive(ty)):
+		class = backend.ClassSensitive
+	default:
+		return
 	}
+	// If every abstract target of the address is provably non-sensitive
+	// (whole-program refinement of the type classifier) the backend can
+	// protect nothing under it; and manifest strings are not universal
+	// pointers. Either way, leave it plain.
+	if pt.Prunable(fi.Fn, in.A) || stringHeuristic(fi, uses, in) {
+		return
+	}
+	in.Flags |= bk.MemOp(class, regAddr)
 }
 
 // stringHeuristic applies the §3.2.1 char* refinement: char* values that
@@ -441,110 +295,46 @@ func stringHeuristic(fi *analysis.FuncInfo, uses map[int][]*ir.Instr, in *ir.Ins
 }
 
 // flagIntrinsic classifies memory-manipulation intrinsics (§3.2.2) and
-// setjmp (implicit code pointers, §3.2.1).
-func flagIntrinsic(p *ir.Program, fi *analysis.FuncInfo, in *ir.Instr, md mode, pt *analysis.PointsTo) {
+// setjmp (implicit code pointers, §3.2.1). setjmp calls get setjmpFl;
+// memcpy/memmove/memset/free calls whose region may hold protected data
+// (touches on the argument's real pointee type, §3.2.2: "analyzes the real
+// types of the arguments prior to being cast to void*") get safeFl.
+func flagIntrinsic(p *ir.Program, fi *analysis.FuncInfo, in *ir.Instr, pt *analysis.PointsTo, setjmpFl, safeFl ir.Prot, touches func(*ctypes.Type) bool) {
 	// prunedArg refines the type-based argument analysis: if every abstract
 	// object the argument may point to is non-sensitive, the region can
-	// hold no safe-store entries, so the plain variant is equivalent.
-	prunedArg := func(i int) bool {
-		return i < len(in.Args) && pt.Prunable(fi.Fn, in.Args[i])
-	}
-	switch in.Intr {
-	case builtins.Setjmp:
-		switch md {
-		case modeCPI, modeSB:
-			in.Flags |= ir.ProtCPIStore
-		case modeCPS:
-			in.Flags |= ir.ProtCPS
-		}
-	case builtins.Memcpy, builtins.Memmove:
-		if prunedArg(0) && prunedArg(1) {
-			return
-		}
-		if mayTouchSensitive(p, fi, in.Args, 0, md) || mayTouchSensitive(p, fi, in.Args, 1, md) {
-			in.Flags |= ir.ProtSafeIntr
-		}
-	case builtins.Memset, builtins.Free:
-		// Both clear sensitive state keyed by the pointed-to region: memset
-		// overwrites it, and free() must invalidate the safe-pointer-store
-		// entries covering it (otherwise a dangling entry still validates
-		// when the allocator reuses the address). Regions statically proven
-		// insensitive keep the plain variants.
-		if prunedArg(0) {
-			return
-		}
-		if mayTouchSensitive(p, fi, in.Args, 0, md) {
-			in.Flags |= ir.ProtSafeIntr
-		}
-	}
-}
-
-// flagIntrinsicBackend classifies intrinsics through the backend seam: the
-// argument analysis and pruning are shared with the reference passes, the
-// flags come from the backend.
-func flagIntrinsicBackend(p *ir.Program, fi *analysis.FuncInfo, in *ir.Instr, bk backend.Backend, pt *analysis.PointsTo) {
+	// hold no protected entries, so the plain variant is equivalent.
 	prunedArg := func(i int) bool {
 		return i < len(in.Args) && pt.Prunable(fi.Fn, in.Args[i])
 	}
 	mayTouch := func(i int) bool {
-		return mayTouchScope(p, fi, in.Args, i, bk.Scope())
+		if i >= len(in.Args) {
+			return false
+		}
+		t := fi.PointeeType(p, in.Args[i], 0)
+		return t == nil || touches(t) // unknown: conservative
 	}
 	switch in.Intr {
 	case builtins.Setjmp:
-		in.Flags |= bk.SetjmpFlags()
+		in.Flags |= setjmpFl
 	case builtins.Memcpy, builtins.Memmove:
 		if prunedArg(0) && prunedArg(1) {
 			return
 		}
 		if mayTouch(0) || mayTouch(1) {
-			in.Flags |= bk.SafeIntrFlags()
+			in.Flags |= safeFl
 		}
 	case builtins.Memset, builtins.Free:
+		// Both clear protected state keyed by the pointed-to region: memset
+		// overwrites it, and free() must invalidate the entries covering it
+		// (otherwise a dangling entry still validates when the allocator
+		// reuses the address). Regions statically proven insensitive keep
+		// the plain variants.
 		if prunedArg(0) {
 			return
 		}
 		if mayTouch(0) {
-			in.Flags |= bk.SafeIntrFlags()
+			in.Flags |= safeFl
 		}
-	}
-}
-
-// mayTouchScope is mayTouchSensitive keyed by backend scope instead of
-// pass mode: code-scope backends care about code-pointer-carrying regions,
-// full-scope backends about the whole sensitive closure.
-func mayTouchScope(p *ir.Program, fi *analysis.FuncInfo, args []ir.Value, i int, sc backend.Scope) bool {
-	if i >= len(args) {
-		return false
-	}
-	t := fi.PointeeType(p, args[i], 0)
-	if t == nil {
-		return true // unknown: conservative
-	}
-	if sc == backend.ScopeCode {
-		return containsCodePtr(t, map[*ctypes.Struct]bool{})
-	}
-	return ctypes.Sensitive(t)
-}
-
-// mayTouchSensitive reports whether the i-th pointer argument may point to
-// data the active mode protects. Unknown types are conservatively sensitive
-// (the static analysis "analyzes the real types of the arguments prior to
-// being cast to void*", §3.2.2; when that fails, the safe variant is used).
-func mayTouchSensitive(p *ir.Program, fi *analysis.FuncInfo, args []ir.Value, i int, md mode) bool {
-	if i >= len(args) {
-		return false
-	}
-	t := fi.PointeeType(p, args[i], 0)
-	if t == nil {
-		return true // unknown: conservative
-	}
-	switch md {
-	case modeSB:
-		return containsPtr(t)
-	case modeCPS:
-		return containsCodePtr(t, map[*ctypes.Struct]bool{})
-	default:
-		return ctypes.Sensitive(t)
 	}
 }
 

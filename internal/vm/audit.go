@@ -39,7 +39,7 @@ func (m *Machine) auditLoad(addr uint64, onSafe bool, size uint8, flags ir.Prot)
 	if size != 8 || onSafe {
 		return true
 	}
-	if useSPS, _, _, _ := m.protActive(flags); useSPS {
+	if flags&m.caps.active != 0 {
 		return true // instrumented: goes through the safe store
 	}
 	st := m.spsStore()
@@ -59,7 +59,7 @@ func (m *Machine) auditStore(addr uint64, onSafe bool, size uint8, flags ir.Prot
 	if size != 8 || onSafe {
 		return true
 	}
-	if useSPS, _, _, _ := m.protActive(flags); useSPS {
+	if flags&m.caps.active != 0 {
 		return true
 	}
 	if valMeta.Kind == sps.KindCode {
@@ -83,10 +83,11 @@ func (m *Machine) auditStore(addr uint64, onSafe bool, size uint8, flags ir.Prot
 }
 
 // auditRange vets a plain (unsafe-variant) intrinsic touching
-// [base, base+n): any live code-provenance entry in the range means the
-// intrinsic needed the safe variant. what names the intrinsic for the trap.
+// [base, base+n) on an audit machine: any live code-provenance entry in the
+// range means the intrinsic needed the safe variant. what names the
+// intrinsic for the trap.
 func (m *Machine) auditRange(base uint64, n int64, what string) bool {
-	if !m.cfg.AuditSensitive || n <= 0 {
+	if n <= 0 {
 		return true
 	}
 	st := m.spsStore()

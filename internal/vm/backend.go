@@ -4,21 +4,40 @@ import (
 	"fmt"
 
 	"repro/internal/ir"
-	"repro/internal/mem"
 	"repro/internal/sps"
 )
 
-// The runtime half of the pointer-integrity backend abstraction. Every
-// machine owns one enforcer; the check paths (memops.go, setjmp.go,
-// intrinsics.go, calls.go) dispatch protected accesses through it instead
-// of assuming the safe-region idiom. Config.Backend selects it by name:
-// the empty default is the safe-region enforcer (the paper's mechanism,
-// shared by CPI/CPS/SoftBound and backing the audit oracle and temporal
-// sweep), "pac" is the MAC-authenticate-in-place enforcer.
+// The runtime half of the pointer-integrity backend abstraction.
+// Config.Backend names the one enforcer a machine owns: "" (none: vanilla,
+// safestack and cfi machines hold a nil enforcer and never reach a hook),
+// "cps", "cpi" or "softbound" (the safe-region enforcer in the matching
+// mode, which also backs the audit oracle and the temporal sweep), or "pac"
+// (MAC-authenticate-in-place, pac.go). The check paths (memops.go,
+// setjmp.go, intrinsics.go, calls.go) gate on m.enf != nil or on the
+// capabilities the enforcer fixed at construction (enfCaps), and dispatch
+// protected accesses through the hooks.
+
+// enfCaps are the enforcement capabilities of a machine, fixed at
+// construction by newEnforcer. Unprotected machines hold the zero value.
+type enfCaps struct {
+	// active is the set of flag bits that route a word-sized load/store
+	// (and a setjmp, when transfers is set) through the enforcer.
+	active ir.Prot
+	// check is the set of flag bits that demand a dereference check.
+	check ir.Prot
+	// transfers says setjmp/longjmp resume addresses and indirect-call
+	// targets are vetted through the enforcer (softbound does not).
+	transfers bool
+	// boundsGEP says pointer arithmetic pays SoftBound's metadata
+	// propagation cost.
+	boundsGEP bool
+	// trap is the violation the enforcer raises.
+	trap TrapKind
+}
 
 // enforcer is the per-backend runtime hook set. Hooks are only invoked on
-// operations the instrumentation flagged and the configuration activated
-// (protActive), so the plain fast paths never pay for the indirection.
+// operations the instrumentation flagged with one of the enforcer's active
+// bits, so the plain fast paths never pay for the indirection.
 type enforcer interface {
 	// seed draws per-machine secrets from the layout PRNG. load() calls it
 	// after the canary/pointer-guard/safe-base draws, so backends needing
@@ -27,21 +46,18 @@ type enforcer interface {
 	// loadProt handles a flagged word-sized load from the regular region
 	// (the caller resolved addr and guarded size==8 && !onSafe). It fills
 	// f.regs[dst]/f.meta[dst] and returns false if the machine trapped.
-	loadProt(m *Machine, f *frame, space *mem.Memory, addr uint64, dst int32, universal, cps bool) bool
+	loadProt(m *Machine, f *frame, addr uint64, dst int32, universal bool) bool
 	// storeProt handles the metadata half of a flagged word-sized store
 	// and returns the word the regular region should hold (the pac
 	// enforcer transforms it; the safe-region one stores metadata aside
 	// and returns it unchanged).
-	storeProt(m *Machine, addr, val uint64, valMeta Meta, flags ir.Prot, universal, cps bool) uint64
+	storeProt(m *Machine, addr, val uint64, valMeta Meta, flags ir.Prot) uint64
 	// setjmpSave protects the resume address of a flagged setjmp after
 	// the raw jmp_buf words have been written.
 	setjmpSave(m *Machine, buf, siteAddr uint64)
 	// longjmpResume recovers the protected resume address of a jmp_buf;
 	// ok=false means the machine trapped.
 	longjmpResume(m *Machine, buf uint64) (resume uint64, ok bool)
-	// violation is the trap kind for a control transfer through a value
-	// without code provenance under this backend.
-	violation(m *Machine) TrapKind
 	// initEntry seeds protection state for one pointer-valued global
 	// initializer word (the loader is trusted, §2).
 	initEntry(m *Machine, addr uint64, e sps.Entry)
@@ -61,22 +77,34 @@ type enforcer interface {
 	reset()
 }
 
-// newEnforcer builds the enforcer for a configuration.
-func newEnforcer(cfg Config) (enforcer, error) {
+// newEnforcer builds the enforcer a configuration names and its
+// capabilities; unprotected configurations get a nil enforcer.
+func newEnforcer(cfg Config) (enforcer, enfCaps, error) {
 	switch cfg.Backend {
 	case "":
-		return &srEnforcer{sps: sps.New(cfg.SPS)}, nil
+		return nil, enfCaps{}, nil
+	case "cps":
+		return &srEnforcer{sps: sps.New(cfg.SPS), codeOnly: true},
+			enfCaps{active: ir.ProtCPS, transfers: true, trap: TrapCPSViolation}, nil
+	case "cpi":
+		return &srEnforcer{sps: sps.New(cfg.SPS)},
+			enfCaps{active: ir.ProtCPIStore | ir.ProtCPILoad, check: ir.ProtCPICheck,
+				transfers: true, trap: TrapCPIViolation}, nil
+	case "softbound":
+		return &srEnforcer{sps: sps.New(cfg.SPS)},
+			enfCaps{active: ir.ProtSB, check: ir.ProtSBCheck, boundsGEP: true, trap: TrapSBViolation}, nil
 	case "pac":
 		bits := cfg.PacBits
 		if bits == 0 {
 			bits = pacDefaultBits
 		}
 		if bits < 1 || bits > pacMaxBits {
-			return nil, fmt.Errorf("vm: PacBits %d out of range [1,%d]", bits, pacMaxBits)
+			return nil, enfCaps{}, fmt.Errorf("vm: PacBits %d out of range [1,%d]", bits, pacMaxBits)
 		}
-		return &pacEnforcer{bits: uint(bits), mask: uint64(1)<<bits - 1}, nil
+		return &pacEnforcer{bits: uint(bits), mask: uint64(1)<<bits - 1},
+			enfCaps{active: ir.ProtCPS, transfers: true, trap: TrapPacViolation}, nil
 	}
-	return nil, fmt.Errorf("vm: unknown backend %q", cfg.Backend)
+	return nil, enfCaps{}, fmt.Errorf("vm: unknown backend %q (want cps, cpi, softbound or pac)", cfg.Backend)
 }
 
 // spsStore returns the safe pointer store when the safe-region enforcer is
@@ -94,24 +122,26 @@ func (m *Machine) spsStore() sps.Store {
 
 // srEnforcer owns the safe pointer store: the isolated map from a
 // sensitive pointer's regular-region address to its protected value and
-// based-on metadata. It is the enforcer of every non-backend configuration
-// too (vanilla machines simply never invoke its hooks), which keeps the
-// audit oracle and white-box tests working unchanged.
+// based-on metadata. It serves cps, cpi and softbound; the machine's
+// enfCaps carry the mode's activation bits and trap kind.
 type srEnforcer struct {
 	sps sps.Store
+	// codeOnly is CPS's store rule: only values with code provenance enter
+	// the safe store.
+	codeOnly bool
 }
 
 func (s *srEnforcer) seed(*Machine) {}
 
-func (s *srEnforcer) loadProt(m *Machine, f *frame, space *mem.Memory, addr uint64, dst int32, universal, cps bool) bool {
+func (s *srEnforcer) loadProt(m *Machine, f *frame, addr uint64, dst int32, universal bool) bool {
 	m.cycles += s.sps.LoadCost()
 	e, ok := s.sps.Get(addr)
 	switch {
 	case ok && e.Valid():
 		if m.cfg.DebugDualStore {
-			raw, err := space.Load(addr, 8)
+			raw, err := m.mem.Load(addr, 8)
 			if err == nil && raw != e.Value {
-				m.trapf(m.violationKind(cps), addr, ViaNone,
+				m.trapf(m.caps.trap, addr, ViaNone,
 					"dual-store mismatch: regular %#x vs safe %#x", raw, e.Value)
 				return false
 			}
@@ -122,7 +152,7 @@ func (s *srEnforcer) loadProt(m *Machine, f *frame, space *mem.Memory, addr uint
 	case universal:
 		// Universal pointer without a valid safe entry: regular load
 		// (§3.2.2), invalid metadata.
-		v, err := space.Load(addr, 8)
+		v, err := m.mem.Load(addr, 8)
 		if err != nil {
 			m.memFault(err)
 			return false
@@ -140,21 +170,19 @@ func (s *srEnforcer) loadProt(m *Machine, f *frame, space *mem.Memory, addr uint
 	return true
 }
 
-func (s *srEnforcer) storeProt(m *Machine, addr, val uint64, valMeta Meta, flags ir.Prot, universal, cps bool) uint64 {
+func (s *srEnforcer) storeProt(m *Machine, addr, val uint64, valMeta Meta, flags ir.Prot) uint64 {
 	m.cycles += s.sps.StoreCost()
 	m.spsDirty = true
 	switch {
-	case cps:
+	case s.codeOnly:
 		// CPS: only values with code provenance enter the safe store
 		// (§3.3 guarantee (i): code pointers can only be stored by
 		// code pointer stores, and only from legitimate code values).
+		// Storing any other value invalidates the slot rather than
+		// laundering it.
 		if valMeta.Kind == sps.KindCode {
 			s.sps.Set(addr, entryFromMeta(val, valMeta))
-		} else if universal {
-			s.sps.Delete(addr)
 		} else {
-			// Storing a forged (non-code) value through a code-pointer
-			// store invalidates the slot rather than laundering it.
 			s.sps.Delete(addr)
 		}
 	case valMeta.Kind != sps.KindInvalid:
@@ -164,15 +192,12 @@ func (s *srEnforcer) storeProt(m *Machine, addr, val uint64, valMeta Meta, flags
 		// itself is protected; bounds degenerate to "any" since the
 		// value is not used as a pointer.
 		s.sps.Set(addr, sps.Entry{Value: val, Upper: ^uint64(0), Kind: sps.KindData})
-	case universal:
-		// Universal pointer holding a regular value: regular region
-		// only; stale safe entries must not survive (§3.2.2 invalid
-		// metadata rule).
-		s.sps.Delete(addr)
 	default:
-		// Sensitive pointer store of a value with invalid metadata
-		// (e.g. forged from an integer): record invalid entry so later
-		// loads see an unusable pointer rather than attacker data.
+		// A universal pointer holding a regular value lives in the regular
+		// region only, and a sensitive pointer store of a value with
+		// invalid metadata (e.g. forged from an integer) must leave an
+		// unusable pointer rather than attacker data: either way no stale
+		// safe entry may survive (§3.2.2 invalid metadata rule).
 		s.sps.Delete(addr)
 	}
 	return val
@@ -189,14 +214,12 @@ func (s *srEnforcer) longjmpResume(m *Machine, buf uint64) (uint64, bool) {
 	m.cycles += s.sps.LoadCost()
 	e, ok := s.sps.Get(buf)
 	if !ok || e.Kind != sps.KindCode {
-		m.trapf(m.violationKind(m.cfg.CPS), buf, ViaLongjmp,
+		m.trapf(m.caps.trap, buf, ViaLongjmp,
 			"longjmp buffer without protected resume address")
 		return 0, false
 	}
 	return e.Value, true
 }
-
-func (s *srEnforcer) violation(m *Machine) TrapKind { return m.violationKind(m.cfg.CPS) }
 
 func (s *srEnforcer) initEntry(m *Machine, addr uint64, e sps.Entry) {
 	s.sps.Set(addr, e)

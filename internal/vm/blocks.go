@@ -367,7 +367,7 @@ func hSeg(m *Machine, f *frame, in *PIns) {
 // instruction's position, exactly like the dispatch loop.
 //
 // Metadata elision (tm): register metadata is behaviorally dead unless some
-// consumer is armed — the CPI/CPS/SoftBound checks, the safe store
+// consumer is armed — an enforcer (cps/cpi/softbound/pac), the safe stack
 // (SafeStack), fortifyLimit, CFI, pointer mangling, the temporal-safety
 // sweep, the dual-store and audit oracles, or a driver hook (which can
 // observe anything). When none is, the segment executors skip every
@@ -378,9 +378,9 @@ func (m *Machine) runSegment(f *frame) {
 	cost := &m.cfg.Cost
 	safeStack := m.cfg.SafeStack
 	sfi := m.cfg.Isolation == IsoSFI
-	softBound := m.cfg.SoftBound
-	tm := safeStack || softBound || m.cfg.CPI || m.cfg.CPS || m.cfg.CFI ||
-		m.cfg.Backend != "" || m.cfg.Fortify || m.cfg.PtrMangle ||
+	boundsGEP := m.caps.boundsGEP
+	tm := safeStack || m.enf != nil || m.cfg.CFI ||
+		m.cfg.Fortify || m.cfg.PtrMangle ||
 		m.cfg.TemporalSafety || m.cfg.DebugDualStore ||
 		m.cfg.AuditSensitive || m.hooks != nil
 	budget := m.stepBudget
@@ -469,7 +469,7 @@ activation:
 					meta[op.dst] = meta[op.aReg]
 				}
 				cyc += cost.GEP
-				if softBound {
+				if boundsGEP {
 					cyc += cost.SBGEP
 				}
 				pc++
@@ -480,7 +480,7 @@ activation:
 					meta[op.dst] = meta[op.aReg]
 				}
 				cyc += cost.GEP
-				if softBound {
+				if boundsGEP {
 					cyc += cost.SBGEP
 				}
 				pc++

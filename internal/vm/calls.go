@@ -117,15 +117,13 @@ func (m *Machine) execICall(f *frame, in *PIns) {
 		}
 	}
 
-	if m.cfg.CPI || m.cfg.CPS || m.cfg.Backend != "" {
+	if m.caps.transfers && meta.Kind != sps.KindCode {
 		// The function pointer was loaded through the enforcement backend
 		// (safe store or in-place authentication); a value without code
 		// provenance means it was never a legitimately stored code pointer.
-		if meta.Kind != sps.KindCode {
-			m.trapf(m.enf.violation(m), target, ViaICall,
-				"indirect call through unprotected pointer %#x", target)
-			return
-		}
+		m.trapf(m.caps.trap, target, ViaICall,
+			"indirect call through unprotected pointer %#x", target)
+		return
 	}
 
 	if target == 0 {

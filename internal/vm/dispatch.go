@@ -257,7 +257,7 @@ func finishGEP(m *Machine, f *frame, in *PIns, addr uint64, meta Meta) {
 	f.regs[in.Dst] = addr
 	f.meta[in.Dst] = meta
 	m.cycles += m.cfg.Cost.GEP
-	if m.cfg.SoftBound {
+	if m.caps.boundsGEP {
 		// Full memory safety propagates bounds metadata on every pointer
 		// arithmetic operation (register pressure + moves).
 		m.cycles += m.cfg.Cost.SBGEP

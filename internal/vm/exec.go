@@ -74,7 +74,9 @@ func (m *Machine) finish(t *Trap) *Result {
 		Mem:            m.memStats,
 		Err:            t,
 	}
-	m.enf.finishStats(r)
+	if m.enf != nil {
+		m.enf.finishStats(r)
+	}
 	if t.Kind == TrapHijacked {
 		r.HijackTarget = t.Target
 		r.HijackVia = t.Via

@@ -394,7 +394,7 @@ func (m *Machine) free(addr uint64, safeVariant bool) {
 	}
 	a := m.allocs[addr]
 	if a == nil || a.freed {
-		if m.cfg.CPI || m.cfg.CPS || m.cfg.SoftBound || m.cfg.Backend != "" {
+		if m.enf != nil {
 			if a == nil {
 				m.freeUntracked++
 			} else {
@@ -403,17 +403,15 @@ func (m *Machine) free(addr uint64, safeVariant bool) {
 		}
 		return // lenient, like most allocators
 	}
-	if !safeVariant && (m.cfg.CPI || m.cfg.CPS) {
-		if !m.auditRange(addr, a.size, "free") {
-			return
-		}
+	if !safeVariant && m.cfg.AuditSensitive && !m.auditRange(addr, a.size, "free") {
+		return
 	}
 	a.freed = true
 	m.heapLive -= a.size
 	if lst := m.freeLst[a.size]; len(lst) < freeListCap {
 		m.freeLst[a.size] = append(lst, addr)
 	}
-	if safeVariant && (m.cfg.CPI || m.cfg.CPS || m.cfg.SoftBound || m.cfg.Backend != "") {
+	if safeVariant && m.enf != nil {
 		m.enf.dropRange(m, addr, int(a.size/8))
 	}
 }
@@ -437,19 +435,17 @@ func (m *Machine) memcpy(dst, src uint64, n int64, safeVariant bool) bool {
 	if n <= 0 {
 		return true
 	}
-	if !safeVariant && (m.cfg.CPI || m.cfg.CPS) {
-		// Plain variant: the instrumentation proved both ranges insensitive.
-		// The audit oracle verifies the proof against live entries.
-		if !m.auditRange(src, n, "memcpy source") || !m.auditRange(dst, n, "memcpy destination") {
-			return false
-		}
+	// Plain variant: the instrumentation proved both ranges insensitive.
+	// The audit oracle verifies the proof against live entries.
+	if !safeVariant && m.cfg.AuditSensitive && (!m.auditRange(src, n, "memcpy source") || !m.auditRange(dst, n, "memcpy destination")) {
+		return false
 	}
 	if err := m.mem.Move(dst, src, int(n)); err != nil {
 		m.memFault(err)
 		return false
 	}
 	m.cycles += (n/8 + 1) * m.cfg.Cost.IntrByte
-	if safeVariant && (m.cfg.CPI || m.cfg.CPS || m.cfg.SoftBound || m.cfg.Backend != "") {
+	if safeVariant && m.enf != nil {
 		m.enf.copyRange(m, dst, src, int(n/8))
 	}
 	return true
@@ -459,10 +455,8 @@ func (m *Machine) memset(dst uint64, c byte, n int64, safeVariant bool) bool {
 	if n <= 0 {
 		return true
 	}
-	if !safeVariant && (m.cfg.CPI || m.cfg.CPS) {
-		if !m.auditRange(dst, n, "memset") {
-			return false
-		}
+	if !safeVariant && m.cfg.AuditSensitive && !m.auditRange(dst, n, "memset") {
+		return false
 	}
 	// Page-chunked in-place fill: no n-byte scratch slice per call.
 	if err := m.mem.Fill(dst, c, n); err != nil {
@@ -470,7 +464,7 @@ func (m *Machine) memset(dst uint64, c byte, n int64, safeVariant bool) bool {
 		return false
 	}
 	m.cycles += (n/8 + 1) * m.cfg.Cost.IntrByte
-	if safeVariant && (m.cfg.CPI || m.cfg.CPS || m.cfg.SoftBound || m.cfg.Backend != "") {
+	if safeVariant && m.enf != nil {
 		m.enf.clearRange(m, dst, int(n/8))
 	}
 	return true

@@ -15,7 +15,7 @@ import (
 // entry across the destination range.
 func TestSafeMemcpyOverlapMigratesEntries(t *testing.T) {
 	p := compile(t, `int main(void) { return 0; }`)
-	m, err := New(p, Config{CPI: true})
+	m, err := New(p, Config{Backend: "cpi"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ int main(void) {
 	return 3;
 }`
 	p := compile(t, src)
-	m, err := New(p, Config{CPI: true})
+	m, err := New(p, Config{Backend: "cpi"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,11 +49,6 @@ type Config struct {
 	// the isolated safe stack (§3.2.4). Without it, everything including
 	// return addresses lives on the regular stack.
 	SafeStack bool
-	// CPI/CPS enable safe-pointer-store semantics for flagged accesses.
-	CPI bool
-	CPS bool
-	// SoftBound enables full-memory-safety semantics for ProtSB accesses.
-	SoftBound bool
 	// CFI checks indirect-call and return targets against statically valid
 	// sets (coarse-grained, merged target sets, as in [53, 54]).
 	CFI bool
@@ -98,11 +93,12 @@ type Config struct {
 	// predecoder's AuditHooks routing (core.Program.Predecoded sets it up).
 	AuditSensitive bool
 
-	// Backend selects the runtime enforcement backend by name. Empty is
-	// the safe-region enforcer that all pre-existing configurations use
-	// (CPI/CPS/SoftBound metadata in the isolated safe pointer store);
-	// "pac" signs code pointers in place with a keyed MAC and
-	// authenticates them on load (see pac.go).
+	// Backend names the one pointer-integrity enforcer (see backend.go):
+	// "" for none, "cps"/"cpi" for the safe pointer store semantics of
+	// §3.3/§3.2 on accesses flagged by that pass, "softbound" for
+	// full-memory-safety semantics on ProtSB accesses, "pac" to sign code
+	// pointers in place with a keyed MAC and authenticate them on load
+	// (pac.go). Any other name is a construction error.
 	Backend string
 	// PacBits is the MAC field width for the pac backend (0 = default 16).
 	// The modeled forgery probability is 2^-PacBits.
@@ -266,7 +262,7 @@ type Machine struct {
 
 	mem  *mem.Memory // regular region (+code, rodata)
 	safe *mem.Memory // safe region (safe stacks)
-	enf  enforcer    // runtime enforcement backend (cfg.Backend)
+	enf  enforcer    // runtime enforcement backend (cfg.Backend); nil when unprotected
 
 	frames []*frame
 	// cur caches frames[len(frames)-1]: the dispatch loop reads the top
@@ -357,6 +353,8 @@ type Machine struct {
 	trap       *Trap
 	randState  uint64
 	stepBudget int64
+
+	caps enfCaps // the enforcer's capabilities, fixed at construction
 }
 
 // New prepares a machine for the given instrumented program, predecoding it
@@ -379,7 +377,7 @@ func NewShared(p *ir.Program, code *Code, cfg Config) (*Machine, error) {
 	if cfg.MaxCallDepth == 0 {
 		cfg.MaxCallDepth = 4096
 	}
-	enf, err := newEnforcer(cfg)
+	enf, caps, err := newEnforcer(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -390,6 +388,7 @@ func NewShared(p *ir.Program, code *Code, cfg Config) (*Machine, error) {
 		mem:            mem.New(),
 		safe:           mem.New(),
 		enf:            enf,
+		caps:           caps,
 		allocs:         map[uint64]*allocation{},
 		freeLst:        map[int64][]uint64{},
 		rng:            uint64(cfg.Seed)*0x9E3779B97F4A7C15 + 0x7263_6970,
@@ -428,8 +427,10 @@ func (m *Machine) load() error {
 	m.ptrGuard = m.nextRand() | 1
 	m.safeBaseSec = (m.nextRand() % (1 << 46)) &^ (mem.PageSize - 1)
 	// Backend secrets draw last so that backends needing none (the
-	// safe-region default) leave the established draw stream untouched.
-	m.enf.seed(m)
+	// safe-region enforcer) leave the established draw stream untouched.
+	if m.enf != nil {
+		m.enf.seed(m)
+	}
 
 	dataPerm := mem.R | mem.W
 	if !m.cfg.DEP {
@@ -571,7 +572,6 @@ func (m *Machine) strAddr(i int) uint64 {
 // initGlobals applies init items and pre-populates the safe pointer store
 // for protected pointer-valued initializers (the loader is trusted, §2).
 func (m *Machine) initGlobals() error {
-	protecting := m.cfg.CPI || m.cfg.CPS || m.cfg.SoftBound || m.cfg.Backend != ""
 	for gi, g := range m.prog.Globals {
 		base := m.globalAddr(gi)
 		for _, it := range g.Init {
@@ -601,11 +601,12 @@ func (m *Machine) initGlobals() error {
 			if err := m.mem.ForceStore(base+uint64(it.Offset), int(it.Size), v); err != nil {
 				return err
 			}
-			if hasEntry && protecting && it.Size == 8 {
+			if !hasEntry && g.Annotated {
+				// Annotated data (§3.2.1): the value itself is protected.
+				entry, hasEntry = sps.Entry{Value: v, Upper: ^uint64(0), Kind: sps.KindData}, true
+			}
+			if hasEntry && m.enf != nil && it.Size == 8 {
 				m.enf.initEntry(m, base+uint64(it.Offset), entry)
-			} else if g.Annotated && protecting && it.Size == 8 {
-				m.enf.initEntry(m, base+uint64(it.Offset),
-					sps.Entry{Value: v, Upper: ^uint64(0), Kind: sps.KindData})
 			}
 		}
 	}
@@ -707,5 +708,7 @@ func (m *Machine) notePushPeaks(sp, ssp uint64) {
 
 func (m *Machine) sampleSPSPeaks() {
 	m.spsDirty = false
-	m.enf.sampleMem(&m.memStats)
+	if m.enf != nil {
+		m.enf.sampleMem(&m.memStats)
+	}
 }

@@ -20,38 +20,20 @@ import (
 //   - SoftBound applies the same machinery to every pointer access.
 
 // protMask is the set of flags that can activate protection semantics on a
-// load or store under some runtime configuration. An access with none of
-// them takes the plain fast path regardless of configuration: protActive
-// and derefCheck both require one of these bits, so skipping them is
-// config-independent and safe for the predecode-time handler choice.
+// load or store under some enforcer. An access with none of them takes the
+// plain fast path regardless of configuration: the enforcer's active and
+// check bits are both subsets, so skipping them is config-independent and
+// safe for the predecode-time handler choice.
 const protMask = ir.ProtCPIStore | ir.ProtCPILoad | ir.ProtCPICheck |
 	ir.ProtCPS | ir.ProtSB | ir.ProtSBCheck
-
-// protLoad reports whether the instruction's flags make this access use the
-// safe pointer store under the active configuration.
-func (m *Machine) protActive(fl ir.Prot) (useSPS, universal, check, cps bool) {
-	c := &m.cfg
-	switch {
-	case c.SoftBound && fl&(ir.ProtSB) != 0:
-		return true, fl&ir.ProtUniversal != 0, false, false
-	case c.CPI && fl&(ir.ProtCPIStore|ir.ProtCPILoad) != 0:
-		return true, fl&ir.ProtUniversal != 0, false, false
-	case c.CPS && fl&ir.ProtCPS != 0:
-		return true, fl&ir.ProtUniversal != 0, false, true
-	case c.Backend != "" && fl&ir.ProtCPS != 0:
-		// Non-safe-region backends reuse the ProtCPS/ProtUniversal flag
-		// bits (same instrumented set, same predecode handler choice);
-		// the enforcer hooks give them their own semantics.
-		return true, fl&ir.ProtUniversal != 0, false, false
-	}
-	return false, false, false, false
-}
 
 // derefCheck applies the bounds/validity check for a dereference through a
 // pointer with the given metadata (Appendix A: l' ∈ [b, e-sizeof(a)]).
 // Direct frame/global operands were proven safe statically and are not
-// checked (the instrumentation pass leaves them unflagged).
-func (m *Machine) derefCheck(kind TrapKind, addr uint64, size int64, meta Meta) bool {
+// checked (the instrumentation pass leaves them unflagged). A failed check
+// raises the enforcer's trap.
+func (m *Machine) derefCheck(addr uint64, size int64, meta Meta) bool {
+	kind := m.caps.trap
 	if kind == TrapSBViolation {
 		m.cycles += m.cfg.Cost.SBCheck
 	} else {
@@ -73,14 +55,6 @@ func (m *Machine) derefCheck(kind TrapKind, addr uint64, size int64, meta Meta) 
 		}
 	}
 	return true
-}
-
-// checkTrapKind picks the violation trap for the active mechanism.
-func (m *Machine) checkTrapKind(fl ir.Prot) TrapKind {
-	if m.cfg.SoftBound && fl&(ir.ProtSB|ir.ProtSBCheck) != 0 {
-		return TrapSBViolation
-	}
-	return TrapCPIViolation
 }
 
 // loadInto performs the load in whose address operand has already been
@@ -130,44 +104,18 @@ func (m *Machine) loadInto(f *frame, in *PIns, addr uint64, ptrMeta Meta, onSafe
 		f.pc++
 		return
 	}
-	cost := &m.cfg.Cost
-
-	// Bounds check on the dereferenced pointer when flagged.
-	if (m.cfg.CPI && flags&ir.ProtCPICheck != 0) ||
-		(m.cfg.SoftBound && flags&ir.ProtSBCheck != 0) {
-		if regAddr { // direct operands are statically safe
-			if !m.derefCheck(m.checkTrapKind(flags), addr, int64(size), ptrMeta) {
-				return
-			}
-		}
+	// Bounds check on the dereferenced pointer when flagged (direct
+	// operands are statically safe).
+	if flags&m.caps.check != 0 && regAddr && !m.derefCheck(addr, int64(size), ptrMeta) {
+		return
 	}
-
-	space := m.mem
-	if onSafe {
-		space = m.safe
-	}
-
-	useSPS, universal, _, cps := m.protActive(flags)
-	if useSPS && size == 8 && !onSafe {
-		if m.enf.loadProt(m, f, space, addr, dst, universal, cps) {
+	if flags&m.caps.active != 0 && size == 8 && !onSafe {
+		if m.enf.loadProt(m, f, addr, dst, flags&ir.ProtUniversal != 0) {
 			f.pc++
 		}
 		return
 	}
-
-	v, err := space.Load(addr, int(size))
-	if err != nil {
-		m.memFault(err)
-		return
-	}
-	m.cycles += cost.Load
-	f.regs[dst] = v
-	if onSafe {
-		f.meta[dst] = m.safeMetaAt(addr)
-	} else {
-		f.meta[dst] = invalidMeta
-	}
-	f.pc++
+	m.loadPlainInto(f, addr, onSafe, dst, size)
 }
 
 // loadPlainInto is the unflagged-load tail of loadInto: a plain memory read
@@ -197,16 +145,6 @@ func (m *Machine) loadPlainInto(f *frame, addr uint64, onSafe bool, dst int32, s
 		f.meta[dst] = invalidMeta
 	}
 	f.pc++
-}
-
-func (m *Machine) violationKind(cps bool) TrapKind {
-	if cps {
-		return TrapCPSViolation
-	}
-	if m.cfg.SoftBound {
-		return TrapSBViolation
-	}
-	return TrapCPIViolation
 }
 
 // storeFrom performs the store in whose address and value operands have
@@ -244,40 +182,15 @@ func (m *Machine) storeFrom(f *frame, in *PIns, addr uint64, ptrMeta Meta, onSaf
 		f.pc++
 		return
 	}
-	cost := &m.cfg.Cost
-
-	if (m.cfg.CPI && flags&ir.ProtCPICheck != 0) ||
-		(m.cfg.SoftBound && flags&ir.ProtSBCheck != 0) {
-		if regAddr {
-			if !m.derefCheck(m.checkTrapKind(flags), addr, int64(size), ptrMeta) {
-				return
-			}
-		}
-	}
-
-	space := m.mem
-	if onSafe {
-		space = m.safe
-	} else if m.cfg.Isolation == IsoSFI {
-		m.cycles += cost.SFIMask
-	}
-
-	useSPS, universal, _, cps := m.protActive(flags)
-	if useSPS && size == 8 && !onSafe {
-		// The backend records the metadata half (safe-region enforcer) or
-		// transforms the stored word itself (pac signs it in place).
-		val = m.enf.storeProt(m, addr, val, valMeta, flags, universal, cps)
-	}
-
-	if err := space.Store(addr, int(size), val); err != nil {
-		m.memFault(err)
+	if flags&m.caps.check != 0 && regAddr && !m.derefCheck(addr, int64(size), ptrMeta) {
 		return
 	}
-	if onSafe && size == 8 {
-		m.setSafeMeta(addr, valMeta)
+	if flags&m.caps.active != 0 && size == 8 && !onSafe {
+		// The backend records the metadata half (safe-region enforcer) or
+		// transforms the stored word itself (pac signs it in place).
+		val = m.enf.storeProt(m, addr, val, valMeta, flags)
 	}
-	m.cycles += cost.Store
-	f.pc++
+	m.storePlainFrom(f, addr, onSafe, val, valMeta, size)
 }
 
 // storePlainSlow is the miss path of the word-specialized plain store

@@ -2,7 +2,6 @@ package vm
 
 import (
 	"repro/internal/ir"
-	"repro/internal/mem"
 	"repro/internal/sps"
 )
 
@@ -83,8 +82,8 @@ func (p *pacEnforcer) authWord(word, slot uint64) (val uint64, ok bool) {
 	return val, word>>47&p.mask == p.mac(val, slot)
 }
 
-func (p *pacEnforcer) loadProt(m *Machine, f *frame, space *mem.Memory, addr uint64, dst int32, universal, cps bool) bool {
-	v, err := space.Load(addr, 8)
+func (p *pacEnforcer) loadProt(m *Machine, f *frame, addr uint64, dst int32, universal bool) bool {
+	v, err := m.mem.Load(addr, 8)
 	if err != nil {
 		m.memFault(err)
 		return false
@@ -107,7 +106,7 @@ func (p *pacEnforcer) loadProt(m *Machine, f *frame, space *mem.Memory, addr uin
 	return true
 }
 
-func (p *pacEnforcer) storeProt(m *Machine, addr, val uint64, valMeta Meta, flags ir.Prot, universal, cps bool) uint64 {
+func (p *pacEnforcer) storeProt(m *Machine, addr, val uint64, valMeta Meta, _ ir.Prot) uint64 {
 	if valMeta.Kind == sps.KindCode {
 		m.cycles += m.cfg.Cost.PacSign
 		p.signs++
@@ -147,8 +146,6 @@ func (p *pacEnforcer) longjmpResume(m *Machine, buf uint64) (uint64, bool) {
 		"longjmp buffer fails pointer authentication")
 	return 0, false
 }
-
-func (p *pacEnforcer) violation(*Machine) TrapKind { return TrapPacViolation }
 
 func (p *pacEnforcer) initEntry(m *Machine, addr uint64, e sps.Entry) {
 	// The loader signs global code-pointer initializers in place (it is

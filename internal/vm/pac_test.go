@@ -13,6 +13,19 @@ import (
 // forged-pointer attack whose measured success rate must equal the modeled
 // forgery probability, and the slot binding that defeats pointer splicing.
 
+// compilePac compiles src under the pac backend (with its safe stack).
+func compilePac(t *testing.T, src string) *ir.Program {
+	t.Helper()
+	p := compile(t, src)
+	bk, ok := backend.Get("pac")
+	if !ok {
+		t.Fatal("pac backend not registered")
+	}
+	instrument.SafeStack(p)
+	instrument.WithBackend(p, bk, instrument.Opts{})
+	return p
+}
+
 // runOn builds a machine over an already-instrumented program and runs it.
 func runOn(t *testing.T, p *ir.Program, cfg Config) *Result {
 	t.Helper()
@@ -72,13 +85,7 @@ int main(void) {
 	fp();
 	return hit;
 }`
-	p := compile(t, src)
-	bk, ok := backend.Get("pac")
-	if !ok {
-		t.Fatal("pac backend not registered")
-	}
-	instrument.SafeStack(p)
-	instrument.WithBackend(p, bk, instrument.Opts{})
+	p := compilePac(t, src)
 	cfg := Config{Backend: "pac", PacBits: 8, SafeStack: true, DEP: true, Seed: 7}
 
 	successes, violations := 0, 0
@@ -130,11 +137,7 @@ int main(void) {
 	fp();
 	return 0;
 }`
-	p := compile(t, src)
-	bk, _ := backend.Get("pac")
-	instrument.SafeStack(p)
-	instrument.WithBackend(p, bk, instrument.Opts{})
-
+	p := compilePac(t, src)
 	m, err := New(p, Config{Backend: "pac", SafeStack: true, DEP: true, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -167,11 +170,7 @@ func TestPacZeroMetadataFootprint(t *testing.T) {
 void f(void) {}
 void (*fp)(void) = f;
 int main(void) { fp(); return 0; }`
-	pacProg := compile(t, src)
-	bk, _ := backend.Get("pac")
-	instrument.SafeStack(pacProg)
-	instrument.WithBackend(pacProg, bk, instrument.Opts{})
-	rp := runOn(t, pacProg, Config{Backend: "pac", SafeStack: true, DEP: true})
+	rp := runOn(t, compilePac(t, src), Config{Backend: "pac", SafeStack: true, DEP: true})
 	if rp.Trap != TrapExit {
 		t.Fatalf("pac run: %v", rp.Err)
 	}
@@ -186,7 +185,7 @@ int main(void) { fp(); return 0; }`
 	cpiProg := compile(t, src)
 	instrument.SafeStack(cpiProg)
 	instrument.CPI(cpiProg)
-	rc := runOn(t, cpiProg, Config{SafeStack: true, CPI: true, DEP: true})
+	rc := runOn(t, cpiProg, Config{SafeStack: true, Backend: "cpi", DEP: true})
 	if rc.Trap != TrapExit {
 		t.Fatalf("cpi run: %v", rc.Err)
 	}

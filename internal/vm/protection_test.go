@@ -99,7 +99,7 @@ int main(void) {
 	p := compile(t, src)
 	instrument.SafeStack(p)
 	instrument.CPI(p)
-	m, err := New(p, Config{SafeStack: true, CPI: true, DEP: true})
+	m, err := New(p, Config{SafeStack: true, Backend: "cpi", DEP: true})
 	if err != nil {
 		t.Fatal(err)
 	}

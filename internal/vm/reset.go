@@ -25,7 +25,8 @@ var resetRules = map[string]string{
 
 	"mem":  "mem.Reset(): all mappings dropped, page frames recycled",
 	"safe": "mem.Reset(): all mappings dropped, page frames recycled",
-	"enf":  "enforcer.reset(): metadata cleared in place, counters zeroed; secrets redrawn by load()",
+	"enf":  "enforcer.reset() when non-nil (nil stays nil): metadata cleared in place, counters zeroed; secrets redrawn by load()",
+	"caps": "immutable: fixed at construction with the enforcer",
 
 	"frames":     "truncated to 0; records recycled by newFrame (NeedsRegClear guards stale registers)",
 	"cur":        "nil until the next Run pushes the entry frame",
@@ -129,7 +130,9 @@ func (m *Machine) Reset() error {
 	// place with their backing storage recycled.
 	m.mem.Reset()
 	m.safe.Reset()
-	m.enf.reset()
+	if m.enf != nil {
+		m.enf.reset()
+	}
 
 	// Safe-space metadata shadows. setSafeMeta extends safeMetaW within cap
 	// assuming the extension region is zero, so the whole cap is cleared —

@@ -30,8 +30,9 @@ func TestResetCoversAllFields(t *testing.T) {
 
 // TestResetEquivalentToFresh: on a program exercising the heap, setjmp,
 // indirect calls and output, a reset machine's second run must reproduce a
-// fresh machine's run exactly. The cross-workload × protection matrix
-// version lives in the root serving suite; this is the in-package check.
+// fresh machine's run exactly, under every enforcer and none. The
+// cross-workload × protection matrix version lives in the root serving
+// suite; this is the in-package check.
 func TestResetEquivalentToFresh(t *testing.T) {
 	src := `
 	int env[8];
@@ -53,10 +54,16 @@ func TestResetEquivalentToFresh(t *testing.T) {
 		free(q);
 		return n;
 	}`
+	if _, err := New(compile(t, src), Config{Backend: "bogus"}); err == nil {
+		t.Error(`New with Backend "bogus" succeeded`)
+	}
 	for _, cfg := range []Config{
 		{DEP: true},
-		{SafeStack: true, CPS: true, DEP: true, ASLR: true, PIE: true, Seed: 7},
-		{SafeStack: true, CPI: true, DEP: true, TemporalSafety: true, SweepEvery: 2},
+		{SafeStack: true, Backend: "cps", DEP: true, ASLR: true, PIE: true, Seed: 7},
+		{SafeStack: true, Backend: "cpi", DEP: true, TemporalSafety: true, SweepEvery: 2},
+		{Backend: "softbound", DEP: true},
+		{SafeStack: true, DEP: true},
+		{CFI: true, DEP: true},
 	} {
 		prog := compile(t, src)
 		code := Predecode(prog)
@@ -65,6 +72,11 @@ func TestResetEquivalentToFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := fresh.Run("main")
+		// Unprotected machines hold no enforcer and report no safe pointer
+		// store footprint.
+		if cfg.Backend == "" && (fresh.enf != nil || want.Mem.SPSBytes != 0) {
+			t.Errorf("cfg %+v: enforcer %T, SPSBytes %d; want none", cfg, fresh.enf, want.Mem.SPSBytes)
+		}
 
 		m, err := NewShared(prog, code, cfg)
 		if err != nil {

@@ -1,9 +1,5 @@
 package vm
 
-import (
-	"repro/internal/ir"
-)
-
 // setjmp/longjmp support. A jmp_buf is a program-visible int array in
 // regular memory; its first word holds the resume-site code address — a
 // code pointer the compiler creates implicitly, hence sensitive (§3.2.1).
@@ -33,10 +29,7 @@ func (m *Machine) setjmp(f *frame, in *PIns, siteAddr, buf uint64) {
 		}
 		m.cycles += m.cfg.Cost.Store
 	}
-	protected := (m.cfg.CPI && in.Flags&ir.ProtCPIStore != 0) ||
-		(m.cfg.CPS && in.Flags&ir.ProtCPS != 0) ||
-		(m.cfg.Backend != "" && in.Flags&ir.ProtCPS != 0)
-	if protected {
+	if m.caps.transfers && in.Flags&m.caps.active != 0 {
 		m.enf.setjmpSave(m, buf, siteAddr)
 	}
 	if in.Dst >= 0 {
@@ -50,8 +43,7 @@ func (m *Machine) longjmp(buf, val uint64) {
 	// Resume address: from the safe pointer store when protected, else
 	// from the attackable in-memory buffer.
 	var resume uint64
-	protected := m.cfg.CPI || m.cfg.CPS || m.cfg.Backend != ""
-	if protected {
+	if m.caps.transfers {
 		r, ok := m.enf.longjmpResume(m, buf)
 		if !ok {
 			return

@@ -22,10 +22,10 @@ import "repro/internal/sps"
 // overhead tables can attribute them.
 
 // sweepTick counts one allocation against the sweep period and runs the
-// sweep when it elapses. No-op unless a sweep period is configured and a
-// protection that populates the safe pointer store is active.
+// sweep when it elapses. No-op unless a sweep period is configured and the
+// safe-region enforcer, which populates the safe pointer store, is active.
 func (m *Machine) sweepTick() {
-	if m.cfg.SweepEvery <= 0 || !(m.cfg.CPI || m.cfg.CPS || m.cfg.SoftBound) {
+	if m.cfg.SweepEvery <= 0 || m.spsStore() == nil {
 		return
 	}
 	m.sweepCountdown--
@@ -44,7 +44,7 @@ func (m *Machine) sweepTick() {
 // influence any observable or measured state.
 func (m *Machine) temporalSweep() {
 	cost := &m.cfg.Cost
-	st := m.spsStore() // sweepTick's gate admits safe-region configs only
+	st := m.spsStore() // sweepTick's gate admits safe-region machines only
 	loadC, storeC := st.LoadCost(), st.StoreCost()
 	var cycles int64
 	var stale []uint64

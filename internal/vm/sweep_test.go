@@ -13,7 +13,7 @@ import (
 // pointing at a freed or recycled allocation are dropped and counted.
 func TestTemporalSweepDropsStaleEntries(t *testing.T) {
 	p := compile(t, `int main(void) { return 0; }`)
-	m, err := New(p, Config{CPI: true, SweepEvery: 1})
+	m, err := New(p, Config{Backend: "cpi", SweepEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestSweepCadenceAndGating(t *testing.T) {
 	}
 	p := compile(t, `int main(void) { return 0; }`)
 
-	m, err := New(p, Config{CPS: true, SweepEvery: 3})
+	m, err := New(p, Config{Backend: "cps", SweepEvery: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestSweepCadenceAndGating(t *testing.T) {
 	}
 
 	// Disabled by default: SweepEvery = 0.
-	m0, err := New(p, Config{CPI: true})
+	m0, err := New(p, Config{Backend: "cpi"})
 	if err != nil {
 		t.Fatal(err)
 	}
