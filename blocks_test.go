@@ -13,7 +13,8 @@ import (
 // compiler (internal/vm/blocks.go) turns straight-line traces into single
 // compiled segments with their own inlined executors, and it must be
 // invisible to everything except wall-clock time. These tests run every
-// bundled micro and webstack workload under the baseline configuration and
+// bundled micro, SPEC stand-in and webstack workload under the baseline
+// configuration and
 // the cps/cpi/pac backends twice, once on the default predecoding and once
 // with NoBlockCompile (plain per-instruction dispatch), and require identical
 // Output, Cycles, Steps, exit codes and trap details. Dispatches is
@@ -45,9 +46,12 @@ func cfgName(cfg core.Config) string {
 	return cfg.Protect.String()
 }
 
-// equivWorkloads is the bundled workload set the property runs over.
+// equivWorkloads is the bundled workload set the property runs over. The
+// SPEC stand-ins are where the global-indexing and folded-branch segment
+// shapes fire most.
 func equivWorkloads() []workloads.Workload {
 	set := append([]workloads.Workload{}, workloads.Micro()...)
+	set = append(set, workloads.Spec()...)
 	for _, p := range workloads.WebStack() {
 		set = append(set, workloads.Workload{Name: p.Name, Src: p.Src})
 	}
@@ -141,8 +145,9 @@ func TestBlockCompileEquivalence(t *testing.T) {
 func TestBlockCompileEquivalenceTruncated(t *testing.T) {
 	// fib is call-heavy (inlined call/return fast paths); sieve is
 	// branch-dense (trace-extending conditional branches and merged
-	// compare+branch pairs). Between them every segment executor runs.
-	for _, wn := range []string{"micro.fib", "micro.sieve"} {
+	// compare+branch pairs); qsort indexes a global array (skGEPGR) and
+	// folds loop-exit branches. Between them every segment executor runs.
+	for _, wn := range []string{"micro.fib", "micro.sieve", "micro.qsort"} {
 		var w = equivWorkloads()[0]
 		for _, cand := range equivWorkloads() {
 			if cand.Name == wn {

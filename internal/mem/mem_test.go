@@ -162,3 +162,149 @@ func TestPermString(t *testing.T) {
 		t.Errorf("perm string = %q", s)
 	}
 }
+
+// The translation-cache tests below pin the invariants the direct-mapped
+// cache relies on: entries are keyed by the full page number, so pages
+// sharing a set evict each other without aliasing; permission changes are
+// seen through the cached page; and Reset flushes every entry.
+
+// collidingAddrs returns word addresses on distinct pages that all fall in
+// the cache set of each base: the VM's code, global, heap and stack layout
+// bases plus pages exactly cacheWays pages apart from each of them.
+func collidingAddrs() []uint64 {
+	bases := []uint64{0x0101_0140, 0x0180_0140, 0x0240_0140, 0x7ffe_f140}
+	var addrs []uint64
+	for _, b := range bases {
+		for j := uint64(0); j < 4; j++ {
+			addrs = append(addrs, b+j*cacheWays*PageSize)
+		}
+	}
+	return addrs
+}
+
+func TestCacheCollisionsStayCorrect(t *testing.T) {
+	m := New()
+	addrs := collidingAddrs()
+	for _, a := range addrs {
+		m.Map(a&^offMask, PageSize, R|W)
+	}
+	want := map[uint64]uint64{}
+	for round := uint64(0); round < 8; round++ {
+		// Interleave stores and loads across the colliding pages so every
+		// access evicts the entry the previous one installed.
+		for i, a := range addrs {
+			v := round<<32 | uint64(i)
+			switch (int(round) + i) % 3 {
+			case 0:
+				if err := m.StoreWord(a, v); err != nil {
+					t.Fatal(err)
+				}
+			case 1:
+				if !m.TryStoreWord(a, v) {
+					if err := m.Store(a, 8, v); err != nil {
+						t.Fatal(err)
+					}
+				}
+			default:
+				if err := m.Store(a, 8, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want[a] = v
+			// a's page now owns the set; a colliding page must miss (or,
+			// never, alias a's data).
+			c := addrs[i^1]
+			if got, ok := m.TryLoadWord(c); ok && got != want[c] {
+				t.Fatalf("round %d: TryLoadWord(%#x) = %#x aliases a colliding page; want %#x", round, c, got, want[c])
+			}
+			j := (i + len(addrs)/2) % len(addrs)
+			b := addrs[j]
+			got, err := m.LoadWord(b)
+			if err != nil || got != want[b] {
+				t.Fatalf("round %d: LoadWord(%#x) = %#x, %v; want %#x", round, b, got, err, want[b])
+			}
+			if got, ok := m.TryLoadWord(b); !ok || got != want[b] {
+				t.Fatalf("round %d: TryLoadWord(%#x) right after a load = %#x, %v; want %#x", round, b, got, ok, want[b])
+			}
+		}
+	}
+	for _, a := range addrs {
+		if got, err := m.Load(a, 8); err != nil || got != want[a] {
+			t.Errorf("final Load(%#x) = %#x, %v; want %#x", a, got, err, want[a])
+		}
+	}
+}
+
+func TestProtectAfterCaching(t *testing.T) {
+	m := New()
+	const a = 0x4000
+	m.Map(a, PageSize, R|W)
+	if err := m.Store(a, 8, 7); err != nil {
+		t.Fatal(err)
+	}
+	if !m.TryStoreWord(a, 8) {
+		t.Fatal("page not cached after a store")
+	}
+
+	m.Protect(a, PageSize, R)
+	if m.TryStoreWord(a, 9) {
+		t.Error("TryStoreWord succeeded on a page protected read-only")
+	}
+	if err := m.StoreWord(a, 9); err == nil || err.(*Fault).Kind != FaultNoWrite {
+		t.Errorf("StoreWord after Protect(R) = %v, want a no-write fault", err)
+	}
+	if v, ok := m.TryLoadWord(a); !ok || v != 8 {
+		t.Errorf("TryLoadWord after Protect(R) = %d, %v; want 8, true", v, ok)
+	}
+
+	m.Protect(a, PageSize, 0)
+	if _, ok := m.TryLoadWord(a); ok {
+		t.Error("TryLoadWord succeeded on a page with no permissions")
+	}
+	if _, err := m.LoadWord(a); err == nil || err.(*Fault).Kind != FaultNoRead {
+		t.Errorf("LoadWord after Protect(0) = %v, want a no-read fault", err)
+	}
+
+	m.Protect(a, PageSize, R|W)
+	if !m.TryStoreWord(a, 10) {
+		t.Error("TryStoreWord failed after restoring R|W")
+	}
+	if v, err := m.Load(a, 8); err != nil || v != 10 {
+		t.Errorf("Load after restoring R|W = %d, %v; want 10", v, err)
+	}
+}
+
+func TestResetFlushesCache(t *testing.T) {
+	m := New()
+	// One page per cache entry, each touched so every entry is filled.
+	const base = 0x10_0000
+	for i := uint64(0); i < cacheWays; i++ {
+		a := base + i*PageSize
+		m.Map(a, PageSize, R|W)
+		if err := m.Store(a, 8, i+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Reset()
+	for i := uint64(0); i < cacheWays; i++ {
+		a := base + i*PageSize
+		if _, ok := m.TryLoadWord(a); ok {
+			t.Fatalf("TryLoadWord(%#x) hit after Reset", a)
+		}
+		if m.TryStoreWord(a, 1) {
+			t.Fatalf("TryStoreWord(%#x) hit after Reset", a)
+		}
+		if _, err := m.Load(a, 8); err == nil || err.(*Fault).Kind != FaultUnmapped {
+			t.Fatalf("Load(%#x) after Reset = %v, want an unmapped fault", a, err)
+		}
+	}
+	// A page mapped again after Reset reads zeros, even though its frame
+	// is recycled from the pre-Reset working set.
+	m.Map(base, PageSize, R|W)
+	if v, err := m.LoadWord(base); err != nil || v != 0 {
+		t.Errorf("remapped page reads %d, %v; want 0", v, err)
+	}
+	if v, ok := m.TryLoadWord(base); !ok || v != 0 {
+		t.Errorf("TryLoadWord on the remapped page = %d, %v; want 0, true", v, ok)
+	}
+}

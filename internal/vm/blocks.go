@@ -1,7 +1,10 @@
 package vm
 
 import (
+	"slices"
+
 	"repro/internal/ir"
+	"repro/internal/sps"
 )
 
 // This file implements the block-compilation stage of predecode: after
@@ -10,23 +13,28 @@ import (
 // unconditional branches into a trace — that executes as ONE dispatch-loop
 // round trip. Each constituent is flattened at compile time into a segOp
 // micro-op with its operand fields pre-extracted (register numbers,
-// immediates, pre-summed frame offsets), so the segment runner
-// (runSegment) streams through a dense array instead of chasing
-// PIns-stride records, holds the frame's register file, pc and
-// the cycle/step counters in locals across the body, and inlines the
-// page-translation-cache hit paths of the hottest operand shapes; only
-// control-flow joins, traps and uncompiled code return to dispatch. A
-// trampoline at segment exit chains directly into the next segment (the
-// target of a terminal branch, a callee entry, a return continuation)
-// without surfacing to the dispatch loop at all, charging exactly the
-// bookkeeping the loop would have.
+// immediates, pre-summed frame and global offsets), its own pc, and its
+// step offset k from the trace's entry constituent. The segment runner
+// (runSegment) streams through that dense array instead of chasing
+// PIns-stride records, holds the frame's register file and the cycle delta
+// in locals across the body, and inlines the page-translation-cache hit
+// paths of the hottest operand shapes; only control-flow joins, traps and
+// uncompiled code return to dispatch. Trace-extending unconditional
+// branches cost no op of their own: foldBranches drops them and marks the
+// following op, which charges the branch in front of itself. A trampoline
+// at segment exit chains directly into the next segment (the target of a
+// terminal branch, a callee entry, a return continuation) without
+// surfacing to the dispatch loop at all, charging exactly the bookkeeping
+// the loop would have.
 //
-// Block compilation is pure dispatch elimination: every constituent charges
-// its own Cycles/Steps in original order, budget traps fire at the same
-// step with the same pc, and the memory semantics are the per-instruction
-// handler bodies verbatim — so the golden Cycles/Steps tables and every
-// trap outcome are bit-identical with PredecodeOptions.NoBlockCompile. The
-// block differential suite pins this.
+// Block compilation is pure dispatch elimination: every constituent,
+// folded branches included, charges its own Cycles in original order and
+// counts as one step; the runner derives each activation's step headroom
+// once at entry and compares every op's k against it, so budget traps fire
+// at the same step with the same pc, and the memory semantics are the
+// per-instruction handler bodies verbatim — the golden Cycles/Steps tables
+// and every trap outcome are bit-identical with
+// PredecodeOptions.NoBlockCompile. The block differential suite pins this.
 //
 // Entry slots: installing a segment replaces only the entry slot's run
 // handler (with hSeg); every slot keeps its predecoded fields, so segOps
@@ -35,13 +43,14 @@ import (
 // handler through the dispatch loop.
 //
 // Config independence: a Code is shared by machines with different
-// vm.Configs (NewShared), so segments never bake in SafeStack/SFI/
-// SoftBound/cost decisions — those are read from the running machine, like
-// the handlers they replace.
+// vm.Configs and ASLR slides (NewShared), so segments never bake in
+// SafeStack/SFI/SoftBound/cost decisions or machine addresses — those are
+// read from the running machine, like the handlers they replace.
 
 // segMaxOps caps a trace's constituent count so pathological single-block
-// functions cannot inflate predecode output; a trace cut short simply falls
-// back to the dispatch loop mid-block.
+// functions cannot inflate predecode output; a trace cut short ends in its
+// last constituent's own handler, which hands the next pc to the dispatch
+// loop mid-block.
 const segMaxOps = 256
 
 // segOp kinds: the shape-specialized constituent executors runSegment
@@ -54,13 +63,14 @@ const (
 	skMovC
 	skGEPRR        // base reg + index reg (aux = scale, imm = offset)
 	skGEPRC        // base reg + constant (imm = whole precomputed offset)
+	skGEPGR        // global + index reg (aux = scale, imm = slide-free offset)
 	skLoadRegW8    // plain word load, register address
 	skLoadFrameW8  // plain word load, safe-eligible frame object
 	skLoadFrameUW8 // plain word load, unsafe-stack frame object
 	skStoreRegW8
 	skStoreFrameW8
 	skStoreFrameUW8
-	skBr      // trace-extending unconditional branch (target is the next op)
+	skBr      // trace-extending unconditional branch not folded (a br follows)
 	skCondBrR // terminal two-way branch on a register
 	skCondBrX // trace-extending branch: fall-through arm is the next op,
 	// taken arm exits the activation early (imm = taken, aux = fall-through)
@@ -83,14 +93,20 @@ const (
 
 // segOp is one flattened constituent of a compiled segment. The hot kinds
 // read only the pre-extracted fields; in and h serve the generic kind and
-// the slow paths of the specialized ones.
+// the slow paths of the specialized ones. pc locates the constituent in its
+// own function's stream (traces cross into callees), k counts the
+// constituents before it since the trace's entry, folded branches included.
 type segOp struct {
 	kind uint8
 	alu  ir.ALU
+	pre  bool  // a folded trace-extending br (at brPC) runs first
 	aReg int32 // A register / skRet value source / skCallPlan callee
 	bReg int32 // B register (-1: imm; -2: slow operand via in) / skCallPlan plan index
 	dst  int32
-	imm  uint64 // immediate / pre-summed frame offset / branch target / site ordinal
+	pc   int32
+	k    int32
+	brPC int32
+	imm  uint64 // immediate / pre-summed frame or global offset / branch target / site ordinal
 	aux  uint64 // GEP scale / CondBr fallthrough target
 	in   *PIns
 	h    handler
@@ -102,11 +118,12 @@ type segRef struct {
 	off, n int32
 }
 
-// makeSegOp flattens one slot into a micro-op, mirroring the shape dispatch
-// of chooseHandler for the shapes runSegment inlines. The generic handler is
-// re-resolved rather than read from in.run, which is hSeg on entry slots.
-func makeSegOp(in *PIns) segOp {
-	op := segOp{kind: skGeneric, in: in, h: chooseHandler(in, false)}
+// makeSegOp flattens the slot at pc into the trace's k-th micro-op,
+// mirroring the shape dispatch of chooseHandler for the shapes runSegment
+// inlines. The generic handler is re-resolved rather than read from in.run,
+// which is hSeg on entry slots.
+func makeSegOp(c *Code, in *PIns, pc, k int) segOp {
+	op := segOp{kind: skGeneric, pc: int32(pc), k: int32(k), in: in, h: chooseHandler(in, false)}
 	switch in.Op {
 	case ir.OpBin:
 		if in.A.Kind == ir.ValReg {
@@ -125,16 +142,21 @@ func makeSegOp(in *PIns) segOp {
 			op.kind, op.imm, op.dst = skMovC, in.A.Imm, in.Dst
 		}
 	case ir.OpGEP:
-		if in.A.Kind == ir.ValReg {
-			switch in.B.Kind {
-			case ir.ValReg:
-				op.kind, op.aReg, op.bReg, op.dst = skGEPRR, in.A.Reg, in.B.Reg, in.Dst
-				op.aux, op.imm = uint64(in.Scale), uint64(in.Off)
-			case ir.ValConst:
-				// The whole constant displacement folds at compile time.
-				op.kind, op.aReg, op.dst = skGEPRC, in.A.Reg, in.Dst
-				op.imm = in.B.Imm*uint64(in.Scale) + uint64(in.Off)
-			}
+		switch {
+		case in.A.Kind == ir.ValReg && in.B.Kind == ir.ValReg:
+			op.kind, op.aReg, op.bReg, op.dst = skGEPRR, in.A.Reg, in.B.Reg, in.Dst
+			op.aux, op.imm = uint64(in.Scale), uint64(in.Off)
+		case in.A.Kind == ir.ValReg && in.B.Kind == ir.ValConst:
+			// The whole constant displacement folds at compile time.
+			op.kind, op.aReg, op.dst = skGEPRC, in.A.Reg, in.Dst
+			op.imm = in.B.Imm*uint64(in.Scale) + uint64(in.Off)
+		case in.A.Kind == ir.ValGlobal && in.B.Kind == ir.ValReg:
+			// The global's offset in the data segment folds with both
+			// constant displacements; the runner adds the machine's slid
+			// data base, so the op stays shareable across machines.
+			op.kind, op.bReg, op.dst = skGEPGR, in.B.Reg, in.Dst
+			op.aux = uint64(in.Scale)
+			op.imm = c.GlobalOff[in.A.Index] + in.A.Imm + uint64(in.Off)
 		}
 	case ir.OpLoad:
 		if in.Flags&protMask == 0 && in.Size == 8 {
@@ -221,13 +243,15 @@ func compileBlocks(c *Code, fc *FuncCode) int {
 			}
 		}
 	}
+	var tb traceCompiler
 	count := 0
 	for _, e := range entries {
 		if fc.Segs[e].n != 0 {
 			continue
 		}
-		ops := buildTrace(c, fc, int(e))
+		ops := tb.build(c, fc, int(e))
 		mergePairs(ops)
+		ops = foldBranches(ops)
 		fc.Segs[e] = segRef{off: int32(len(fc.SegOps)), n: int32(len(ops))}
 		fc.SegOps = append(fc.SegOps, ops...)
 		fc.Ins[e].run = hSeg
@@ -266,7 +290,51 @@ func mergePairs(ops []segOp) {
 	}
 }
 
-// buildTrace compiles the straight-line trace anchored at start. The trace
+// foldBranches drops every trace-extending br whose successor op is not
+// itself a br, marking that successor pre so the runner charges the
+// branch's step and Cost.Br in front of it. A br followed by a br stays an
+// op (an op carries at most one folded branch). Pair slots are never
+// affected: a pair's second constituent follows its head, not a br. The
+// ops are compacted in place.
+func foldBranches(ops []segOp) []segOp {
+	out := ops[:0]
+	for j := range ops {
+		if ops[j].kind == skBr && j+1 < len(ops) && ops[j+1].kind != skBr {
+			ops[j+1].pre, ops[j+1].brPC = true, ops[j].pc
+			continue
+		}
+		out = append(out, ops[j])
+	}
+	return out
+}
+
+// traceKey names one instruction slot of the program.
+type traceKey struct {
+	fc *FuncCode
+	pc int32
+}
+
+// traceCompiler compiles traces (build), reusing one op buffer and one
+// visited-slot list across the traces of one compileBlocks call. A built
+// trace aliases the buffer until the next build.
+type traceCompiler struct {
+	ops     []segOp
+	visited []traceKey
+}
+
+// visit marks a slot visited, reporting false if it already was. A trace
+// visits only its entry and its control-transfer targets, so a linear scan
+// beats a map.
+func (tb *traceCompiler) visit(fc *FuncCode, pc int32) bool {
+	k := traceKey{fc, pc}
+	if slices.Contains(tb.visited, k) {
+		return false
+	}
+	tb.visited = append(tb.visited, k)
+	return true
+}
+
+// build compiles the straight-line trace anchored at start. The trace
 // extends across three kinds of control transfer as long as its target was
 // not already visited (loops terminate the trace; re-entry goes through the
 // target's own segment via the trampoline) and the op cap allows:
@@ -280,59 +348,50 @@ func mergePairs(ops []segOp) {
 //     frame and pc space — the runner refreshes its frame hoists mid-trace.
 //
 // Indirect calls and returns stay terminal: their continuations are
-// dynamic, and the trampoline resolves them at runtime.
-func buildTrace(c *Code, fc *FuncCode, start int) []segOp {
-	type tkey struct {
-		fc *FuncCode
-		pc int32
-	}
-	ops := make([]segOp, 0, 8)
-	visited := map[tkey]bool{{fc, int32(start)}: true}
-	pc := start
-	for len(ops) < segMaxOps {
+// dynamic, and the trampoline resolves them at runtime. A trace that hits
+// the cap ends in its last constituent's own handler (skGeneric), which
+// leaves the next pc in f.pc for the dispatch loop.
+func (tb *traceCompiler) build(c *Code, fc *FuncCode, start int) []segOp {
+	ops := tb.ops[:0]
+	tb.visited = append(tb.visited[:0], traceKey{fc, int32(start)})
+	for pc := start; ; {
 		in := &fc.Ins[pc]
-		op := makeSegOp(in)
+		op := makeSegOp(c, in, pc, len(ops))
+		room := len(ops)+1 < segMaxOps // a continuation op still fits
+		next := -1                     // where the trace continues; -1 ends it
 		switch in.Op {
 		case ir.OpICall, ir.OpRet:
-			return append(ops, op)
 		case ir.OpCall:
-			ops = append(ops, op)
-			if op.kind == skCallPlan && len(ops) < segMaxOps {
-				if cf := &c.Funcs[in.Callee]; len(cf.Ins) > 0 && !visited[tkey{cf, 0}] {
-					visited[tkey{cf, 0}] = true
-					fc, pc = cf, 0
-					continue
+			if op.kind == skCallPlan && room {
+				if cf := &c.Funcs[in.Callee]; len(cf.Ins) > 0 && tb.visit(cf, 0) {
+					fc, next = cf, 0
 				}
 			}
-			return ops
 		case ir.OpCondBr:
-			if t := in.Targ1; op.kind == skCondBrR && len(ops)+1 < segMaxOps &&
-				!visited[tkey{fc, t}] {
-				visited[tkey{fc, t}] = true
-				op.kind = skCondBrX
-				ops = append(ops, op)
-				pc = int(t)
-				continue
+			if op.kind == skCondBrR && room && tb.visit(fc, in.Targ1) {
+				op.kind, next = skCondBrX, int(in.Targ1)
 			}
-			return append(ops, op)
 		case ir.OpBr:
-			t := in.Targ0
-			if visited[tkey{fc, t}] || len(ops)+1 >= segMaxOps {
-				// Terminal branch: the handler redirects, then the
-				// trampoline picks up the target's own segment without a
-				// dispatch-loop round trip.
-				op.kind = skGeneric
-				return append(ops, op)
+			// Unextended, the branch stays generic: the handler redirects,
+			// then the trampoline picks up the target's own segment without
+			// a dispatch-loop round trip.
+			if room && tb.visit(fc, in.Targ0) {
+				op.kind, next = skBr, int(in.Targ0)
 			}
-			visited[tkey{fc, t}] = true
-			op.kind, op.imm = skBr, uint64(t)
-			ops = append(ops, op)
-			pc = int(t)
 		default:
-			ops = append(ops, op)
-			pc++
+			if room {
+				next = pc + 1
+			} else {
+				op.kind = skGeneric
+			}
 		}
+		ops = append(ops, op)
+		if next < 0 {
+			break
+		}
+		pc = next
 	}
+	tb.ops = ops
 	return ops
 }
 
@@ -349,22 +408,26 @@ func hSeg(m *Machine, f *frame, in *PIns) {
 // exactly what a dispatch-loop round trip charges (one step, one dispatch,
 // budget check first).
 //
-// Counter and mirror discipline: the pc and the step/cycle counters live
-// in locals; the register file and metadata slices are hoisted per
-// activation. Nothing outside budgetTrap and Run reads m.steps mid-run, so
-// the step mirror is written back only at budget traps and at exit. The
-// cycle delta is observable only by intrinsics and driver hooks — every
-// other callee (the call/return machinery, the translation-cache miss
-// paths) strictly ADDS to m.cycles, which commutes with the exit flush —
-// so it is flushed only before generic handlers (which may be intrinsic
-// calls) and hook runs. The pc is read by handlers and trap messages, so
-// it is flushed before every call that can trap or advance it, and
-// reloaded afterwards when the callee advances it; the post-loop mirror
-// store is therefore always a no-op or the one live flush a truncated
-// trace needs. The entry constituent's step and dispatch were already
-// charged by the dispatch loop (or by the trampoline hop), so ticks start
-// at the second constituent — a budget miss therefore reports the next
-// instruction's position, exactly like the dispatch loop.
+// Counter and mirror discipline: the entry constituent's step and dispatch
+// were already charged (and budget-checked) by the dispatch loop or by the
+// trampoline hop, so at activation entry the step count covers op k == 0
+// and the runner computes the headroom lim = budget - steps once. Each op
+// then only compares its own k against lim; the step count is materialized
+// from the exiting op's k at the activation's exits — a trap, an early
+// taken branch, the terminal — and written back to m.steps only at budget
+// traps and at exit (nothing outside budgetTrap and Run reads it mid-run).
+// A folded branch (op.pre) is its own step k-1: a budget miss on it
+// reports the branch's pc and step, exactly like the dispatch loop. The
+// cycle delta lives in a local too; it is observable only by intrinsics
+// and machine hooks — every other callee (the call/return machinery, the
+// translation-cache miss paths) strictly ADDS to m.cycles, which commutes
+// with the exit flush — so it is flushed only before generic handlers
+// (which may be intrinsic calls) and hook runs. There is no pc local:
+// straight-line fast paths never touch f.pc (the next op carries its own
+// pc), every call that can trap or read the position — slow paths,
+// generic handlers, calls, returns, budget traps — is preceded by a flush
+// of f.pc = op.pc, and every terminal leaves its continuation in f.pc.
+// The register file and metadata slices are hoisted per frame.
 //
 // Metadata elision (tm): register metadata is behaviorally dead unless some
 // consumer is armed — an enforcer (cps/cpi/softbound/pac), the safe stack
@@ -389,442 +452,401 @@ func (m *Machine) runSegment(f *frame) {
 	var cyc int64
 	var entries int64
 	sr := f.code.Segs[f.pc]
-	// Per-frame hoists, refreshed by the trampoline only when the
-	// continuation actually switches frames (mid-trace constituents can
-	// trap, but only terminals transfer between frames).
-	pool := f.code.SegOps
-	regs, meta := f.regs, f.meta
-	segs := f.code.Segs
 
 activation:
 	for {
 		entries++
-		ops := pool[sr.off : sr.off+sr.n]
-		pc := f.pc
-		// The entry constituent's step was already charged by whoever
-		// entered (dispatch loop or trampoline hop, budget-checked there),
-		// so bias the counter down once and tick uniformly: the first tick
-		// restores the balance and its budget check can never fire.
-		steps--
-	body:
-		for i := 0; i < len(ops); i++ {
-			op := &ops[i]
-			steps++
-			if steps > budget {
-				f.pc = pc
-				m.steps = steps
-				m.budgetTrap()
-				break activation
-			}
-			switch op.kind {
-			case skBinRR, skBinRC:
-				a := regs[op.aReg]
-				var b uint64
-				if op.kind == skBinRC {
-					b = op.imm
-				} else {
-					b = regs[op.bReg]
+		ops := f.code.SegOps[sr.off : sr.off+sr.n]
+		lim := budget - steps
+		i := 0
+	frame:
+		for {
+			// Per-frame hoists. Only a mid-trace call switches frames
+			// inside a trace; it re-enters here, so everything but i and
+			// cyc is invariant across the op loop (no per-op spills).
+			regs, meta := f.regs, f.meta
+		body:
+			for ; i < len(ops); i++ {
+				op := &ops[i]
+				if int64(op.k) > lim {
+					steps, cyc = m.segBudgetTrap(f, op, steps, lim, cyc)
+					break activation
 				}
-				var v uint64
-				switch op.alu {
-				case ir.AAdd:
-					v = a + b
-				case ir.ASub:
-					v = a - b
-				case ir.ALt, ir.AGt, ir.ALe, ir.AGe, ir.AEq, ir.ANe:
-					v = cmpEval(op.alu, a, b)
-				default:
-					f.pc = pc // div-zero traps at this op's position
-					var ok bool
-					if v, ok = m.binEval(op.alu, a, b); !ok {
-						break activation
+				if op.pre {
+					cyc += cost.Br
+				}
+				switch op.kind {
+				case skBinRR, skBinRC:
+					a := regs[op.aReg]
+					var b uint64
+					if op.kind == skBinRC {
+						b = op.imm
+					} else {
+						b = regs[op.bReg]
 					}
-				}
-				regs[op.dst] = v
-				if tm {
-					meta[op.dst] = invalidMeta
-				}
-				cyc += cost.Bin
-				pc++
-
-			case skMovR:
-				regs[op.dst] = regs[op.aReg]
-				if tm {
-					meta[op.dst] = meta[op.aReg]
-				}
-				cyc += cost.Mov
-				pc++
-
-			case skMovC:
-				regs[op.dst] = op.imm
-				if tm {
-					meta[op.dst] = invalidMeta
-				}
-				cyc += cost.Mov
-				pc++
-
-			case skGEPRR:
-				regs[op.dst] = regs[op.aReg] + regs[op.bReg]*op.aux + op.imm
-				if tm {
-					meta[op.dst] = meta[op.aReg]
-				}
-				cyc += cost.GEP
-				if boundsGEP {
-					cyc += cost.SBGEP
-				}
-				pc++
-
-			case skGEPRC:
-				regs[op.dst] = regs[op.aReg] + op.imm
-				if tm {
-					meta[op.dst] = meta[op.aReg]
-				}
-				cyc += cost.GEP
-				if boundsGEP {
-					cyc += cost.SBGEP
-				}
-				pc++
-
-			case skLoadRegW8:
-				addr := regs[op.aReg]
-				if v, ok := m.mem.TryLoadWord(addr); ok {
-					cyc += cost.Load
+					var v uint64
+					switch op.alu {
+					case ir.AAdd:
+						v = a + b
+					case ir.ASub:
+						v = a - b
+					case ir.ALt, ir.AGt, ir.ALe, ir.AGe, ir.AEq, ir.ANe:
+						v = cmpEval(op.alu, a, b)
+					default:
+						f.pc = int(op.pc) // div-zero traps at this op's position
+						var ok bool
+						if v, ok = m.binEval(op.alu, a, b); !ok {
+							break body
+						}
+					}
 					regs[op.dst] = v
 					if tm {
 						meta[op.dst] = invalidMeta
 					}
-					pc++
-					break
-				}
-				f.pc = pc
-				m.loadPlainInto(f, addr, false, op.dst, 8)
-				if m.trap != nil {
-					break activation
-				}
-				pc = f.pc
+					cyc += cost.Bin
 
-			case skLoadFrameW8:
-				addr := f.safeBase + op.imm
-				if !safeStack {
+				case skMovR:
+					regs[op.dst] = regs[op.aReg]
+					if tm {
+						meta[op.dst] = meta[op.aReg]
+					}
+					cyc += cost.Mov
+
+				case skMovC:
+					regs[op.dst] = op.imm
+					if tm {
+						meta[op.dst] = invalidMeta
+					}
+					cyc += cost.Mov
+
+				case skGEPRR:
+					regs[op.dst] = regs[op.aReg] + regs[op.bReg]*op.aux + op.imm
+					if tm {
+						meta[op.dst] = meta[op.aReg]
+					}
+					cyc += cost.GEP
+					if boundsGEP {
+						cyc += cost.SBGEP
+					}
+
+				case skGEPRC:
+					regs[op.dst] = regs[op.aReg] + op.imm
+					if tm {
+						meta[op.dst] = meta[op.aReg]
+					}
+					cyc += cost.GEP
+					if boundsGEP {
+						cyc += cost.SBGEP
+					}
+
+				case skGEPGR:
+					regs[op.dst] = globalBase + m.slideData + op.imm + regs[op.bReg]*op.aux
+					if tm {
+						meta[op.dst] = m.globalMeta(&op.in.A)
+					}
+					cyc += cost.GEP
+					if boundsGEP {
+						cyc += cost.SBGEP
+					}
+
+				case skLoadRegW8:
+					addr := regs[op.aReg]
 					if v, ok := m.mem.TryLoadWord(addr); ok {
 						cyc += cost.Load
 						regs[op.dst] = v
 						if tm {
 							meta[op.dst] = invalidMeta
 						}
-						pc++
 						break
 					}
-				} else if v, ok := m.safe.TryLoadWord(addr); ok {
-					cyc += cost.Load
-					regs[op.dst] = v
-					meta[op.dst] = m.safeMetaAt(addr)
-					pc++
-					break
-				}
-				f.pc = pc
-				m.loadPlainInto(f, addr, safeStack, op.dst, 8)
-				if m.trap != nil {
-					break activation
-				}
-				pc = f.pc
-
-			case skLoadFrameUW8:
-				addr := f.regBase + op.imm
-				if v, ok := m.mem.TryLoadWord(addr); ok {
-					cyc += cost.Load
-					regs[op.dst] = v
-					if tm {
-						meta[op.dst] = invalidMeta
+					f.pc = int(op.pc)
+					m.loadPlainInto(f, addr, false, op.dst, 8)
+					if m.trap != nil {
+						break body
 					}
-					pc++
-					break
-				}
-				f.pc = pc
-				m.loadPlainInto(f, addr, false, op.dst, 8)
-				if m.trap != nil {
-					break activation
-				}
-				pc = f.pc
 
-			case skStoreRegW8:
-				addr := regs[op.aReg]
-				var val uint64
-				switch {
-				case op.bReg >= 0:
-					val = regs[op.bReg]
-				case op.bReg == -1:
-					val = op.imm
-				default:
-					val = m.evalUSlow(f, &op.in.B)
-				}
-				if sfi {
-					cyc += cost.SFIMask
-				}
-				if m.mem.TryStoreWord(addr, val) {
-					cyc += cost.Store
-					pc++
-					break
-				}
-				f.pc = pc
-				m.storePlainSlow(f, addr, false, val, invalidMeta, 8)
-				if m.trap != nil {
-					break activation
-				}
-				pc = f.pc
-
-			case skStoreFrameW8:
-				addr := f.safeBase + op.aux
-				var val uint64
-				valMeta := invalidMeta
-				if op.bReg >= 0 {
-					val = regs[op.bReg]
-					if tm {
-						valMeta = meta[op.bReg]
+				case skLoadFrameW8:
+					addr := f.safeBase + op.imm
+					if !safeStack {
+						if v, ok := m.mem.TryLoadWord(addr); ok {
+							cyc += cost.Load
+							regs[op.dst] = v
+							if tm {
+								meta[op.dst] = invalidMeta
+							}
+							break
+						}
+					} else if v, ok := m.safe.TryLoadWord(addr); ok {
+						cyc += cost.Load
+						regs[op.dst] = v
+						meta[op.dst] = m.safeMetaAt(addr)
+						break
 					}
-				} else {
-					val, valMeta = m.evalValSlow(f, &op.in.B)
-				}
-				if !safeStack {
+					f.pc = int(op.pc)
+					m.loadPlainInto(f, addr, safeStack, op.dst, 8)
+					if m.trap != nil {
+						break body
+					}
+
+				case skLoadFrameUW8:
+					addr := f.regBase + op.imm
+					if v, ok := m.mem.TryLoadWord(addr); ok {
+						cyc += cost.Load
+						regs[op.dst] = v
+						if tm {
+							meta[op.dst] = invalidMeta
+						}
+						break
+					}
+					f.pc = int(op.pc)
+					m.loadPlainInto(f, addr, false, op.dst, 8)
+					if m.trap != nil {
+						break body
+					}
+
+				case skStoreRegW8:
+					addr := regs[op.aReg]
+					var val uint64
+					switch {
+					case op.bReg >= 0:
+						val = regs[op.bReg]
+					case op.bReg == -1:
+						val = op.imm
+					default:
+						val = m.evalUSlow(f, &op.in.B)
+					}
 					if sfi {
 						cyc += cost.SFIMask
 					}
 					if m.mem.TryStoreWord(addr, val) {
 						cyc += cost.Store
-						pc++
 						break
 					}
-				} else if m.safe.TryStoreWord(addr, val) {
-					m.setSafeMeta(addr, valMeta)
-					cyc += cost.Store
-					pc++
-					break
-				}
-				f.pc = pc
-				m.storePlainSlow(f, addr, safeStack, val, valMeta, 8)
-				if m.trap != nil {
-					break activation
-				}
-				pc = f.pc
-
-			case skStoreFrameUW8:
-				addr := f.regBase + op.aux
-				var val uint64
-				valMeta := invalidMeta
-				if op.bReg >= 0 {
-					val = regs[op.bReg]
-					if tm {
-						valMeta = meta[op.bReg]
+					f.pc = int(op.pc)
+					m.storePlainSlow(f, addr, false, val, invalidMeta, 8)
+					if m.trap != nil {
+						break body
 					}
-				} else {
-					val, valMeta = m.evalValSlow(f, &op.in.B)
-				}
-				if sfi {
-					cyc += cost.SFIMask
-				}
-				if m.mem.TryStoreWord(addr, val) {
-					cyc += cost.Store
-					pc++
-					break
-				}
-				f.pc = pc
-				m.storePlainSlow(f, addr, false, val, valMeta, 8)
-				if m.trap != nil {
-					break activation
-				}
-				pc = f.pc
 
-			case skBr:
-				// Trace-extending branch: the next segOp IS the target.
-				pc = int(op.imm)
-				cyc += cost.Br
-
-			case skCondBrR: // terminal
-				if regs[op.aReg] != 0 {
-					pc = int(op.imm)
-				} else {
-					pc = int(op.aux)
-				}
-				cyc += cost.CondBr
-
-			case skCondBrX: // trace-extending: the fall-through arm is the
-				// next op; the taken arm leaves the activation early and
-				// lets the trampoline chain into the target's own segment.
-				cyc += cost.CondBr
-				if regs[op.aReg] != 0 {
-					pc = int(op.imm)
-					break body
-				}
-				pc = int(op.aux)
-
-			case skRet: // terminal; segRet inlines retFinish+popFrame for
-				// the common return shape and falls back to retFinish
-				// otherwise. Outlined so the segment loop's register
-				// allocation stays lean.
-				f.pc = pc
-				cyc = m.segRet(f, op, tm, cyc)
-				if m.trap != nil {
-					break activation
-				}
-
-			case skCallPlan: // segCall mirrors execCallPlan with the
-				// recycled-frame push inlined, falling back to pushFrameReg
-				// for every other shape. Outlined like segRet. Mid-trace
-				// when the callee's entry continuation is inlined: every
-				// push path leaves the callee frame current at pc 0, so the
-				// remaining ops execute there after a frame-hoist refresh.
-				f.pc = pc
-				cyc = m.segCall(f, op, pc, tm, cyc)
-				if m.trap != nil {
-					break activation
-				}
-				if i+1 < len(ops) {
-					f = m.cur
-					regs, meta = f.regs, f.meta
-					segs = f.code.Segs
-					pool = f.code.SegOps
-					pc = f.pc
-				}
-
-			case skPairCmpRCBrX, skPairCmpRCBr, skPairCmpRRBrX:
-				// Compare + branch on the fresh flag. Each constituent
-				// charges its own step, cycle and budget check.
-				var b uint64
-				if op.kind == skPairCmpRRBrX {
-					b = regs[op.bReg]
-				} else {
-					b = op.imm
-				}
-				v := cmpEval(op.alu, regs[op.aReg], b)
-				regs[op.dst] = v
-				if tm {
-					meta[op.dst] = invalidMeta
-				}
-				cyc += cost.Bin
-				pc++
-				steps++
-				if steps > budget {
-					f.pc = pc
-					m.steps = steps
-					m.budgetTrap()
-					break activation
-				}
-				op2 := &ops[i+1]
-				i++
-				cyc += cost.CondBr
-				if op.kind == skPairCmpRCBr { // terminal two-way branch
-					if v != 0 {
-						pc = int(op2.imm)
+				case skStoreFrameW8:
+					addr := f.safeBase + op.aux
+					var val uint64
+					valMeta := invalidMeta
+					if op.bReg >= 0 {
+						val = regs[op.bReg]
+						if tm {
+							valMeta = meta[op.bReg]
+						}
 					} else {
-						pc = int(op2.aux)
+						val, valMeta = m.evalValSlow(f, &op.in.B)
 					}
-					break
-				}
-				if v != 0 { // trace-extending: taken arm exits early
-					pc = int(op2.imm)
-					break body
-				}
-				pc = int(op2.aux)
+					if !safeStack {
+						if sfi {
+							cyc += cost.SFIMask
+						}
+						if m.mem.TryStoreWord(addr, val) {
+							cyc += cost.Store
+							break
+						}
+					} else if m.safe.TryStoreWord(addr, val) {
+						m.setSafeMeta(addr, valMeta)
+						cyc += cost.Store
+						break
+					}
+					f.pc = int(op.pc)
+					m.storePlainSlow(f, addr, safeStack, val, valMeta, 8)
+					if m.trap != nil {
+						break body
+					}
 
-			case skPairBinRCCall:
-				a := regs[op.aReg]
-				var v uint64
-				if op.alu == ir.AAdd {
-					v = a + op.imm
-				} else {
-					v = a - op.imm
-				}
-				regs[op.dst] = v
-				if tm {
-					meta[op.dst] = invalidMeta
-				}
-				cyc += cost.Bin
-				pc++
-				steps++
-				if steps > budget {
-					f.pc = pc
-					m.steps = steps
-					m.budgetTrap()
-					break activation
-				}
-				op2 := &ops[i+1]
-				i++
-				f.pc = pc
-				cyc = m.segCall(f, op2, pc, tm, cyc)
-				if m.trap != nil {
-					break activation
-				}
-				if i+1 < len(ops) {
-					f = m.cur
-					regs, meta = f.regs, f.meta
-					segs = f.code.Segs
-					pool = f.code.SegOps
-					pc = f.pc
-				}
+				case skStoreFrameUW8:
+					addr := f.regBase + op.aux
+					var val uint64
+					valMeta := invalidMeta
+					if op.bReg >= 0 {
+						val = regs[op.bReg]
+						if tm {
+							valMeta = meta[op.bReg]
+						}
+					} else {
+						val, valMeta = m.evalValSlow(f, &op.in.B)
+					}
+					if sfi {
+						cyc += cost.SFIMask
+					}
+					if m.mem.TryStoreWord(addr, val) {
+						cyc += cost.Store
+						break
+					}
+					f.pc = int(op.pc)
+					m.storePlainSlow(f, addr, false, val, valMeta, 8)
+					if m.trap != nil {
+						break body
+					}
 
-			case skPairBinRCRet, skPairBinRRRet:
-				a := regs[op.aReg]
-				var b uint64
-				if op.kind == skPairBinRRRet {
-					b = regs[op.bReg]
-				} else {
-					b = op.imm
-				}
-				var v uint64
-				if op.alu == ir.AAdd {
-					v = a + b
-				} else {
-					v = a - b
-				}
-				regs[op.dst] = v
-				if tm {
-					meta[op.dst] = invalidMeta
-				}
-				cyc += cost.Bin
-				pc++
-				steps++
-				if steps > budget {
-					f.pc = pc
-					m.steps = steps
-					m.budgetTrap()
-					break activation
-				}
-				op2 := &ops[i+1]
-				i++
-				f.pc = pc
-				cyc = m.segRet(f, op2, tm, cyc)
-				if m.trap != nil {
-					break activation
-				}
+				case skBr:
+					// Trace-extending branch into another br: the next segOp IS
+					// the target.
+					cyc += cost.Br
 
-			default: // skGeneric: the slot's own handler, flushed around
-				f.pc = pc
-				m.cycles += cyc
-				cyc = 0
-				op.h(m, f, op.in)
-				if m.trap != nil {
-					break activation
+				case skCondBrR: // terminal
+					if regs[op.aReg] != 0 {
+						f.pc = int(op.imm)
+					} else {
+						f.pc = int(op.aux)
+					}
+					cyc += cost.CondBr
+
+				case skCondBrX: // trace-extending: the fall-through arm is the
+					// next op; the taken arm leaves the activation early and
+					// lets the trampoline chain into the target's own segment.
+					cyc += cost.CondBr
+					if regs[op.aReg] != 0 {
+						f.pc = int(op.imm)
+						break body
+					}
+
+				case skRet: // terminal; segRet inlines retFinish+popFrame for
+					// the common return shape and falls back to retFinish
+					// otherwise. Outlined so the segment loop's register
+					// allocation stays lean.
+					f.pc = int(op.pc)
+					cyc = m.segRet(f, op, tm, cyc)
+
+				case skCallPlan: // segCall mirrors execCallPlan with the
+					// recycled-frame push inlined, falling back to pushFrameReg
+					// for every other shape. Outlined like segRet. Mid-trace
+					// when the callee's entry continuation is inlined: every
+					// push path leaves the callee frame current at pc 0, so the
+					// remaining ops execute there after a frame-hoist refresh.
+					f.pc = int(op.pc)
+					cyc = m.segCall(f, op, tm, cyc)
+					if m.trap != nil {
+						break body
+					}
+					if i+1 < len(ops) {
+						f = m.cur
+						i++
+						continue frame
+					}
+
+				case skPairCmpRCBrX, skPairCmpRCBr, skPairCmpRRBrX:
+					// Compare + branch on the fresh flag. Each constituent
+					// charges its own step, cycle and budget check.
+					var b uint64
+					if op.kind == skPairCmpRRBrX {
+						b = regs[op.bReg]
+					} else {
+						b = op.imm
+					}
+					v := cmpEval(op.alu, regs[op.aReg], b)
+					regs[op.dst] = v
+					if tm {
+						meta[op.dst] = invalidMeta
+					}
+					cyc += cost.Bin
+					i++
+					op2 := &ops[i]
+					if int64(op2.k) > lim {
+						steps, cyc = m.segBudgetTrap(f, op2, steps, lim, cyc)
+						break activation
+					}
+					cyc += cost.CondBr
+					if op.kind == skPairCmpRCBr { // terminal two-way branch
+						if v != 0 {
+							f.pc = int(op2.imm)
+						} else {
+							f.pc = int(op2.aux)
+						}
+						break
+					}
+					if v != 0 { // trace-extending: taken arm exits early
+						f.pc = int(op2.imm)
+						break body
+					}
+
+				case skPairBinRCCall:
+					a := regs[op.aReg]
+					var v uint64
+					if op.alu == ir.AAdd {
+						v = a + op.imm
+					} else {
+						v = a - op.imm
+					}
+					regs[op.dst] = v
+					if tm {
+						meta[op.dst] = invalidMeta
+					}
+					cyc += cost.Bin
+					i++
+					op2 := &ops[i]
+					if int64(op2.k) > lim {
+						steps, cyc = m.segBudgetTrap(f, op2, steps, lim, cyc)
+						break activation
+					}
+					f.pc = int(op2.pc)
+					cyc = m.segCall(f, op2, tm, cyc)
+					if m.trap != nil {
+						break body
+					}
+					if i+1 < len(ops) {
+						f = m.cur
+						i++
+						continue frame
+					}
+
+				case skPairBinRCRet, skPairBinRRRet:
+					a := regs[op.aReg]
+					var b uint64
+					if op.kind == skPairBinRRRet {
+						b = regs[op.bReg]
+					} else {
+						b = op.imm
+					}
+					var v uint64
+					if op.alu == ir.AAdd {
+						v = a + b
+					} else {
+						v = a - b
+					}
+					regs[op.dst] = v
+					if tm {
+						meta[op.dst] = invalidMeta
+					}
+					cyc += cost.Bin
+					i++
+					op2 := &ops[i]
+					if int64(op2.k) > lim {
+						steps, cyc = m.segBudgetTrap(f, op2, steps, lim, cyc)
+						break activation
+					}
+					f.pc = int(op2.pc)
+					cyc = m.segRet(f, op2, tm, cyc)
+
+				default: // skGeneric: the slot's own handler, flushed around
+					f.pc = int(op.pc)
+					m.cycles += cyc
+					cyc = 0
+					op.h(m, f, op.in)
+					if m.trap != nil {
+						break body
+					}
 				}
-				pc = f.pc
 			}
+			break
 		}
-		// The mirror is already in sync for every terminal (no-op store)
-		// and live only for traces truncated at segMaxOps.
-		f.pc = pc
+		// i is the constituent the activation left at: the terminal (the
+		// loop ran off the end), an early taken branch, or a trap.
+		steps += int64(ops[min(i, len(ops)-1)].k)
+		if m.trap != nil {
+			break
+		}
 
 		// Trampoline: if the continuation lands on a segment entry, chain
 		// into it directly, charging what one dispatch-loop round trip
-		// would (step, dispatch, budget check). Same-frame continuations
-		// (branch terminals) reuse the hoisted segment table.
-		if cur := m.cur; cur == f {
-			sr = segs[pc]
-		} else {
-			f = cur
-			pool = f.code.SegOps
-			regs, meta = f.regs, f.meta
-			segs = f.code.Segs
-			sr = segs[f.pc]
-		}
+		// would (step, dispatch, budget check).
+		f = m.cur
+		sr = f.code.Segs[f.pc]
 		if sr.n == 0 {
 			break
 		}
@@ -847,6 +869,35 @@ activation:
 	m.blockEntries += entries
 	m.blockSteps += (steps - steps0) + 1
 	m.extraDisp += entries - 1
+}
+
+// segBudgetTrap raises the step-budget trap at op, whose step steps+op.k
+// (steps: the count at the activation's entry constituent) exceeds the
+// headroom lim. A folded branch in front of op is its own step: if the
+// budget runs out there, the trap reports the branch's pc and step count
+// and its cycles are not charged. Returns the step count and cycle delta
+// at the trap. Outlined so the segment loop's hot path stays lean.
+func (m *Machine) segBudgetTrap(f *frame, op *segOp, steps, lim, cyc int64) (int64, int64) {
+	k := int64(op.k)
+	f.pc = int(op.pc)
+	if op.pre {
+		if k-1 > lim {
+			k--
+			f.pc = int(op.brPC)
+		} else {
+			cyc += m.cfg.Cost.Br
+		}
+	}
+	m.steps = steps + k
+	m.budgetTrap()
+	return m.steps, cyc
+}
+
+// globalMeta is the based-on metadata of a global object operand, as evalP
+// resolves it.
+func (m *Machine) globalMeta(v *PVal) Meta {
+	gb := m.globalAddr(int(v.Index))
+	return Meta{Kind: sps.KindData, Lower: gb, Upper: gb + uint64(v.Size)}
 }
 
 // isCmp reports whether the operator is one of the comparison ALU ops
@@ -960,7 +1011,8 @@ func (m *Machine) segRet(f *frame, op *segOp, tm bool, cyc int64) int64 {
 // below still recycles correctly) and finishPush for cookie-less frames; any
 // other shape falls through to pushFrameReg before any state mutation. The
 // caller has already flushed f.pc.
-func (m *Machine) segCall(f *frame, op *segOp, pc int, tm bool, cyc int64) int64 {
+func (m *Machine) segCall(f *frame, op *segOp, tm bool, cyc int64) int64 {
+	retPC := int(op.pc) + 1
 	if m.hooks != nil {
 		m.cycles += cyc // hooks may observe Cycles()
 		cyc = 0
@@ -995,11 +1047,11 @@ func (m *Machine) segCall(f *frame, op *segOp, pc int, tm bool, cyc int64) int64
 	}
 	if f2 == nil {
 		m.pushFrameReg(callee, f, f.code.Plans[op.bReg],
-			retAddr, pc+1, int(op.dst))
+			retAddr, retPC, int(op.dst))
 		return cyc
 	}
 	f2.pc = 0
-	f2.retPC = pc + 1
+	f2.retPC = retPC
 	f2.dst = int(op.dst)
 	plan := f.code.Plans[op.bReg]
 	if len(plan) > 0 {

@@ -349,10 +349,8 @@ func (m *Machine) evalP(f *frame, v *PVal) (uint64, Meta) {
 			Kind: sps.KindData, Lower: addr, Upper: addr + uint64(v.Size),
 		}
 	case ir.ValGlobal:
-		gb := m.globalAddr(int(v.Index))
-		return gb + v.Imm, Meta{
-			Kind: sps.KindData, Lower: gb, Upper: gb + uint64(v.Size),
-		}
+		gm := m.globalMeta(v)
+		return gm.Lower + v.Imm, gm
 	case ir.ValFunc:
 		a := m.funcAddr(int(v.Index))
 		return a, Meta{Kind: sps.KindCode, Lower: a, Upper: a}

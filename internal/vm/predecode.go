@@ -327,14 +327,6 @@ func PredecodeWith(p *ir.Program, opt PredecodeOptions) *Code {
 		}
 		fc.NeedsRegClear = !regsDefBeforeUse(fn)
 	}
-	// Block compilation runs after every function is predecoded: traces
-	// inline direct-call continuations, so buildTrace reads callee
-	// instruction streams across function boundaries.
-	if !opt.NoBlockCompile && !opt.AuditHooks {
-		for fi := range c.Funcs {
-			c.BlockSegs += compileBlocks(c, &c.Funcs[fi])
-		}
-	}
 	c.NumRetSites = int(retOrd)
 	c.NumJmpSites = int(jmpOrd)
 
@@ -358,6 +350,16 @@ func PredecodeWith(p *ir.Program, opt PredecodeOptions) *Code {
 		gaddr += uint64(g.Size)
 	}
 	c.GlobalsBytes = int64(gaddr - globalBase)
+
+	// Block compilation runs after every function is predecoded — traces
+	// inline direct-call continuations, so the trace compiler reads callee
+	// instruction streams across function boundaries — and after the data
+	// layout, which global-address GEPs fold in at compile time.
+	if !opt.NoBlockCompile && !opt.AuditHooks {
+		for fi := range c.Funcs {
+			c.BlockSegs += compileBlocks(c, &c.Funcs[fi])
+		}
+	}
 	return c
 }
 
