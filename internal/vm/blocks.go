@@ -17,9 +17,13 @@ import (
 // step offset k from the trace's entry constituent. The segment runner
 // (runSegment) streams through that dense array instead of chasing
 // PIns-stride records, holds the frame's register file and the cycle delta
-// in locals across the body, and inlines the page-translation-cache hit
-// paths of the hottest operand shapes; only control-flow joins, traps and
-// uncompiled code return to dispatch. Trace-extending unconditional
+// in locals across the body, evaluates every ALU operator of the register
+// and constant Bin shapes inline (division behind an outlined zero-divisor
+// trap), and inlines the page-translation-cache hit paths of the hottest
+// operand shapes; only control-flow joins, traps and uncompiled code return
+// to dispatch. mergePairs fuses the hottest adjacent shapes — compare +
+// branch, add/sub + call/return, GEP + the word load/store through its
+// fresh address — into one op each. Trace-extending unconditional
 // branches cost no op of their own: foldBranches drops them and marks the
 // following op, which charges the branch in front of itself. A trampoline
 // at segment exit chains directly into the next segment (the target of a
@@ -59,6 +63,7 @@ const (
 	skGeneric uint8 = iota
 	skBinRR         // reg ⊗ reg
 	skBinRC         // reg ⊗ const
+	skBinCR         // const ⊗ reg (imm = A)
 	skMovR
 	skMovC
 	skGEPRR        // base reg + index reg (aux = scale, imm = offset)
@@ -89,6 +94,17 @@ const (
 	skPairBinRCCall // add/sub reg-const feeding a direct call
 	skPairBinRCRet  // add/sub reg-const whose fresh result is returned
 	skPairBinRRRet  // add/sub reg-reg whose fresh result is returned
+
+	// Address-mode pairs: a GEP whose fresh address is the very next plain
+	// word load's or store's address register (skLoadRegW8/skStoreRegW8).
+	// The store kinds follow the load kinds in the same GEP-shape order
+	// (gepPair relies on it).
+	skPairGEPRRLoad
+	skPairGEPRCLoad
+	skPairGEPGRLoad
+	skPairGEPRRStore
+	skPairGEPRCStore
+	skPairGEPGRStore
 )
 
 // segOp is one flattened constituent of a compiled segment. The hot kinds
@@ -126,13 +142,13 @@ func makeSegOp(c *Code, in *PIns, pc, k int) segOp {
 	op := segOp{kind: skGeneric, pc: int32(pc), k: int32(k), in: in, h: chooseHandler(in, false)}
 	switch in.Op {
 	case ir.OpBin:
-		if in.A.Kind == ir.ValReg {
-			switch in.B.Kind {
-			case ir.ValReg:
-				op.kind, op.alu, op.aReg, op.bReg, op.dst = skBinRR, in.ALU, in.A.Reg, in.B.Reg, in.Dst
-			case ir.ValConst:
-				op.kind, op.alu, op.aReg, op.imm, op.dst = skBinRC, in.ALU, in.A.Reg, in.B.Imm, in.Dst
-			}
+		switch {
+		case in.A.Kind == ir.ValReg && in.B.Kind == ir.ValReg:
+			op.kind, op.alu, op.aReg, op.bReg, op.dst = skBinRR, in.ALU, in.A.Reg, in.B.Reg, in.Dst
+		case in.A.Kind == ir.ValReg && in.B.Kind == ir.ValConst:
+			op.kind, op.alu, op.aReg, op.imm, op.dst = skBinRC, in.ALU, in.A.Reg, in.B.Imm, in.Dst
+		case in.A.Kind == ir.ValConst && in.B.Kind == ir.ValReg:
+			op.kind, op.alu, op.imm, op.bReg, op.dst = skBinCR, in.ALU, in.A.Imm, in.B.Reg, in.Dst
 		}
 	case ir.OpMov:
 		switch in.A.Kind {
@@ -261,16 +277,20 @@ func compileBlocks(c *Code, fc *FuncCode) int {
 }
 
 // mergePairs rewrites adjacent constituent shapes into merged pair kinds.
-// Only never-faulting first constituents qualify (add/sub/compare), so a
-// merged body has no mid-pair slow path; the compare pairs additionally
-// require the branch to consume the freshly computed flag, and the return
-// pairs the fresh result. A consumed second slot keeps its original segOp
-// (the merged executor reads its fields and skips it).
+// Only never-faulting first constituents qualify (add/sub/compare/GEP), so
+// a merged body has no mid-pair slow path; the compare pairs additionally
+// require the branch to consume the freshly computed flag, the return pairs
+// the fresh result, and the address-mode pairs a word load or store whose
+// address register is the fresh GEP result. A consumed second slot keeps
+// its original segOp (the merged executor reads its fields and skips it).
 func mergePairs(ops []segOp) {
 	for j := 0; j+1 < len(ops); j++ {
 		a, b := &ops[j], &ops[j+1]
 		addSub := a.alu == ir.AAdd || a.alu == ir.ASub
 		switch {
+		case (b.kind == skLoadRegW8 || b.kind == skStoreRegW8) && b.aReg == a.dst &&
+			(a.kind == skGEPRR || a.kind == skGEPRC || a.kind == skGEPGR):
+			a.kind = gepPair(a.kind, b.kind == skStoreRegW8)
 		case a.kind == skBinRC && isCmp(a.alu) && b.kind == skCondBrX && b.aReg == a.dst:
 			a.kind = skPairCmpRCBrX
 		case a.kind == skBinRC && isCmp(a.alu) && b.kind == skCondBrR && b.aReg == a.dst:
@@ -288,6 +308,17 @@ func mergePairs(ops []segOp) {
 		}
 		j++ // the second slot is consumed by the merged head
 	}
+}
+
+// gepPair names the address-mode pair of GEP shape g feeding a word load
+// or, with store, a word store. The pair kinds list the GEP shapes in
+// their own order (skGEPRR, skGEPRC, skGEPGR).
+func gepPair(g uint8, store bool) uint8 {
+	k := skPairGEPRRLoad + g - skGEPRR
+	if store {
+		k += skPairGEPRRStore - skPairGEPRRLoad
+	}
+	return k
 }
 
 // foldBranches drops every trace-extending br whose successor op is not
@@ -476,27 +507,52 @@ activation:
 					cyc += cost.Br
 				}
 				switch op.kind {
-				case skBinRR, skBinRC:
-					a := regs[op.aReg]
-					var b uint64
-					if op.kind == skBinRC {
-						b = op.imm
-					} else {
-						b = regs[op.bReg]
+				case skBinRR, skBinRC, skBinCR:
+					// The whole ALU inline, with aluEval's semantics.
+					var a, b uint64
+					switch op.kind {
+					case skBinRC:
+						a, b = regs[op.aReg], op.imm
+					case skBinRR:
+						a, b = regs[op.aReg], regs[op.bReg]
+					default:
+						a, b = op.imm, regs[op.bReg]
 					}
+					// add/sub, the bulk, are peeled off by two compares in
+					// front of the jump table the other operators take.
 					var v uint64
 					switch op.alu {
 					case ir.AAdd:
 						v = a + b
 					case ir.ASub:
 						v = a - b
-					case ir.ALt, ir.AGt, ir.ALe, ir.AGe, ir.AEq, ir.ANe:
-						v = cmpEval(op.alu, a, b)
 					default:
-						f.pc = int(op.pc) // div-zero traps at this op's position
-						var ok bool
-						if v, ok = m.binEval(op.alu, a, b); !ok {
-							break body
+						switch op.alu {
+						case ir.AMul:
+							v = uint64(int64(a) * int64(b))
+						case ir.ADiv, ir.ARem:
+							if b == 0 {
+								f.pc = int(op.pc)
+								m.divZeroTrap()
+								break body
+							}
+							if op.alu == ir.ADiv {
+								v = uint64(int64(a) / int64(b))
+							} else {
+								v = uint64(int64(a) % int64(b))
+							}
+						case ir.AAnd:
+							v = a & b
+						case ir.AOr:
+							v = a | b
+						case ir.AXor:
+							v = a ^ b
+						case ir.AShl:
+							v = a << (b & 63)
+						case ir.AShr:
+							v = uint64(int64(a) >> (b & 63))
+						default:
+							v = cmpEval(op.alu, a, b)
 						}
 					}
 					regs[op.dst] = v
@@ -823,6 +879,78 @@ activation:
 					f.pc = int(op2.pc)
 					cyc = m.segRet(f, op2, tm, cyc)
 
+				case skPairGEPRRLoad, skPairGEPRCLoad, skPairGEPGRLoad,
+					skPairGEPRRStore, skPairGEPRCStore, skPairGEPGRStore:
+					// GEP + word load/store through the fresh address: the
+					// GEP executor, then the second constituent's budget
+					// check, then the skLoadRegW8/skStoreRegW8 body.
+					var addr uint64
+					switch op.kind {
+					case skPairGEPRRLoad, skPairGEPRRStore:
+						addr = regs[op.aReg] + regs[op.bReg]*op.aux + op.imm
+						if tm {
+							meta[op.dst] = meta[op.aReg]
+						}
+					case skPairGEPRCLoad, skPairGEPRCStore:
+						addr = regs[op.aReg] + op.imm
+						if tm {
+							meta[op.dst] = meta[op.aReg]
+						}
+					default:
+						addr = globalBase + m.slideData + op.imm + regs[op.bReg]*op.aux
+						if tm {
+							meta[op.dst] = m.globalMeta(&op.in.A)
+						}
+					}
+					regs[op.dst] = addr
+					cyc += cost.GEP
+					if boundsGEP {
+						cyc += cost.SBGEP
+					}
+					i++
+					op2 := &ops[i]
+					if int64(op2.k) > lim {
+						steps, cyc = m.segBudgetTrap(f, op2, steps, lim, cyc)
+						break activation
+					}
+					if op2.kind == skLoadRegW8 {
+						if v, ok := m.mem.TryLoadWord(addr); ok {
+							cyc += cost.Load
+							regs[op2.dst] = v
+							if tm {
+								meta[op2.dst] = invalidMeta
+							}
+							break
+						}
+						f.pc = int(op2.pc)
+						m.loadPlainInto(f, addr, false, op2.dst, 8)
+						if m.trap != nil {
+							break body
+						}
+						break
+					}
+					var val uint64
+					switch {
+					case op2.bReg >= 0:
+						val = regs[op2.bReg]
+					case op2.bReg == -1:
+						val = op2.imm
+					default:
+						val = m.evalUSlow(f, &op2.in.B)
+					}
+					if sfi {
+						cyc += cost.SFIMask
+					}
+					if m.mem.TryStoreWord(addr, val) {
+						cyc += cost.Store
+						break
+					}
+					f.pc = int(op2.pc)
+					m.storePlainSlow(f, addr, false, val, invalidMeta, 8)
+					if m.trap != nil {
+						break body
+					}
+
 				default: // skGeneric: the slot's own handler, flushed around
 					f.pc = int(op.pc)
 					m.cycles += cyc
@@ -934,21 +1062,9 @@ func cmpEval(op ir.ALU, ua, ub uint64) uint64 {
 	return 0
 }
 
-// binEval is aluEval with the two overwhelmingly common (and never-
-// faulting) operators peeled off before the call.
-func (m *Machine) binEval(op ir.ALU, a, b uint64) (uint64, bool) {
-	switch op {
-	case ir.AAdd:
-		return a + b, true
-	case ir.ASub:
-		return a - b, true
-	}
-	v, err := aluEval(op, a, b)
-	if err != nil {
-		m.trapf(TrapDivZero, 0, ViaNone, "division by zero")
-		return 0, false
-	}
-	return v, true
+// divZeroTrap raises the division-by-zero trap, outlined like budgetTrap.
+func (m *Machine) divZeroTrap() {
+	m.trapf(TrapDivZero, 0, ViaNone, "division by zero")
 }
 
 // budgetTrap raises the step-budget trap from inside a segment, outlined so

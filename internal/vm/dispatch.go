@@ -170,7 +170,7 @@ func hSubRC(m *Machine, f *frame, in *PIns) {
 func hBinRR(m *Machine, f *frame, in *PIns) {
 	v, err := aluEval(in.ALU, f.regs[in.A.Reg], f.regs[in.B.Reg])
 	if err != nil {
-		m.trapf(TrapDivZero, 0, ViaNone, "division by zero")
+		m.divZeroTrap()
 		return
 	}
 	finishBin(m, f, in, v)
@@ -179,7 +179,7 @@ func hBinRR(m *Machine, f *frame, in *PIns) {
 func hBinRC(m *Machine, f *frame, in *PIns) {
 	v, err := aluEval(in.ALU, f.regs[in.A.Reg], in.B.Imm)
 	if err != nil {
-		m.trapf(TrapDivZero, 0, ViaNone, "division by zero")
+		m.divZeroTrap()
 		return
 	}
 	finishBin(m, f, in, v)
@@ -190,7 +190,7 @@ func hBinGen(m *Machine, f *frame, in *PIns) {
 	b, _ := m.evalP(f, &in.B)
 	v, err := aluEval(in.ALU, a, b)
 	if err != nil {
-		m.trapf(TrapDivZero, 0, ViaNone, "division by zero")
+		m.divZeroTrap()
 		return
 	}
 	finishBin(m, f, in, v)

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/ir"
@@ -67,13 +68,22 @@ func (pl *Pool) Put(m *Machine) {
 	pl.mu.Unlock()
 }
 
-// Serve runs one request end to end: Get, Run(entry), Put.
-func (pl *Pool) Serve(entry string) (*Result, error) {
+// Serve runs one request end to end: Get, Run(entry), Put. A Go panic
+// inside Run is contained: the request's Result carries TrapInternal and
+// the machine, whose state the panic left undefined, is dropped instead of
+// returned to the pool.
+func (pl *Pool) Serve(entry string) (r *Result, err error) {
 	m, err := pl.Get()
 	if err != nil {
 		return nil, err
 	}
-	r := m.Run(entry)
+	defer func() {
+		if p := recover(); p != nil {
+			t := &Trap{Kind: TrapInternal, Msg: fmt.Sprint(p), PC: "<internal>"}
+			r, err = &Result{Trap: TrapInternal, Err: t}, nil
+		}
+	}()
+	r = m.Run(entry)
 	pl.Put(m)
 	return r, nil
 }

@@ -36,6 +36,9 @@ const (
 	// TrapPacViolation is the pac backend's detection: a control transfer
 	// through a pointer that failed MAC authentication.
 	TrapPacViolation
+	// TrapInternal means the machine itself failed: a Go panic inside Run,
+	// contained by Pool.Serve. No program behaviour raises it.
+	TrapInternal
 )
 
 var trapNames = [...]string{
@@ -59,6 +62,7 @@ var trapNames = [...]string{
 	TrapFortify:        "fortify check failed",
 	TrapAuditSensitive: "sensitivity audit: code pointer through unprotected memory",
 	TrapPacViolation:   "PAC violation",
+	TrapInternal:       "internal VM error",
 }
 
 // String names the trap kind.

@@ -9,8 +9,15 @@ import (
 	"repro/internal/minic/sema"
 )
 
-// compile builds an uninstrumented (vanilla) program.
+// compile builds an uninstrumented (vanilla) program with the
+// spill-everything lowering.
 func compile(t *testing.T, src string) *ir.Program {
+	t.Helper()
+	return compileWith(t, src, irgen.Options{})
+}
+
+// compileWith builds an uninstrumented (vanilla) program per opts.
+func compileWith(t *testing.T, src string, opts irgen.Options) *ir.Program {
 	t.Helper()
 	f, err := parser.Parse(src)
 	if err != nil {
@@ -19,7 +26,7 @@ func compile(t *testing.T, src string) *ir.Program {
 	if err := sema.Check(f); err != nil {
 		t.Fatalf("sema: %v", err)
 	}
-	p, err := irgen.Lower(f)
+	p, err := irgen.LowerWith(f, opts)
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}
@@ -300,6 +307,34 @@ func TestDivZeroTrap(t *testing.T) {
 	r := run(t, `int main(void) { int z = 0; return 5 / z; }`, Config{})
 	if r.Trap != TrapDivZero {
 		t.Fatalf("trap = %v", r.Trap)
+	}
+
+	// Mid-trace: the divisor reaches zero on a later loop iteration, inside
+	// a segment, after other ops of the same trace have run. The blocks run
+	// must trap at the same pc, step and cycle as the dispatch loop.
+	const src = `
+int main(void) {
+	int s = 0;
+	for (int d = 6; d > -3; d--) {
+		s = s * 3 + 1;
+		s += 100 / d + s % d;
+	}
+	return s;
+}`
+	for _, opts := range []irgen.Options{{}, {PromoteRegisters: true}} {
+		p := compileWith(t, src, opts)
+		b := runCode(t, p, PredecodeWith(p, PredecodeOptions{}), Config{})
+		n := runCode(t, p, PredecodeWith(p, PredecodeOptions{NoBlockCompile: true}), Config{})
+		if b.Trap != TrapDivZero || n.Trap != TrapDivZero {
+			t.Fatalf("%+v: trap blocks=%v noblocks=%v, want %v", opts, b.Trap, n.Trap, TrapDivZero)
+		}
+		if b.Err.PC != n.Err.PC || b.Steps != n.Steps || b.Cycles != n.Cycles {
+			t.Fatalf("%+v: blocks pc=%s steps=%d cycles=%d; noblocks pc=%s steps=%d cycles=%d",
+				opts, b.Err.PC, b.Steps, b.Cycles, n.Err.PC, n.Steps, n.Cycles)
+		}
+		if b.BlockSteps == 0 {
+			t.Fatalf("%+v: no steps ran inside segments", opts)
+		}
 	}
 }
 
