@@ -313,8 +313,11 @@ func BenchmarkVMThroughput(b *testing.B) {
 
 // BenchmarkInterpreterThroughput is the interpreter hot-path benchmark: it
 // runs the call-heavy micro workloads (plus one webstack page) and reports
-// steps/sec and ns/step, the raw numbers the BENCH trajectory records. Every
-// hot-path change (predecode, frame pooling, dispatch) should move these.
+// steps/sec, ns/step and the fraction of dispatches block compilation
+// absorbed. Every hot-path change (predecode, frame pooling, dispatch)
+// should move these. The vanilla-noblocks and vanilla-nopromote cells turn
+// off block compilation or register promotion for same-machine A/B runs;
+// `go test -cpuprofile` profiles any selection of cells.
 func BenchmarkInterpreterThroughput(b *testing.B) {
 	benchOne := func(b *testing.B, name, src string, cfg core.Config) {
 		prog, err := core.Compile(src, cfg)
@@ -322,10 +325,11 @@ func BenchmarkInterpreterThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 		var steps int64
+		var blockFrac float64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			// Machine construction is excluded so steps/sec measures pure
-			// interpretation, matching what cmd/vmbench reports.
+			// interpretation.
 			b.StopTimer()
 			m, err := prog.NewMachine()
 			if err != nil {
@@ -337,6 +341,7 @@ func BenchmarkInterpreterThroughput(b *testing.B) {
 				b.Fatalf("%s: trap %v: %v", name, r.Trap, r.Err)
 			}
 			steps += r.Steps
+			blockFrac = r.BlockFrac()
 		}
 		b.StopTimer()
 		sec := b.Elapsed().Seconds()
@@ -344,11 +349,18 @@ func BenchmarkInterpreterThroughput(b *testing.B) {
 			b.ReportMetric(float64(steps)/sec, "steps/sec")
 			b.ReportMetric(sec*1e9/float64(steps), "ns/step")
 		}
+		b.ReportMetric(blockFrac, "block_frac")
 	}
 	for _, w := range workloads.Micro() {
 		w := w
 		b.Run(w.Name+"/vanilla", func(b *testing.B) {
 			benchOne(b, w.Name, w.Src, core.Config{DEP: true})
+		})
+		b.Run(w.Name+"/vanilla-noblocks", func(b *testing.B) {
+			benchOne(b, w.Name, w.Src, core.Config{DEP: true, NoBlockCompile: true})
+		})
+		b.Run(w.Name+"/vanilla-nopromote", func(b *testing.B) {
+			benchOne(b, w.Name, w.Src, core.Config{DEP: true, NoPromote: true})
 		})
 		b.Run(w.Name+"/cpi", func(b *testing.B) {
 			benchOne(b, w.Name, w.Src, core.Config{Protect: core.CPI, DEP: true})

@@ -132,9 +132,8 @@ func main() {
 	os.Exit(int(r.ExitCode & 0x7f))
 }
 
-// statRow mirrors the ANALYSIS_stats.json row shape vmbench emits, so the
-// per-file numbers from levee and the per-workload matrix from vmbench are
-// directly comparable.
+// statRow is one row of the Table 2 statistics file: the static cost of the
+// protection, with or without whole-program points-to pruning.
 type statRow struct {
 	Workload       string  `json:"workload"`
 	Config         string  `json:"config"`

@@ -64,11 +64,12 @@ func fingerprintSpecs() []fpSpec {
 	return specs
 }
 
-// prunedSpecs lists cps and cpi without points-to pruning.
+// prunedSpecs lists cps, cpi and pac without points-to pruning.
 func prunedSpecs() []fpSpec {
 	return []fpSpec{
 		{"cps/nopt", core.Config{Protect: core.CPS, DEP: true, NoPointsTo: true}, true},
 		{"cpi/nopt", core.Config{Protect: core.CPI, DEP: true, NoPointsTo: true}, true},
+		{"pac/nopt", core.Config{Backend: "pac", DEP: true, NoPointsTo: true}, true},
 	}
 }
 

@@ -110,7 +110,8 @@ type Config struct {
 	// (vm/blocks.go): no basic block or straight-line trace executes as a
 	// single compiled segment. Block compilation is the default; this
 	// switch exists for the block differential suite and for paired A/B
-	// throughput runs (vmbench -noblocks).
+	// throughput runs (BenchmarkInterpreterThroughput's vanilla-noblocks
+	// cells).
 	NoBlockCompile bool
 
 	// AuditSensitive enables the dynamic soundness oracle for the static

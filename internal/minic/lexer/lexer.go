@@ -190,10 +190,6 @@ func (l *Lexer) stringLit(pos token.Pos) token.Token {
 			break
 		}
 		if c == '\\' {
-			if l.off >= len(l.src) {
-				l.errorf(pos, "unterminated escape")
-				break
-			}
 			b.WriteByte(l.escape(pos))
 			continue
 		}
@@ -224,7 +220,13 @@ func (l *Lexer) charLit(pos token.Pos) token.Token {
 	return token.Token{Kind: token.CharLit, Pos: pos, Val: int64(v)}
 }
 
+// escape decodes the escape sequence after a backslash; a backslash at
+// the end of the input is an error, not a read past it.
 func (l *Lexer) escape(pos token.Pos) byte {
+	if l.off >= len(l.src) {
+		l.errorf(pos, "unterminated escape")
+		return 0
+	}
 	c := l.advance()
 	switch c {
 	case 'n':

@@ -188,6 +188,13 @@ func (p *parser) structDef() *ctypes.Struct {
 			if fname == "" {
 				p.errf(p.cur().Pos, "expected field name in struct %s", name)
 			}
+			elem := fty
+			for elem.Kind == ctypes.KindArray {
+				elem = elem.Elem
+			}
+			if elem.Kind == ctypes.KindFunc {
+				p.errf(p.cur().Pos, "field %s of function type in struct %s (use a pointer)", fname, name)
+			}
 			st.Fields = append(st.Fields, ctypes.Field{Name: fname, Type: fty})
 			if !p.accept(token.Comma) {
 				break

@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"repro/internal/ctypes"
+	"repro/internal/instrument"
 	"repro/internal/ir"
 	"repro/internal/irgen"
 )
@@ -194,6 +195,55 @@ int main(void) { int i = 1 << 40; int v = 9; g[i] = v; return 0; }`}
 			t.Fatalf("program %d: blocks pc=%s steps=%d cycles=%d; noblocks pc=%s steps=%d cycles=%d",
 				i, b.Err.PC, b.Steps, b.Cycles, n.Err.PC, n.Steps, n.Cycles)
 		}
+	}
+}
+
+// TestSegmentPairMetadata keeps the address of each global GEP pair live
+// past the pair: under cpi the loop casts it to a pointer to function
+// pointers and stores and loads a code pointer one word further on, and
+// both protected accesses check that address against the bounds the GEP
+// wrote into its register's metadata. A pair head that skipped its
+// metadata write would fail those checks, so the blocks run must exit like
+// the dispatch loop, with equal steps and cycles.
+func TestSegmentPairMetadata(t *testing.T) {
+	const src = `
+int g[8];
+int one(void) { return 1; }
+int main(void) {
+	int s = 0;
+	for (int i = 0; i < 4; i++) {
+		int v = i + 1;
+		int *p = &g[2 * i];
+		*p = v;
+		int (**fp)(void) = (int (**)(void))p;
+		fp[1] = one;
+	}
+	for (int i = 0; i < 4; i++) {
+		int *q = &g[2 * i];
+		s += *q;
+		int (**fq)(void) = (int (**)(void))q;
+		s += fq[1]();
+	}
+	return s;
+}`
+	p := compileWith(t, src, irgen.Options{PromoteRegisters: true})
+	instrument.SafeStack(p)
+	instrument.CPI(p)
+	blockCode := PredecodeWith(p, PredecodeOptions{})
+	if n := segOpCensus(blockCode); n.kinds[skPairGEPGRLoad] == 0 || n.kinds[skPairGEPGRStore] == 0 {
+		t.Fatal("program compiled no global GEP load and store pairs")
+	}
+	cfg := Config{SafeStack: true, Backend: "cpi", DEP: true}
+	b := runCode(t, p, blockCode, cfg)
+	n := runCode(t, p, PredecodeWith(p, PredecodeOptions{NoBlockCompile: true}), cfg)
+	for _, r := range []*Result{b, n} {
+		if r.Trap != TrapExit || r.ExitCode != 14 {
+			t.Fatalf("blocks %v exit %d (%v); noblocks %v exit %d (%v); want exit 14",
+				b.Trap, b.ExitCode, b.Err, n.Trap, n.ExitCode, n.Err)
+		}
+	}
+	if b.Steps != n.Steps || b.Cycles != n.Cycles {
+		t.Fatalf("blocks steps=%d cycles=%d; noblocks steps=%d cycles=%d", b.Steps, b.Cycles, n.Steps, n.Cycles)
 	}
 }
 

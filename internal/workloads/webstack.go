@@ -32,10 +32,10 @@ func WebStack() []WebPage {
 // WebServe returns the serving-mode variants of the three pages: the same
 // three-tier stack, but sized as ONE request of work per run (plus a short
 // burst for static, whose single dispatch would vanish under stack_init)
-// rather than a steady-state measurement loop. cmd/servebench runs these on
-// pooled machines — thousands of tenants, one program execution per request
-// — so the per-run latency IS the per-request latency, and the pool's Reset
-// path, not the loop, amortizes setup.
+// rather than a steady-state measurement loop. The benchmark's serve-open
+// workload runs these on pooled machines, one program execution per
+// request, so the per-run latency IS the per-request latency, and the
+// pool's Reset path, not the loop, amortizes setup.
 func WebServe() []WebPage {
 	return []WebPage{
 		{Name: "serve-static", Src: webPrelude + webServeStaticMain},

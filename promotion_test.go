@@ -100,10 +100,10 @@ func TestPromotionEquivalenceAllWorkloads(t *testing.T) {
 }
 
 // TestPromotionStepReductionBenchCells pins the optimization's reason to
-// exist: on all four vmbench cells ({fib,qsort} × {vanilla,cpi}) promotion
-// must reduce dynamic Steps, with at least a 20% reduction somewhere (in
-// practice it is ≥20% on every cell; this asserts the floor, the golden
-// tables pin the exact values).
+// exist: on four BenchmarkInterpreterThroughput cells ({fib,qsort} ×
+// {vanilla,cpi}) promotion must reduce dynamic Steps, with at least a 20%
+// reduction somewhere (in practice it is ≥20% on every cell; this asserts
+// the floor, the golden tables pin the exact values).
 func TestPromotionStepReductionBenchCells(t *testing.T) {
 	cells := []struct {
 		workload string

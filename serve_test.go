@@ -175,56 +175,63 @@ func TestSharedCodeLayoutTables(t *testing.T) {
 }
 
 // TestPooledConcurrentMatchesUnpooled extends the shared-program race
-// regression to the pooled path: N goroutines each drive M sequential
-// requests through one pool (one shared Code) under cps and cpi with the
-// temporal sweep on, and every request's result must be bit-identical to
-// an unpooled fresh-machine run. Run with -race for the full guarantee.
+// regression to the pooled path: for every serving page under every
+// serving config, N goroutines each drive M sequential requests through
+// one pool (one shared Code), and every request must equal an unpooled
+// fresh-machine run in every field of resultKey, the finished machine's
+// heap/globals hash included. A request that traps where the fresh run
+// exits fails too. Run with -race for the full guarantee.
 func TestPooledConcurrentMatchesUnpooled(t *testing.T) {
-	w := workloads.WebServe()[1]              // serve-wsgi: heap + indirect calls
-	for _, pc := range servingConfigs()[1:] { // cps, cpi
-		prog, err := core.Compile(w.Src, pc.cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", pc.name, err)
-		}
-		ref, err := prog.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref.Trap != vm.TrapExit {
-			t.Fatalf("%s: reference trapped: %v", pc.name, ref.Err)
-		}
+	for _, w := range workloads.WebServe() {
+		for _, pc := range servingConfigs() {
+			t.Run(w.Name+"/"+pc.name, func(t *testing.T) {
+				t.Parallel()
+				prog, err := core.Compile(w.Src, pc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := prog.NewMachine()
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := m.Run("main")
+				if ref.Trap != vm.TrapExit {
+					t.Fatalf("reference trapped: %v", ref.Err)
+				}
+				want := keyOf(ref, m)
 
-		pool := prog.NewPool()
-		const N, M = 8, 6
-		errs := make([]error, N)
-		var wg sync.WaitGroup
-		for g := 0; g < N; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for r := 0; r < M; r++ {
-					res, err := pool.Serve("main")
+				pool := prog.NewPool()
+				const N, M = 8, 6
+				errs := make([]error, N)
+				var wg sync.WaitGroup
+				for g := 0; g < N; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						for r := 0; r < M; r++ {
+							m, err := pool.Get()
+							if err != nil {
+								errs[g] = fmt.Errorf("req %d: %w", r, err)
+								return
+							}
+							if got := keyOf(m.Run("main"), m); got != want {
+								errs[g] = fmt.Errorf("req %d diverged from unpooled run:\nfresh:  %+v\npooled: %+v", r, want, got)
+								return
+							}
+							pool.Put(m)
+						}
+					}(g)
+				}
+				wg.Wait()
+				for g, err := range errs {
 					if err != nil {
-						errs[g] = fmt.Errorf("req %d: %w", r, err)
-						return
-					}
-					if res.Cycles != ref.Cycles || res.Steps != ref.Steps ||
-						res.Output != ref.Output || res.Trap != ref.Trap ||
-						res.Mem != ref.Mem {
-						errs[g] = fmt.Errorf("req %d diverged from unpooled run", r)
-						return
+						t.Errorf("goroutine %d: %v", g, err)
 					}
 				}
-			}(g)
-		}
-		wg.Wait()
-		for g, err := range errs {
-			if err != nil {
-				t.Errorf("%s: goroutine %d: %v", pc.name, g, err)
-			}
-		}
-		if reuses, _ := pool.Stats(); reuses == 0 {
-			t.Errorf("%s: pool recycled nothing across %d requests", pc.name, N*M)
+				if reuses, _ := pool.Stats(); reuses == 0 {
+					t.Errorf("pool recycled nothing across %d requests", N*M)
+				}
+			})
 		}
 	}
 }
