@@ -241,7 +241,7 @@ func BenchmarkMemoryOverhead(b *testing.B) {
 }
 
 // BenchmarkMPXAblation is the §4 future-work ablation: CPI with checks at
-// hardware-assisted (MPX-style) cost.
+// hardware-assisted (MPX-style) cost, CPICheck = 1.
 func BenchmarkMPXAblation(b *testing.B) {
 	w, _ := workloads.ByName(workloads.Spec(), "471.omnetpp")
 	base := runOnce(b, w.Src, core.Config{DEP: true})
@@ -253,7 +253,9 @@ func BenchmarkMPXAblation(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			cost := vm.DefaultCosts()
-			cost.MPX = mpx
+			if mpx {
+				cost.CPICheck = 1
+			}
 			var cycles int64
 			for i := 0; i < b.N; i++ {
 				cycles = runOnce(b, w.Src,

@@ -78,9 +78,6 @@ type Backend interface {
 	// SafeIntrFlags marks memcpy/memmove/memset/free calls that may touch
 	// protected data and must run as safe variants.
 	SafeIntrFlags() ir.Prot
-	// MetadataFootprint names the runtime metadata the backend consumes,
-	// for the cross-backend comparison tables.
-	MetadataFootprint() string
 }
 
 var (

@@ -32,6 +32,3 @@ func (pacBackend) MemOp(c Class, regAddr bool) ir.Prot {
 }
 func (pacBackend) SetjmpFlags() ir.Prot   { return ir.ProtCPS }
 func (pacBackend) SafeIntrFlags() ir.Prot { return ir.ProtSafeIntr }
-func (pacBackend) MetadataFootprint() string {
-	return "none (MAC embedded in the pointer word)"
-}

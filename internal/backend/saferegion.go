@@ -26,9 +26,6 @@ func (cpsBackend) MemOp(c Class, regAddr bool) ir.Prot {
 }
 func (cpsBackend) SetjmpFlags() ir.Prot   { return ir.ProtCPS }
 func (cpsBackend) SafeIntrFlags() ir.Prot { return ir.ProtSafeIntr }
-func (cpsBackend) MetadataFootprint() string {
-	return "safe pointer store (value per code-pointer slot)"
-}
 
 // cpiBackend is full code-pointer integrity (§3.2): the sensitive closure,
 // bounds metadata, and dereference checks on computed addresses.
@@ -56,9 +53,6 @@ func (cpiBackend) MemOp(c Class, regAddr bool) ir.Prot {
 }
 func (cpiBackend) SetjmpFlags() ir.Prot   { return ir.ProtCPIStore }
 func (cpiBackend) SafeIntrFlags() ir.Prot { return ir.ProtSafeIntr }
-func (cpiBackend) MetadataFootprint() string {
-	return "safe pointer store (value+bounds+id per sensitive slot)"
-}
 
 // All built-in backends register here, in one place, so the registration
 // order — which is the cross-backend table column order — is explicit

@@ -181,15 +181,6 @@ func (c Config) backend() (backend.Backend, error) {
 // the column set of the cross-backend evaluation tables.
 func Backends() []string { return backend.Names() }
 
-// BackendFootprint describes the named backend's runtime metadata for the
-// comparison tables ("" for unknown names).
-func BackendFootprint(name string) string {
-	if bk, ok := backend.Get(name); ok {
-		return bk.MetadataFootprint()
-	}
-	return ""
-}
-
 // ConfigForName maps an evaluation column name — a Protection level or a
 // registered backend name — onto its compile Config. Protection names win
 // (so "cps"/"cpi" yield the Protect form both halves of the registry agree

@@ -364,7 +364,7 @@ int main(void) {
 `
 	soft := vm.DefaultCosts()
 	hard := vm.DefaultCosts()
-	hard.MPX = true
+	hard.CPICheck = 1 // hardware-assisted (MPX-style) checks
 	rs := runT(t, src, Config{Protect: CPI, DEP: true, Cost: soft})
 	rh := runT(t, src, Config{Protect: CPI, DEP: true, Cost: hard})
 	if rh.Cycles >= rs.Cycles {

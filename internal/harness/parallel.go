@@ -28,10 +28,6 @@ type Options struct {
 	// workload appearing in several tables of one sweep is parsed, lowered
 	// and instrumented once per configuration instead of once per cell.
 	Cache *CompileCache
-	// CacheCap, when positive, overrides the cache's entry cap for this
-	// sweep (see CompileCache: entries beyond the cap are evicted least
-	// recently used). Zero keeps the cache's own cap.
-	CacheCap int
 }
 
 // DefaultJobs is the -j default of the bench commands: one worker per CPU.
@@ -48,24 +44,16 @@ func (o Options) compile(src string, cfg core.Config) (*core.Program, error) {
 // CompileCache memoizes core.Compile by (source, configuration). It is safe
 // for concurrent use; concurrent requests for the same key compile once and
 // share the result (compiled programs are immutable after instrumentation,
-// and every run gets a fresh vm.Machine).
-//
-// The cache is bounded: at most cap entries are retained, and inserting
-// beyond the cap evicts the least recently used entry. Long-lived processes
-// sweeping many (source, config) pairs — the serving harness, repeated
-// bench invocations over one cache — therefore hold a bounded set of
-// compiled programs instead of growing without limit. An evicted key
-// recompiles on next use; in-flight waiters of an evicted entry still get
-// their result (they hold the entry pointer through its sync.Once).
+// and every run gets a fresh vm.Machine). It is unbounded: a full
+// evaluation sweep (all workloads × all configurations, every table) uses
+// well under a hundred distinct keys, and the processes that own a cache
+// are short-lived.
 type CompileCache struct {
-	mu  sync.Mutex
-	m   map[cacheKey]*cacheEntry
-	cap int
-	seq int64 // LRU clock: bumped on every touch, under mu
+	mu sync.Mutex
+	m  map[cacheKey]*cacheEntry
 
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
+	hits   atomic.Int64
+	misses atomic.Int64
 }
 
 type cacheKey struct {
@@ -77,40 +65,11 @@ type cacheEntry struct {
 	once sync.Once
 	prog *core.Program
 	err  error
-	use  int64 // last-touch sequence number, guarded by CompileCache.mu
 }
 
-// DefaultCacheCap bounds a cache built by NewCompileCache. It is generous:
-// a full evaluation sweep (all workloads × all configurations, every table)
-// uses well under a hundred distinct keys.
-const DefaultCacheCap = 256
-
-// NewCompileCache returns an empty cache with the default entry cap.
+// NewCompileCache returns an empty cache.
 func NewCompileCache() *CompileCache {
-	return NewCompileCacheCap(DefaultCacheCap)
-}
-
-// NewCompileCacheCap returns an empty cache retaining at most cap entries
-// (minimum 1).
-func NewCompileCacheCap(cap int) *CompileCache {
-	if cap < 1 {
-		cap = 1
-	}
-	return &CompileCache{m: map[cacheKey]*cacheEntry{}, cap: cap}
-}
-
-// SetCap changes the entry cap (minimum 1), evicting least-recently-used
-// entries immediately if the cache currently holds more.
-func (c *CompileCache) SetCap(cap int) {
-	if cap < 1 {
-		cap = 1
-	}
-	c.mu.Lock()
-	c.cap = cap
-	for len(c.m) > c.cap {
-		c.evictOldest(nil)
-	}
-	c.mu.Unlock()
+	return &CompileCache{m: map[cacheKey]*cacheEntry{}}
 }
 
 // ConfigKey renders a configuration as a deterministic cache-key string.
@@ -120,22 +79,15 @@ func (c *CompileCache) SetCap(cap int) {
 func ConfigKey(cfg core.Config) string { return fmt.Sprintf("%+v", cfg) }
 
 // Compile returns the cached program for (src, cfg), compiling on first use.
-// A key evicted since its last compilation recompiles (and counts as a miss
-// again), so Stats stays an accurate account of compilations performed.
 func (c *CompileCache) Compile(src string, cfg core.Config) (*core.Program, error) {
 	key := cacheKey{src: src, cfg: ConfigKey(cfg)}
 	c.mu.Lock()
-	c.seq++
 	e := c.m[key]
 	if e == nil {
-		e = &cacheEntry{use: c.seq}
+		e = &cacheEntry{}
 		c.m[key] = e
 		c.misses.Add(1)
-		if len(c.m) > c.cap {
-			c.evictOldest(e)
-		}
 	} else {
-		e.use = c.seq
 		c.hits.Add(1)
 	}
 	c.mu.Unlock()
@@ -143,40 +95,10 @@ func (c *CompileCache) Compile(src string, cfg core.Config) (*core.Program, erro
 	return e.prog, e.err
 }
 
-// evictOldest removes the least-recently-used entry, never the one passed
-// as keep (the entry just inserted). Called with mu held.
-func (c *CompileCache) evictOldest(keep *cacheEntry) {
-	var victim cacheKey
-	var found *cacheEntry
-	for k, e := range c.m {
-		if e == keep {
-			continue
-		}
-		if found == nil || e.use < found.use {
-			victim, found = k, e
-		}
-	}
-	if found != nil {
-		delete(c.m, victim)
-		c.evictions.Add(1)
-	}
-}
-
 // Stats reports cache effectiveness: hits is the number of Compile calls
-// served from the cache, misses the number of actual compilations
-// (including recompilations of evicted keys).
+// served from the cache, misses the number of actual compilations.
 func (c *CompileCache) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
-}
-
-// Evictions reports how many entries the cap has pushed out.
-func (c *CompileCache) Evictions() int64 { return c.evictions.Load() }
-
-// Len reports the number of currently retained entries.
-func (c *CompileCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
 }
 
 // ForEach runs f(i) for every i in [0, n), fanned out to jobs worker
@@ -250,9 +172,6 @@ func runCell(src string, cfg core.Config, opt Options) cellOut {
 // assembled in matrix order — workload-major, configuration-minor — so the
 // returned tables and the reported error do not depend on the schedule.
 func RunSuiteOpt(set []workloads.Workload, cfgs []NamedConfig, opt Options) ([]*Result, error) {
-	if opt.Cache != nil && opt.CacheCap > 0 {
-		opt.Cache.SetCap(opt.CacheCap)
-	}
 	cells := make([][]cellOut, len(set))
 	for wi := range cells {
 		cells[wi] = make([]cellOut, len(cfgs))

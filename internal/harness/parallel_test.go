@@ -169,74 +169,6 @@ func TestCompileCache(t *testing.T) {
 	}
 }
 
-// TestCompileCacheEviction: the cache is bounded — inserting past the cap
-// evicts the least recently used key, an evicted key recompiles correctly
-// on next use, and Stats stays an accurate account across evictions.
-func TestCompileCacheEviction(t *testing.T) {
-	c := NewCompileCacheCap(2)
-	w := fastSet()[0]
-	vanilla := core.Config{DEP: true}
-	cps := core.Config{Protect: core.CPS, DEP: true}
-	cpi := core.Config{Protect: core.CPI, DEP: true}
-
-	pv1, err := c.Compile(w.Src, vanilla)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Compile(w.Src, cps); err != nil {
-		t.Fatal(err)
-	}
-	// Touch vanilla so cps becomes the LRU victim of the next insert.
-	if pv, err := c.Compile(w.Src, vanilla); err != nil || pv != pv1 {
-		t.Fatalf("retained key must be served from cache (err=%v)", err)
-	}
-	if _, err := c.Compile(w.Src, cpi); err != nil { // evicts cps
-		t.Fatal(err)
-	}
-	if got := c.Evictions(); got != 1 {
-		t.Fatalf("evictions = %d; want 1", got)
-	}
-	if got := c.Len(); got != 2 {
-		t.Fatalf("retained entries = %d; want 2 (the cap)", got)
-	}
-	if pv, err := c.Compile(w.Src, vanilla); err != nil || pv != pv1 {
-		t.Fatalf("recently-used key must survive eviction (err=%v)", err)
-	}
-
-	// The evicted key recompiles — a fresh program that still runs
-	// identically to the original compilation.
-	want, err := core.Compile(w.Src, cps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wr, err := want.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc, err := c.Compile(w.Src, cps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cr, err := pc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cr.Cycles != wr.Cycles || cr.Output != wr.Output || cr.Trap != wr.Trap {
-		t.Error("recompiled evicted key diverges from a direct compilation")
-	}
-	// Misses: vanilla, cps, cpi, and the cps recompile after eviction.
-	// Hits: the vanilla LRU touch and the post-eviction vanilla lookup.
-	if hits, misses := c.Stats(); hits != 2 || misses != 4 {
-		t.Errorf("cache stats = %d hits, %d misses; want 2, 4", hits, misses)
-	}
-
-	// SetCap shrinks immediately.
-	c.SetCap(1)
-	if got := c.Len(); got != 1 {
-		t.Errorf("after SetCap(1): %d entries retained; want 1", got)
-	}
-}
-
 // TestConcurrentMachinesSharedProgram is the race-hardening regression: at
 // least two machines executing concurrently on the SAME compiled program
 // (as the parallel harness does through the compile cache) must neither

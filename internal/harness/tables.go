@@ -160,11 +160,6 @@ func writeOverheadRows(w io.Writer, results []*Result) {
 	}
 }
 
-// WriteTable4 renders the web-stack throughput overheads serially.
-func WriteTable4(w io.Writer) error {
-	return WriteTable4Opt(w, Options{})
-}
-
 // WriteTable4Opt renders the web stack throughput overheads. Throughput
 // loss equals cycle overhead on a saturated single-core server.
 func WriteTable4Opt(w io.Writer, opt Options) error {

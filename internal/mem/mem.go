@@ -210,11 +210,6 @@ func (m *Memory) Mapped(addr uint64) bool {
 	return ok
 }
 
-// PermAt returns the permissions at addr (0 if unmapped).
-func (m *Memory) PermAt(addr uint64) Perm {
-	return m.perms[addr>>pageShift]
-}
-
 // PagesMapped returns the number of mapped pages (memory accounting).
 func (m *Memory) PagesMapped() int { return len(m.perms) }
 

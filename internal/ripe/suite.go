@@ -60,18 +60,6 @@ func RunAttacks(attacks []Attack, d Defense, seed int64, jobs int) (*SuiteResult
 	return sr, nil
 }
 
-// SucceededStackBased counts successful attacks whose target is on the
-// stack (the subset the safe stack alone must stop, §5.1).
-func (sr *SuiteResult) SucceededStackBased() int {
-	n := 0
-	for _, r := range sr.Results {
-		if r.Outcome == Success && r.Attack.Target.region() == Stack {
-			n++
-		}
-	}
-	return n
-}
-
 // SucceededByTarget breaks successes down by target kind.
 func (sr *SuiteResult) SucceededByTarget() map[Target]int {
 	m := map[Target]int{}

@@ -94,28 +94,9 @@ func (a *Attacker) GadgetAddr() uint64 {
 	return a.guess(codeBase + a.m.slideCode + 0x40 + 8)
 }
 
-// RetSiteAddr returns some valid return-site address other than excl —
-// the building block of the coarse-CFI-compatible attacks [19, 15, 9].
-// Outcomes are ordinal-order independent (any valid site works), so the
-// first non-excluded ordinal is as good as the old map-order pick.
-func (a *Attacker) RetSiteAddr(excl uint64) (uint64, bool) {
-	for k := 0; k < a.m.code.NumRetSites; k++ {
-		if addr := a.m.retSiteAddr(int32(k)); addr != excl {
-			return a.guess(addr), true
-		}
-	}
-	return 0, false
-}
-
 // HeapAddr returns the attacker's view of the heap base.
 func (a *Attacker) HeapAddr() uint64 {
 	return a.guess(heapBase + a.m.slideHeap)
-}
-
-// StackAddr returns the attacker's view of the current stack pointer
-// region.
-func (a *Attacker) StackAddr() uint64 {
-	return a.guess(a.m.sp)
 }
 
 // GuessSafeRegion attempts to access the safe region under info-hiding

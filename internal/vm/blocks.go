@@ -35,8 +35,8 @@ import (
 // folded branches included, charges its own Cycles in original order and
 // counts as one step; the runner derives each activation's step headroom
 // once at entry and compares every op's k against it, so budget traps fire
-// at the same step with the same pc, and the memory semantics are the
-// per-instruction handler bodies verbatim — the golden Cycles/Steps tables
+// at the same step with the same pc, and the memory semantics are those of
+// the per-instruction reference handlers — the golden Cycles/Steps tables
 // and every trap outcome are bit-identical with
 // PredecodeOptions.NoBlockCompile. The block differential suite pins this.
 //
@@ -58,7 +58,8 @@ import (
 const segMaxOps = 256
 
 // segOp kinds: the shape-specialized constituent executors runSegment
-// inlines. Everything else runs through its own handler (skGeneric).
+// inlines — segments are the VM's only shape-specialized tier. Everything
+// else runs through its own per-opcode handler (skGeneric).
 const (
 	skGeneric uint8 = iota
 	skBinRR         // reg ⊗ reg
@@ -135,9 +136,9 @@ type segRef struct {
 }
 
 // makeSegOp flattens the slot at pc into the trace's k-th micro-op,
-// mirroring the shape dispatch of chooseHandler for the shapes runSegment
-// inlines. The generic handler is re-resolved rather than read from in.run,
-// which is hSeg on entry slots.
+// selecting by operand shape the executors runSegment inlines; every other
+// shape keeps its per-opcode handler. The generic handler is re-resolved
+// rather than read from in.run, which is hSeg on entry slots.
 func makeSegOp(c *Code, in *PIns, pc, k int) segOp {
 	op := segOp{kind: skGeneric, pc: int32(pc), k: int32(k), in: in, h: chooseHandler(in, false)}
 	switch in.Op {

@@ -39,12 +39,9 @@ type CostModel struct {
 	// CFICheck prices one target-set membership test.
 	CFICheck int64
 
-	// CPICheck prices one bounds/validity check against loaded metadata.
-	// With MPX true, checks use the hardware-assisted cost instead (§4's
-	// anticipated MPX implementation).
+	// CPICheck prices one bounds/validity check against loaded metadata
+	// (§4's anticipated MPX implementation is the ablation CPICheck = 1).
 	CPICheck int64
-	MPXCheck int64
-	MPX      bool
 
 	// SBCheck and SBGEP price SoftBound's per-access check and per-pointer-
 	// arithmetic metadata propagation. Full memory safety keeps two bounds
@@ -113,7 +110,6 @@ func DefaultCosts() CostModel {
 		CookieCheck:  2,
 		CFICheck:     3,
 		CPICheck:     3,
-		MPXCheck:     1,
 		SBCheck:      6,
 		SBGEP:        2,
 		SafeIntrWord: 2,
@@ -125,12 +121,4 @@ func DefaultCosts() CostModel {
 		PacAuth:      4,
 		SFIMask:      1,
 	}
-}
-
-// checkCost returns the metadata-check cost under the active model.
-func (c *CostModel) checkCost() int64 {
-	if c.MPX {
-		return c.MPXCheck
-	}
-	return c.CPICheck
 }

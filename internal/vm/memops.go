@@ -37,7 +37,7 @@ func (m *Machine) derefCheck(addr uint64, size int64, meta Meta) bool {
 	if kind == TrapSBViolation {
 		m.cycles += m.cfg.Cost.SBCheck
 	} else {
-		m.cycles += m.cfg.Cost.checkCost()
+		m.cycles += m.cfg.Cost.CPICheck
 	}
 	if meta.Kind != sps.KindData {
 		m.trapf(kind, addr, ViaNone, "dereference with invalid metadata")
@@ -61,47 +61,13 @@ func (m *Machine) derefCheck(addr uint64, size int64, meta Meta) bool {
 // resolved to (addr, ptrMeta, onSafe). regAddr says the address came from a
 // register operand (direct frame/global operands were proven safe statically
 // and are never bounds-checked). On success the pc advances by one; on a
-// trap it does not. The general load handlers (dispatch.go) all funnel into
-// this one implementation of the §3.2.2 semantics.
+// trap it does not. hLoad (dispatch.go) funnels every checked or audited
+// load into this one implementation of the §3.2.2 semantics. An unflagged
+// (audited) access matches neither enforcer mask — both are subsets of
+// protMask — and ends in the plain tail.
 func (m *Machine) loadInto(f *frame, in *PIns, addr uint64, ptrMeta Meta, onSafe, regAddr bool) {
 	dst, size, flags := in.Dst, in.Size, in.Flags
 	if m.cfg.AuditSensitive && !m.auditLoad(addr, onSafe, size, flags) {
-		return
-	}
-	if flags&protMask == 0 {
-		// Plain access: no flag can activate checks or the safe pointer
-		// store under any configuration. This is the overwhelmingly common
-		// case even under CPI (only sensitive accesses are flagged), so
-		// the plain tail is flattened here rather than delegated.
-		space := m.mem
-		if onSafe {
-			space = m.safe
-		}
-		var v uint64
-		if size == 8 {
-			var hit bool
-			if v, hit = space.TryLoadWord(addr); !hit {
-				var err error
-				if v, err = space.Load(addr, 8); err != nil {
-					m.memFault(err)
-					return
-				}
-			}
-		} else {
-			var err error
-			if v, err = space.Load(addr, int(size)); err != nil {
-				m.memFault(err)
-				return
-			}
-		}
-		m.cycles += m.cfg.Cost.Load
-		f.regs[dst] = v
-		if onSafe {
-			f.meta[dst] = m.safeMetaAt(addr)
-		} else {
-			f.meta[dst] = invalidMeta
-		}
-		f.pc++
 		return
 	}
 	// Bounds check on the dereferenced pointer when flagged (direct
@@ -118,9 +84,9 @@ func (m *Machine) loadInto(f *frame, in *PIns, addr uint64, ptrMeta Meta, onSafe
 	m.loadPlainInto(f, addr, onSafe, dst, size)
 }
 
-// loadPlainInto is the unflagged-load tail of loadInto: a plain memory read
-// with no protection semantics, observationally identical to the full path
-// with every prot branch statically false.
+// loadPlainInto is the plain tail of loadInto: a memory read with no
+// protection semantics, which hLoadPlain calls directly for unflagged
+// accesses.
 func (m *Machine) loadPlainInto(f *frame, addr uint64, onSafe bool, dst int32, size uint8) {
 	space := m.mem
 	if onSafe {
@@ -154,34 +120,6 @@ func (m *Machine) storeFrom(f *frame, in *PIns, addr uint64, ptrMeta Meta, onSaf
 	if m.cfg.AuditSensitive && !m.auditStore(addr, onSafe, size, flags, valMeta) {
 		return
 	}
-	if flags&protMask == 0 {
-		// Plain tail, flattened as in loadInto.
-		space := m.mem
-		if onSafe {
-			space = m.safe
-		} else if m.cfg.Isolation == IsoSFI {
-			m.cycles += m.cfg.Cost.SFIMask
-		}
-		if size == 8 {
-			if !space.TryStoreWord(addr, val) {
-				if err := space.Store(addr, 8, val); err != nil {
-					m.memFault(err)
-					return
-				}
-			}
-		} else {
-			if err := space.Store(addr, int(size), val); err != nil {
-				m.memFault(err)
-				return
-			}
-		}
-		if onSafe && size == 8 {
-			m.setSafeMeta(addr, valMeta)
-		}
-		m.cycles += m.cfg.Cost.Store
-		f.pc++
-		return
-	}
 	if flags&m.caps.check != 0 && regAddr && !m.derefCheck(addr, int64(size), ptrMeta) {
 		return
 	}
@@ -193,9 +131,10 @@ func (m *Machine) storeFrom(f *frame, in *PIns, addr uint64, ptrMeta Meta, onSaf
 	m.storePlainFrom(f, addr, onSafe, val, valMeta, size)
 }
 
-// storePlainSlow is the miss path of the word-specialized plain store
-// handlers: the caller has already charged any SFI masking cost, so this
-// performs only the store itself plus shadow-metadata and cost accounting.
+// storePlainSlow is the miss path of the segments' word-specialized plain
+// store executors: the caller has already charged any SFI masking cost, so
+// this performs only the store itself plus shadow-metadata and cost
+// accounting.
 func (m *Machine) storePlainSlow(f *frame, addr uint64, onSafe bool, val uint64, valMeta Meta, size uint8) {
 	space := m.mem
 	if onSafe {

@@ -30,32 +30,38 @@ func oracleWorkloads() []workloads.Workload {
 }
 
 // TestAuditSensitiveOracle runs every workload under cps, cpi and pac, with
-// and without points-to pruning, in the VM's provenance-audit mode. The audit
-// traps (TrapAuditSensitive) the moment a code-provenance value crosses an
+// and without points-to pruning, and under softbound (which has no pruned
+// variant), in the VM's provenance-audit mode. The audit traps
+// (TrapAuditSensitive) the moment a code-provenance value crosses an
 // uninstrumented memory operation, so a clean TrapExit on the full matrix is
 // a dynamic ground-truth proof that the static classification — pruned or
 // not — covered every sensitive operation these programs execute.
 func TestAuditSensitiveOracle(t *testing.T) {
+	var cfgs []core.Config
+	for _, bk := range []string{"cps", "cpi", "pac"} {
+		for _, noPT := range []bool{false, true} {
+			cfgs = append(cfgs, core.Config{Backend: bk, DEP: true,
+				NoPointsTo: noPT, AuditSensitive: true})
+		}
+	}
+	cfgs = append(cfgs, core.Config{Protect: core.SoftBound, DEP: true, AuditSensitive: true})
 	for _, w := range oracleWorkloads() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			for _, bk := range []string{"cps", "cpi", "pac"} {
-				for _, noPT := range []bool{false, true} {
-					cfg := core.Config{Backend: bk, DEP: true,
-						NoPointsTo: noPT, AuditSensitive: true}
-					prog, err := core.Compile(w.Src, cfg)
-					if err != nil {
-						t.Fatalf("%s noPT=%v: compile: %v", bk, noPT, err)
-					}
-					r, err := prog.Run()
-					if err != nil {
-						t.Fatalf("%s noPT=%v: run: %v", bk, noPT, err)
-					}
-					if r.Trap != vm.TrapExit {
-						t.Errorf("%s noPT=%v: audit trap %v (%v)\noutput: %s",
-							bk, noPT, r.Trap, r.Err, r.Output)
-					}
+			for _, cfg := range cfgs {
+				name := cfgName(cfg)
+				prog, err := core.Compile(w.Src, cfg)
+				if err != nil {
+					t.Fatalf("%s noPT=%v: compile: %v", name, cfg.NoPointsTo, err)
+				}
+				r, err := prog.Run()
+				if err != nil {
+					t.Fatalf("%s noPT=%v: run: %v", name, cfg.NoPointsTo, err)
+				}
+				if r.Trap != vm.TrapExit {
+					t.Errorf("%s noPT=%v: audit trap %v (%v)\noutput: %s",
+						name, cfg.NoPointsTo, r.Trap, r.Err, r.Output)
 				}
 			}
 		})
