@@ -28,22 +28,30 @@ import (
 
 // equivConfigs are the protection configurations the equivalence must
 // hold under: segments inline flagged-load/store fallbacks and metadata
-// maintenance that only the enforcement backends arm.
+// maintenance that only the enforcement backends arm. The unpromoted cpi
+// row is RIPE's victim configuration: its direct calls pass spilled
+// variables as register temporaries, so they take the segment call shape
+// and extend traces into callees as well.
 func equivConfigs() []core.Config {
 	return []core.Config{
 		{DEP: true},
 		{Protect: core.CPS, DEP: true},
 		{Protect: core.CPI, DEP: true},
 		{Backend: "pac", DEP: true},
+		{Protect: core.CPI, DEP: true, NoPromote: true},
 	}
 }
 
 // cfgName labels an equivConfigs entry in failure messages.
 func cfgName(cfg core.Config) string {
+	name := cfg.Protect.String()
 	if cfg.Backend != "" {
-		return cfg.Backend
+		name = cfg.Backend
 	}
-	return cfg.Protect.String()
+	if cfg.NoPromote {
+		name += "/nopromote"
+	}
+	return name
 }
 
 // equivWorkloads is the bundled workload set the property runs over. The

@@ -65,17 +65,6 @@ func (r *Result) Overhead(cfg string) float64 {
 	return 100 * (float64(r.Cycles[cfg])/float64(base) - 1)
 }
 
-// Run measures one workload under each configuration, serially.
-func Run(w workloads.Workload, cfgs []NamedConfig) (*Result, error) {
-	return RunOpt(w, cfgs, Options{})
-}
-
-// RunSuite measures a whole workload set, serially. See RunSuiteOpt for the
-// parallel variant.
-func RunSuite(set []workloads.Workload, cfgs []NamedConfig) ([]*Result, error) {
-	return RunSuiteOpt(set, cfgs, Options{})
-}
-
 // Summary holds the Table 1 statistics of a set of overheads.
 type Summary struct {
 	Avg    float64

@@ -22,10 +22,11 @@ func fastSet() []workloads.Workload {
 }
 
 func TestRunProducesAllConfigs(t *testing.T) {
-	r, err := Run(fastSet()[0], SpecConfigs())
+	rs, err := RunSuiteOpt(fastSet()[:1], SpecConfigs(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := rs[0]
 	for _, cfg := range []string{"vanilla", "safestack", "cps", "cpi"} {
 		if r.Cycles[cfg] == 0 {
 			t.Errorf("no cycles recorded for %s", cfg)
@@ -39,7 +40,7 @@ func TestRunProducesAllConfigs(t *testing.T) {
 // TestOverheadOrderingOnSuite is the Table 1 ordering claim on the fast
 // subset: safestack <= cps <= cpi for the suite averages.
 func TestOverheadOrderingOnSuite(t *testing.T) {
-	results, err := RunSuite(fastSet(), SpecConfigs())
+	results, err := RunSuiteOpt(fastSet(), SpecConfigs(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestCppWorseThanCForCPI(t *testing.T) {
 		w, _ := workloads.ByName(all, n)
 		set = append(set, w)
 	}
-	results, err := RunSuite(set, SpecConfigs())
+	results, err := RunSuiteOpt(set, SpecConfigs(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestCppWorseThanCForCPI(t *testing.T) {
 
 func TestSoftBoundDominatesCPI(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteTable3(&buf); err != nil {
+	if err := WriteTable3Opt(&buf, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -89,7 +90,7 @@ func TestSoftBoundDominatesCPI(t *testing.T) {
 	// Parse-free check: rerun to compare directly.
 	cfgs := append(SpecConfigs(),
 		NamedConfig{"softbound", Table3SoftBoundCfg()})
-	results, err := RunSuite(Table3Set(), cfgs)
+	results, err := RunSuiteOpt(Table3Set(), cfgs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestSoftBoundDominatesCPI(t *testing.T) {
 }
 
 func TestMemoryOverheadShape(t *testing.T) {
-	rows, err := MemoryOverheads(fastSet())
+	rows, err := MemoryOverheadsOpt(fastSet(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestMemoryOverheadShape(t *testing.T) {
 }
 
 func TestIsolationSFIExtra(t *testing.T) {
-	seg, sfi, err := IsolationOverheads(fastSet()[:2])
+	seg, sfi, err := IsolationOverheadsOpt(fastSet()[:2], Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestIsolationSFIExtra(t *testing.T) {
 }
 
 func TestSPSOrganisationOrdering(t *testing.T) {
-	out, err := SPSOrgOverheads(fastSet()[:2])
+	out, err := SPSOrgOverheadsOpt(fastSet()[:2], Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,14 +156,14 @@ func TestSPSOrganisationOrdering(t *testing.T) {
 }
 
 func TestWriters(t *testing.T) {
-	results, err := RunSuite(fastSet(), SpecConfigs())
+	results, err := RunSuiteOpt(fastSet(), SpecConfigs(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	WriteTable1(&buf, results)
 	WriteFig3(&buf, results)
-	if err := WriteTable2(&buf, fastSet()); err != nil {
+	if err := WriteTable2Opt(&buf, fastSet(), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	WriteFig4(&buf, results)

@@ -217,12 +217,3 @@ func RunSuiteOpt(set []workloads.Workload, cfgs []NamedConfig, opt Options) ([]*
 	}
 	return out, nil
 }
-
-// RunOpt measures one workload under each configuration with Options.
-func RunOpt(w workloads.Workload, cfgs []NamedConfig, opt Options) (*Result, error) {
-	rs, err := RunSuiteOpt([]workloads.Workload{w}, cfgs, opt)
-	if err != nil {
-		return nil, err
-	}
-	return rs[0], nil
-}

@@ -57,11 +57,6 @@ func WriteFig3(w io.Writer, results []*Result) {
 	}
 }
 
-// WriteTable2 renders the Table 2 compilation statistics serially.
-func WriteTable2(w io.Writer, set []workloads.Workload) error {
-	return WriteTable2Opt(w, set, Options{})
-}
-
 // WriteTable2Opt renders the Table 2 compilation statistics (FNUStack,
 // MOCPS, MOCPI). These are static properties of the instrumented binaries;
 // the two compilations per benchmark fan out to opt.Jobs workers.
@@ -104,11 +99,6 @@ func Table3Set() []workloads.Workload {
 // comparison.
 func Table3SoftBoundCfg() core.Config {
 	return core.Config{Protect: core.SoftBound, DEP: true}
-}
-
-// WriteTable3 renders the SoftBound comparison serially.
-func WriteTable3(w io.Writer) error {
-	return WriteTable3Opt(w, Options{})
 }
 
 // WriteTable3Opt renders the SoftBound comparison.
@@ -185,11 +175,6 @@ type MemRow struct {
 	MaxPct    float64
 }
 
-// MemoryOverheads runs the §5.2 memory experiment serially.
-func MemoryOverheads(set []workloads.Workload) ([]MemRow, error) {
-	return MemoryOverheadsOpt(set, Options{})
-}
-
 // MemoryOverheadsOpt reproduces the §5.2 memory experiment: median memory
 // overhead over the SPEC suite for the safe stack, CPS and CPI, with the
 // hash-table and array organisations of the safe pointer store.
@@ -257,11 +242,6 @@ func WriteMemory(w io.Writer, rows []MemRow) {
 	}
 }
 
-// IsolationOverheads runs the §3.2.3 isolation ablation serially.
-func IsolationOverheads(set []workloads.Workload) (segment, sfi float64, err error) {
-	return IsolationOverheadsOpt(set, Options{})
-}
-
 // IsolationOverheadsOpt measures the §3.2.3 isolation ablation: CPI under
 // segment-style isolation vs SFI (which pays a mask on every memory
 // operation; the paper reports the SFI increment below 5%).
@@ -282,11 +262,6 @@ func IsolationOverheadsOpt(set []workloads.Workload, opt Options) (segment, sfi 
 	}
 	n := float64(len(results))
 	return segSum / n, sfiSum / n, nil
-}
-
-// SPSOrgOverheads runs the §4 store-organisation ablation serially.
-func SPSOrgOverheads(set []workloads.Workload) (map[string]float64, error) {
-	return SPSOrgOverheadsOpt(set, Options{})
 }
 
 // SPSOrgOverheadsOpt compares the three safe pointer store organisations

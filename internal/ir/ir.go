@@ -92,17 +92,12 @@ type Param struct {
 // definition of the variable), and the verifier instead enforces that every
 // read is preceded by a write on all paths from entry. The declared type is
 // kept so the sensitivity analyses retain the provenance the frame object
-// used to carry.
+// used to carry. A promoted parameter keeps its parameter register, so the
+// caller's argument is the variable for the whole activation.
 type PromotedVar struct {
 	Reg  int
 	Name string
 	Type *ctypes.Type
-
-	// IsParam marks a parameter whose spill slot was promoted: the variable
-	// lives in its parameter register for the whole activation, so a caller
-	// moving an argument into that register has fully materialized it — the
-	// register calling convention's per-callee metadata.
-	IsParam bool
 }
 
 // Func is one function.
@@ -347,13 +342,6 @@ type Instr struct {
 	Blk0   int
 	Blk1   int
 	Flags  Prot
-
-	// RegArgs marks a call site whose every argument is already a caller
-	// register or constant (set by the irgen register promotion pass): the
-	// VM's register calling convention moves such arguments straight into
-	// the callee's register file, skipping the generic per-argument operand
-	// evaluation. Purely an optimization tag — semantics are unchanged.
-	RegArgs bool
 }
 
 // IsTerm reports whether the instruction terminates a block.
@@ -482,24 +470,6 @@ func (f *Func) MutableRegSet() []bool {
 	set := make([]bool, f.NumRegs)
 	for _, pv := range f.Promoted {
 		if pv.Reg >= 0 && pv.Reg < f.NumRegs {
-			set[pv.Reg] = true
-		}
-	}
-	return set
-}
-
-// PromotedParamRegs returns a per-parameter bitmap of the parameters whose
-// spill slots were promoted (the parameter register is the variable for the
-// whole activation) — the per-callee record of which parameters arrive in
-// registers with no entry spill. The calling-convention plan itself is
-// shape-driven (a caller moves arguments into parameter registers whether
-// or not the callee spills them), so this bitmap exists for introspection
-// and the test suite; it is all-false when lowering ran unpromoted.
-func (f *Func) PromotedParamRegs() []bool {
-	set := make([]bool, len(f.Params))
-	for i := range f.Promoted {
-		pv := &f.Promoted[i]
-		if pv.IsParam && pv.Reg >= 0 && pv.Reg < len(set) {
 			set[pv.Reg] = true
 		}
 	}

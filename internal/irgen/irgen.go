@@ -88,10 +88,6 @@ func (g *gen) run() (*ir.Program, error) {
 		}
 		if g.opts.PromoteRegisters {
 			promoteFunc(fn)
-			// Tag the call sites the VM's register calling convention
-			// serves — including in functions promotion itself left
-			// untouched, whose arguments are registers regardless.
-			tagRegArgCalls(fn)
 		}
 		g.prog.Funcs = append(g.prog.Funcs, fn)
 	}

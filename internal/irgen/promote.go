@@ -88,9 +88,7 @@ func promoteFunc(fn *ir.Func) {
 			fn.NumRegs++
 		}
 		regOf[i] = r
-		fn.Promoted = append(fn.Promoted, ir.PromotedVar{
-			Reg: r, Name: obj.Name, Type: obj.Type, IsParam: i < len(fn.Params),
-		})
+		fn.Promoted = append(fn.Promoted, ir.PromotedVar{Reg: r, Name: obj.Name, Type: obj.Type})
 	}
 
 	rewriteAccesses(fn, cand, regOf)
@@ -107,33 +105,6 @@ func promoteFunc(fn *ir.Func) {
 		elideDeadMovs(fn)
 	}
 	compactFrame(fn, cand)
-}
-
-// tagRegArgCalls marks the direct call sites whose every argument survived
-// cleanup as a register or constant operand — after copy propagation,
-// promoted variables passed as arguments appear as their canonical
-// registers, so these are exactly the sites the VM's register calling
-// convention serves without the generic per-argument evaluation loop. The
-// tag is the convention's eligibility signal: predecode only builds an
-// argument plan for tagged sites (re-validating shapes and arity against
-// the callee; see vm.regArgPlan).
-func tagRegArgCalls(fn *ir.Func) {
-	for _, b := range fn.Blocks {
-		for ii := range b.Ins {
-			in := &b.Ins[ii]
-			if in.Op != ir.OpCall || in.Callee < 0 {
-				continue
-			}
-			ok := true
-			for _, a := range in.Args {
-				if a.Kind != ir.ValReg && a.Kind != ir.ValConst {
-					ok = false
-					break
-				}
-			}
-			in.RegArgs = ok
-		}
-	}
 }
 
 // scalarSlot reports whether a frame object is a promotable value type: a

@@ -2,14 +2,13 @@ package sps
 
 // Cross-implementation equivalence suite: the three safe-pointer-store
 // organisations differ only in access cost and memory footprint; their
-// observable state — Get, Len, and the Scan enumeration — must be identical
-// under any operation sequence. A seeded randomized driver exercises
-// Set/Get/Delete/Reset/Scan plus the bulk entry points (CopyRange,
+// observable state — Get, Len, and the ScanRange enumeration — must be
+// identical under any operation sequence. A seeded randomized driver
+// exercises Set/Get/Delete/Reset plus the bulk entry points (CopyRange,
 // DeleteRange, DropPages, ScanRange) against a model map and checks every
 // store after every step.
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -92,7 +91,7 @@ func (m modelStore) dumpRange(lo, hi uint64) []scanPair {
 }
 
 // dump enumerates (slot-address, entry) pairs in ascending address order —
-// the order Scan guarantees.
+// the order ScanRange guarantees.
 func (m modelStore) dump() []scanPair {
 	out := make([]scanPair, 0, len(m))
 	for s, e := range m {
@@ -109,7 +108,7 @@ type scanPair struct {
 
 func scanAll(s Store) []scanPair {
 	var out []scanPair
-	s.Scan(func(addr uint64, e Entry) bool {
+	s.ScanRange(0, ^uint64(0), func(addr uint64, e Entry) bool {
 		out = append(out, scanPair{addr, e})
 		return true
 	})
@@ -191,7 +190,7 @@ func checkFootprint(t *testing.T, s Store, step int) {
 			t.Fatalf("step %d: array footprint %d not block-granular", step, fp)
 		}
 		pages := map[uint64]bool{}
-		st.Scan(func(addr uint64, _ Entry) bool { pages[addr>>12] = true; return true })
+		st.ScanRange(0, ^uint64(0), func(addr uint64, _ Entry) bool { pages[addr>>12] = true; return true })
 		if min := int64(len(pages)) * pageWords * EntryBytes; fp < min {
 			t.Fatalf("step %d: array footprint %d below %d needed for %d live pages",
 				step, fp, min, len(pages))
@@ -208,100 +207,101 @@ func checkFootprint(t *testing.T, s Store, step int) {
 	}
 }
 
-// TestCrossStoreEquivalence drives all three organisations plus the model
-// through one randomized Set/Get/Delete/Reset/Scan sequence per seed.
-func TestCrossStoreEquivalence(t *testing.T) {
+// FuzzCrossStoreEquivalence drives all three organisations plus the model
+// through one randomized operation sequence per seed; the seed corpus is
+// seeds 1–4.
+func FuzzCrossStoreEquivalence(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			stores := allStores()
-			model := modelStore{}
-
-			// Cluster addresses on a handful of pages so overwrites,
-			// deletes of absent slots, and shared-page entries all occur.
-			addr := func() uint64 {
-				page := rng.Uint64() % 16
-				return page<<12 | (rng.Uint64()%pageWords)<<3
-			}
-
-			const steps = 2000
-			for i := 0; i < steps; i++ {
-				switch op := rng.Intn(15); {
-				case op < 5: // Set (sometimes the zero Entry)
-					a, e := addr(), randEntry(rng)
-					model.set(a, e)
-					for _, s := range stores {
-						s.Set(a, e)
-					}
-				case op < 8: // Get
-					a := addr()
-					we, wok := model.get(a)
-					for _, s := range stores {
-						if e, ok := s.Get(a); ok != wok || e != we {
-							t.Fatalf("step %d: %s: Get(%#x) = %+v,%v want %+v,%v",
-								i, s.Name(), a, e, ok, we, wok)
-						}
-					}
-				case op < 9: // Delete (often of an absent slot)
-					a := addr()
-					model.del(a)
-					for _, s := range stores {
-						s.Delete(a)
-					}
-				case op < 11: // CopyRange (overlapping ranges included)
-					dst, src := addr(), addr()
-					words := rng.Intn(3 * pageWords / 2) // spans page boundaries
-					model.copyRange(dst, src, words)
-					for _, s := range stores {
-						s.CopyRange(dst, src, words)
-					}
-				case op < 12: // DeleteRange
-					base := addr()
-					words := rng.Intn(pageWords)
-					model.deleteRange(base, words)
-					for _, s := range stores {
-						s.DeleteRange(base, words)
-					}
-				case op < 13: // DropPages (page-granular bulk invalidation)
-					base := addr()
-					// Spans several shadow pages so fully covered blocks
-					// get unreserved, not just edge-trimmed.
-					words := rng.Intn(3 * pageWords)
-					removed := model.dropPages(base, words)
-					for _, s := range stores {
-						units := s.DropPages(base, words)
-						if units < 0 {
-							t.Fatalf("step %d: %s: DropPages units = %d", i, s.Name(), units)
-						}
-						if _, isHash := s.(*Hash); isHash && units != removed {
-							t.Fatalf("step %d: hash DropPages units = %d, want %d removed entries",
-								i, units, removed)
-						}
-					}
-				case op < 14: // ScanRange over a random, possibly unaligned window
-					lo := addr() + uint64(rng.Intn(8))
-					hi := lo + uint64(rng.Intn(2*pageWords*8))
-					for _, s := range stores {
-						checkScanRange(t, s, model, lo, hi, i)
-					}
-				default:
-					if rng.Intn(50) == 0 { // rare full clear
-						model = modelStore{}
-						for _, s := range stores {
-							s.Reset()
-						}
-					}
-				}
-				if i%100 == 99 || i == steps-1 {
-					for _, s := range stores {
-						checkAgainstModel(t, s, model, i)
-						checkFootprint(t, s, i)
-					}
-				}
-			}
-		})
+		f.Add(seed)
 	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		stores := allStores()
+		model := modelStore{}
+
+		// Cluster addresses on a handful of pages so overwrites,
+		// deletes of absent slots, and shared-page entries all occur.
+		addr := func() uint64 {
+			page := rng.Uint64() % 16
+			return page<<12 | (rng.Uint64()%pageWords)<<3
+		}
+
+		const steps = 2000
+		for i := 0; i < steps; i++ {
+			switch op := rng.Intn(15); {
+			case op < 5: // Set (sometimes the zero Entry)
+				a, e := addr(), randEntry(rng)
+				model.set(a, e)
+				for _, s := range stores {
+					s.Set(a, e)
+				}
+			case op < 8: // Get
+				a := addr()
+				we, wok := model.get(a)
+				for _, s := range stores {
+					if e, ok := s.Get(a); ok != wok || e != we {
+						t.Fatalf("step %d: %s: Get(%#x) = %+v,%v want %+v,%v",
+							i, s.Name(), a, e, ok, we, wok)
+					}
+				}
+			case op < 9: // Delete (often of an absent slot)
+				a := addr()
+				model.del(a)
+				for _, s := range stores {
+					s.Delete(a)
+				}
+			case op < 11: // CopyRange (overlapping ranges included)
+				dst, src := addr(), addr()
+				words := rng.Intn(3 * pageWords / 2) // spans page boundaries
+				model.copyRange(dst, src, words)
+				for _, s := range stores {
+					s.CopyRange(dst, src, words)
+				}
+			case op < 12: // DeleteRange
+				base := addr()
+				words := rng.Intn(pageWords)
+				model.deleteRange(base, words)
+				for _, s := range stores {
+					s.DeleteRange(base, words)
+				}
+			case op < 13: // DropPages (page-granular bulk invalidation)
+				base := addr()
+				// Spans several shadow pages so fully covered blocks
+				// get unreserved, not just edge-trimmed.
+				words := rng.Intn(3 * pageWords)
+				removed := model.dropPages(base, words)
+				for _, s := range stores {
+					units := s.DropPages(base, words)
+					if units < 0 {
+						t.Fatalf("step %d: %s: DropPages units = %d", i, s.Name(), units)
+					}
+					if _, isHash := s.(*Hash); isHash && units != removed {
+						t.Fatalf("step %d: hash DropPages units = %d, want %d removed entries",
+							i, units, removed)
+					}
+				}
+			case op < 14: // ScanRange over a random, possibly unaligned window
+				lo := addr() + uint64(rng.Intn(8))
+				hi := lo + uint64(rng.Intn(2*pageWords*8))
+				for _, s := range stores {
+					checkScanRange(t, s, model, lo, hi, i)
+				}
+			default:
+				if rng.Intn(50) == 0 { // rare full clear
+					model = modelStore{}
+					for _, s := range stores {
+						s.Reset()
+					}
+				}
+			}
+			if i%100 == 99 || i == steps-1 {
+				for _, s := range stores {
+					checkAgainstModel(t, s, model, i)
+					checkFootprint(t, s, i)
+				}
+			}
+		}
+	})
 }
 
 // TestSetZeroEntryClears pins the canonical zero-entry semantics on every
@@ -326,20 +326,6 @@ func TestSetZeroEntryClears(t *testing.T) {
 		}
 		if s.Len() != 0 {
 			t.Errorf("%s: zero-entry Set on empty slot counted as live", s.Name())
-		}
-	}
-}
-
-// TestScanEarlyStop: returning false stops the enumeration.
-func TestScanEarlyStop(t *testing.T) {
-	for _, s := range allStores() {
-		for i := uint64(0); i < 10; i++ {
-			s.Set(i*8, Entry{Value: i + 1, Kind: KindCode})
-		}
-		n := 0
-		s.Scan(func(uint64, Entry) bool { n++; return n < 3 })
-		if n != 3 {
-			t.Errorf("%s: early-stop Scan visited %d entries, want 3", s.Name(), n)
 		}
 	}
 }

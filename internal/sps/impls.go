@@ -125,23 +125,6 @@ func (a *Array) Reset() {
 	a.live = 0
 }
 
-// Scan implements Store: iterate the cached sorted page index, rebuilt only
-// after a new block was reserved.
-func (a *Array) Scan(f func(addr uint64, e Entry) bool) {
-	a.pns = cachedSortedKeys(a.pns, a.blocks)
-	for _, pn := range a.pns {
-		blk := a.blocks[pn]
-		for i := range blk {
-			if blk[i] == (Entry{}) {
-				continue
-			}
-			if !f(pn<<12|uint64(i)<<3, blk[i]) {
-				return
-			}
-		}
-	}
-}
-
 // ScanRange implements Store: binary-search the cached page index for the
 // covered shadow pages, then visit only their in-range slots.
 func (a *Array) ScanRange(lo, hi uint64, f func(addr uint64, e Entry) bool) {
@@ -297,8 +280,8 @@ func (a *Array) DropPages(base uint64, words int) int {
 // TwoLevel is the two-level lookup table organisation (directory of
 // second-level tables, like the MPX layout the paper plans to adopt, §4).
 // Each second-level table carries a cached sorted index of its keys,
-// invalidated when its key set changes, so repeated Scans over a stable
-// store do no per-call sorting.
+// invalidated when its key set changes, so repeated ScanRange calls over a
+// stable store do no per-call sorting.
 type TwoLevel struct {
 	dir map[uint64]*l2tbl
 	// his is the cached sorted directory key index; nil means invalidated
@@ -371,7 +354,7 @@ func scanSlotRange(lo, hi uint64) (sLo, sHi uint64) {
 // cachedSortedKeys returns cache when still valid (non-nil) and otherwise
 // rebuilds the ascending key index of m. Callers nil their cache whenever
 // the key set changes (inserting a new key or deleting a live one —
-// overwriting an existing key keeps the cache valid). An in-flight Scan
+// overwriting an existing key keeps the cache valid). An in-flight ScanRange
 // ranging over a previously returned slice keeps its point-in-time view
 // even if the callback invalidates the cache.
 func cachedSortedKeys[V any](cache []uint64, m map[uint64]V) []uint64 {
@@ -463,20 +446,6 @@ func (t *TwoLevel) Reset() {
 	t.live = 0
 }
 
-// Scan implements Store: sorted directory walk, each second-level table
-// through its cached key index (rebuilt only after its key set changed).
-func (t *TwoLevel) Scan(f func(addr uint64, e Entry) bool) {
-	t.his = cachedSortedKeys(t.his, t.dir)
-	for _, hi := range t.his {
-		tbl := t.dir[hi]
-		for _, lo := range tbl.sortedKeys() {
-			if !f((hi<<l2Bits|lo)<<3, tbl.m[lo]) {
-				return
-			}
-		}
-	}
-}
-
 // ScanRange implements Store: binary-search the directory index for the
 // covered second-level tables, then each table's cached key index for its
 // in-range slots.
@@ -563,7 +532,7 @@ func (t *TwoLevel) DropPages(base uint64, words int) int {
 // Hash is the hash-table organisation: most compact, slowest (probing plus
 // worse locality, §4/§5.2: 13.9% CPI memory overhead vs 105% for the array).
 // A cached sorted key index, invalidated whenever the key set changes,
-// keeps Scan from collecting and sorting the full key set per call.
+// keeps ScanRange from collecting and sorting the full key set per call.
 type Hash struct {
 	m map[uint64]Entry
 	// keys is the ascending slot cache; nil means invalidated.
@@ -622,17 +591,6 @@ func (h *Hash) Name() string { return "hash" }
 
 // Reset implements Store, keeping the table's buckets for reuse.
 func (h *Hash) Reset() { clear(h.m); h.keys = nil }
-
-// Scan implements Store: iterate the cached sorted index, rebuilding it
-// only when the key set has changed since the last build.
-func (h *Hash) Scan(f func(addr uint64, e Entry) bool) {
-	h.keys = cachedSortedKeys(h.keys, h.m)
-	for _, s := range h.keys {
-		if !f(s<<3, h.m[s]) {
-			return
-		}
-	}
-}
 
 // ScanRange implements Store: binary-search the cached key index for the
 // first in-range slot and stop at the first beyond it.

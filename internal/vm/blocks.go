@@ -80,9 +80,9 @@ const (
 	skCondBrR // terminal two-way branch on a register
 	skCondBrX // trace-extending branch: fall-through arm is the next op,
 	// taken arm exits the activation early (imm = taken, aux = fall-through)
-	skRet      // terminal return (retFinish invoked directly)
-	skCallPlan // register-convention direct call; mid-trace when the
-	// callee's entry continuation is inlined into the trace
+	skRet  // terminal return (retFinish invoked directly)
+	skCall // direct call passing only registers and constants; mid-trace
+	// when the callee's entry continuation is inlined into the trace
 
 	// Merged pairs (mergePairs): the head executor runs both constituents —
 	// charging each its own step, cycle and budget check — and skips the
@@ -117,8 +117,8 @@ type segOp struct {
 	kind uint8
 	alu  ir.ALU
 	pre  bool  // a folded trace-extending br (at brPC) runs first
-	aReg int32 // A register / skRet value source / skCallPlan callee
-	bReg int32 // B register (-1: imm; -2: slow operand via in) / skCallPlan plan index
+	aReg int32 // A register / skRet value source / skCall callee
+	bReg int32 // B register (-1: imm; -2: slow operand via in)
 	dst  int32
 	pc   int32
 	k    int32
@@ -139,7 +139,7 @@ type segRef struct {
 // selecting by operand shape the executors runSegment inlines; every other
 // shape keeps its per-opcode handler. The generic handler is re-resolved
 // rather than read from in.run, which is hSeg on entry slots.
-func makeSegOp(c *Code, in *PIns, pc, k int) segOp {
+func makeSegOp(p *ir.Program, c *Code, in *PIns, pc, k int) segOp {
 	op := segOp{kind: skGeneric, pc: int32(pc), k: int32(k), in: in, h: chooseHandler(in, false)}
 	switch in.Op {
 	case ir.OpBin:
@@ -228,12 +228,28 @@ func makeSegOp(c *Code, in *PIns, pc, k int) segOp {
 			op.aReg = -2 // slow operand evaluation via in.A
 		}
 	case ir.OpCall:
-		if in.PlanIdx >= 0 {
-			op.kind, op.aReg, op.bReg, op.dst = skCallPlan, in.Callee, in.PlanIdx, in.Dst
+		if in.Callee >= 0 && regArgCall(in, p.Funcs[in.Callee]) {
+			op.kind, op.aReg, op.dst = skCall, in.Callee, in.Dst
 			op.imm = uint64(in.SiteOrd)
 		}
 	}
 	return op
+}
+
+// regArgCall reports whether a direct call passes only registers and
+// constants, covering the callee's parameters exactly: the shape segCall
+// copies with neither pushFrame's arity zero-fill nor its bounds guard
+// against the callee register file.
+func regArgCall(in *PIns, callee *ir.Func) bool {
+	if len(in.Args) != len(callee.Params) || len(callee.Params) > callee.NumRegs {
+		return false
+	}
+	for i := range in.Args {
+		if k := in.Args[i].Kind; k != ir.ValReg && k != ir.ValConst {
+			return false
+		}
+	}
+	return true
 }
 
 // compileBlocks installs segments for one function: one per block head and
@@ -244,7 +260,7 @@ func makeSegOp(c *Code, in *PIns, pc, k int) segOp {
 // fully built (segOps hold pointers into it). Returns the number of segments
 // installed. fc.Segs is always allocated — the trampoline indexes it for
 // every function a run can enter.
-func compileBlocks(c *Code, fc *FuncCode) int {
+func compileBlocks(p *ir.Program, c *Code, fc *FuncCode) int {
 	n := len(fc.Ins)
 	fc.Segs = make([]segRef, n)
 	if n == 0 {
@@ -266,7 +282,7 @@ func compileBlocks(c *Code, fc *FuncCode) int {
 		if fc.Segs[e].n != 0 {
 			continue
 		}
-		ops := tb.build(c, fc, int(e))
+		ops := tb.build(p, c, fc, int(e))
 		mergePairs(ops)
 		ops = foldBranches(ops)
 		fc.Segs[e] = segRef{off: int32(len(fc.SegOps)), n: int32(len(ops))}
@@ -298,7 +314,7 @@ func mergePairs(ops []segOp) {
 			a.kind = skPairCmpRCBr
 		case a.kind == skBinRR && isCmp(a.alu) && b.kind == skCondBrX && b.aReg == a.dst:
 			a.kind = skPairCmpRRBrX
-		case a.kind == skBinRC && addSub && b.kind == skCallPlan:
+		case a.kind == skBinRC && addSub && b.kind == skCall:
 			a.kind = skPairBinRCCall
 		case a.kind == skBinRC && addSub && b.kind == skRet && b.aReg == a.dst:
 			a.kind = skPairBinRCRet
@@ -374,8 +390,8 @@ func (tb *traceCompiler) visit(fc *FuncCode, pc int32) bool {
 //   - unconditional branches (skBr), into the target block;
 //   - conditional branches (skCondBrX), into the fall-through arm — the
 //     taken arm exits the activation early and hops;
-//   - register-convention direct calls (skCallPlan), into the callee's
-//     entry block: every call path (fast or pushFrameReg) leaves the callee
+//   - direct calls of the skCall shape, into the callee's entry block:
+//     both push paths (segCall's inline one and pushFrame) leave the callee
 //     current at pc 0, so the trace's remaining ops execute in the callee
 //     frame and pc space — the runner refreshes its frame hoists mid-trace.
 //
@@ -383,18 +399,18 @@ func (tb *traceCompiler) visit(fc *FuncCode, pc int32) bool {
 // dynamic, and the trampoline resolves them at runtime. A trace that hits
 // the cap ends in its last constituent's own handler (skGeneric), which
 // leaves the next pc in f.pc for the dispatch loop.
-func (tb *traceCompiler) build(c *Code, fc *FuncCode, start int) []segOp {
+func (tb *traceCompiler) build(p *ir.Program, c *Code, fc *FuncCode, start int) []segOp {
 	ops := tb.ops[:0]
 	tb.visited = append(tb.visited[:0], traceKey{fc, int32(start)})
 	for pc := start; ; {
 		in := &fc.Ins[pc]
-		op := makeSegOp(c, in, pc, len(ops))
+		op := makeSegOp(p, c, in, pc, len(ops))
 		room := len(ops)+1 < segMaxOps // a continuation op still fits
 		next := -1                     // where the trace continues; -1 ends it
 		switch in.Op {
 		case ir.OpICall, ir.OpRet:
 		case ir.OpCall:
-			if op.kind == skCallPlan && room {
+			if op.kind == skCall && room {
 				if cf := &c.Funcs[in.Callee]; len(cf.Ins) > 0 && tb.visit(cf, 0) {
 					fc, next = cf, 0
 				}
@@ -770,8 +786,8 @@ activation:
 					f.pc = int(op.pc)
 					cyc = m.segRet(f, op, tm, cyc)
 
-				case skCallPlan: // segCall mirrors execCallPlan with the
-					// recycled-frame push inlined, falling back to pushFrameReg
+				case skCall: // segCall mirrors execCall with the
+					// recycled-frame push inlined, falling back to pushFrame
 					// for every other shape. Outlined like segRet. Mid-trace
 					// when the callee's entry continuation is inlined: every
 					// push path leaves the callee frame current at pc 0, so the
@@ -1122,12 +1138,13 @@ func (m *Machine) segRet(f *frame, op *segOp, tm bool, cyc int64) int64 {
 	return cyc
 }
 
-// segCall executes a skCallPlan terminal, mirroring execCallPlan. The fast
-// path inlines newFrame's recycled-record reuse (re-pointing records that
-// last held a different function; initFrame is idempotent, so a fallback
-// below still recycles correctly) and finishPush for cookie-less frames; any
-// other shape falls through to pushFrameReg before any state mutation. The
-// caller has already flushed f.pc.
+// segCall executes a skCall op, mirroring execCall. The fast path inlines
+// newFrame's recycled-record reuse (re-pointing records that last held a
+// different function; initFrame is idempotent, so a fallback below still
+// recycles correctly) and pushFrame's frame setup for cookie-less frames,
+// copying the register and constant arguments straight into the callee's
+// register file; any other shape falls through to pushFrame before any
+// state mutation. The caller has already flushed f.pc.
 func (m *Machine) segCall(f *frame, op *segOp, tm bool, cyc int64) int64 {
 	retPC := int(op.pc) + 1
 	if m.hooks != nil {
@@ -1163,22 +1180,20 @@ func (m *Machine) segCall(f *frame, op *segOp, tm bool, cyc int64) int64 {
 		}
 	}
 	if f2 == nil {
-		m.pushFrameReg(callee, f, f.code.Plans[op.bReg],
-			retAddr, retPC, int(op.dst))
+		m.pushFrame(callee, f, op.in.Args, retAddr, retPC, int(op.dst))
 		return cyc
 	}
 	f2.pc = 0
 	f2.retPC = retPC
 	f2.dst = int(op.dst)
-	plan := f.code.Plans[op.bReg]
-	if len(plan) > 0 {
-		cyc += int64(len(plan)) * cost.Arg
+	if args := op.in.Args; len(args) > 0 {
+		cyc += int64(len(args)) * cost.Arg
 		regs, meta := f.regs, f.meta
 		regs2 := f2.regs
 		if tm {
 			meta2 := f2.meta
-			for i := range plan {
-				if a := &plan[i]; a.Reg >= 0 {
+			for i := range args {
+				if a := &args[i]; a.Kind == ir.ValReg {
 					regs2[i] = regs[a.Reg]
 					meta2[i] = meta[a.Reg]
 				} else {
@@ -1187,8 +1202,8 @@ func (m *Machine) segCall(f *frame, op *segOp, tm bool, cyc int64) int64 {
 				}
 			}
 		} else {
-			for i := range plan {
-				if a := &plan[i]; a.Reg >= 0 {
+			for i := range args {
+				if a := &args[i]; a.Kind == ir.ValReg {
 					regs2[i] = regs[a.Reg]
 				} else {
 					regs2[i] = a.Imm

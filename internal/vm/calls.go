@@ -65,21 +65,6 @@ func (m *Machine) runHook(fi int) {
 	}
 }
 
-// execCallPlan dispatches a direct call that carries a register-convention
-// argument plan: the common case on promoted streams, kept free of the
-// intrinsic test and the no-hooks hook lookup.
-func (m *Machine) execCallPlan(f *frame, in *PIns) {
-	if m.hooks != nil {
-		m.runHook(int(in.Callee))
-		if m.trap != nil {
-			return
-		}
-	}
-	m.cycles += m.cfg.Cost.Call
-	m.pushFrameReg(int(in.Callee), f, f.code.Plans[in.PlanIdx],
-		m.retSiteAddr(in.SiteOrd), f.pc+1, int(in.Dst))
-}
-
 // execCall dispatches a direct call or intrinsic.
 func (m *Machine) execCall(f *frame, in *PIns) {
 	callee := int(in.Callee)
@@ -92,12 +77,6 @@ func (m *Machine) execCall(f *frame, in *PIns) {
 		return
 	}
 	m.cycles += m.cfg.Cost.Call
-	if in.PlanIdx >= 0 {
-		// Register calling convention: the predecoded plan moves the
-		// arguments straight into the callee's register file.
-		m.pushFrameReg(callee, f, f.code.Plans[in.PlanIdx], m.retSiteAddr(in.SiteOrd), f.pc+1, int(in.Dst))
-		return
-	}
 	m.pushFrame(callee, f, in.Args, m.retSiteAddr(in.SiteOrd), f.pc+1, int(in.Dst))
 }
 

@@ -55,9 +55,6 @@ func chooseHandler(in *PIns, audit bool) handler {
 		}
 		return hStore
 	case ir.OpCall:
-		if in.PlanIdx >= 0 {
-			return hCallPlan
-		}
 		return hCall
 	case ir.OpICall:
 		return hICall
@@ -205,10 +202,6 @@ func hStorePlain(m *Machine, f *frame, in *PIns) {
 // ---- control transfer ----
 
 func hCall(m *Machine, f *frame, in *PIns) { m.execCall(f, in) }
-
-// hCallPlan is the register-calling-convention call handler, chosen at
-// predecode for direct calls with an argument plan.
-func hCallPlan(m *Machine, f *frame, in *PIns) { m.execCallPlan(f, in) }
 
 func hICall(m *Machine, f *frame, in *PIns) { m.execICall(f, in) }
 

@@ -201,46 +201,6 @@ func (m *Machine) pushFrame(fi int, caller *frame, args []PVal, retAddr uint64, 
 		f.meta[i] = Meta{}
 	}
 
-	m.finishPush(f, fi, retAddr)
-}
-
-// pushFrameReg is the register-calling-convention fast path of pushFrame:
-// the call site's arguments were predecoded into a register/constant plan
-// (regArgPlan) covering the callee's parameters exactly, so they move
-// straight into the callee's register file — no per-argument operand kind
-// dispatch, no arity zero-fill. Metadata moves with each register, so
-// pointer provenance flows through register-passed arguments exactly as
-// through the generic loop. Cost charging is identical (Cost.Arg per
-// argument).
-func (m *Machine) pushFrameReg(fi int, caller *frame, plan []PArg, retAddr uint64, retPC, dst int) {
-	if len(m.frames) >= m.cfg.MaxCallDepth {
-		m.trapf(TrapStackOverflow, 0, ViaNone, "call depth %d", len(m.frames))
-		return
-	}
-	f := m.newFrame(fi)
-	f.retPC = retPC
-	f.dst = dst
-	if len(plan) > 0 {
-		m.cycles += int64(len(plan)) * m.cfg.Cost.Arg
-		regs, meta := f.regs, f.meta
-		for i := range plan {
-			if a := &plan[i]; a.Reg >= 0 {
-				regs[i] = caller.regs[a.Reg]
-				meta[i] = caller.meta[a.Reg]
-			} else {
-				regs[i] = a.Imm
-				meta[i] = invalidMeta
-			}
-		}
-	}
-	m.finishPush(f, fi, retAddr)
-}
-
-// finishPush establishes the stack frames, return-address slot and canary
-// for an activation whose registers are already materialized, then makes it
-// the current frame. Shared tail of pushFrame and pushFrameReg.
-func (m *Machine) finishPush(f *frame, fi int, retAddr uint64) {
-	fn := f.fn
 	info := &m.finfo[fi]
 	f.canaryAddr = 0
 

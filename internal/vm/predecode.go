@@ -20,9 +20,8 @@ import (
 //     offset/size/stack placement, global and string sizes, sign-extended
 //     immediates) are resolved into a flat PVal;
 //   - handler resolution: every instruction gets a handler function chosen
-//     once from its opcode AND its operand shapes (see dispatch.go), so the
-//     per-step loop performs one indirect call instead of walking the
-//     opcode switch plus a per-operand kind-switch;
+//     once from its opcode (see dispatch.go), so the per-step loop performs
+//     one indirect call instead of walking the opcode switch;
 //   - block compilation: every block head and call return site anchors a
 //     compiled straight-line segment that runs as one dispatch (see
 //     blocks.go); segments charge each constituent's own cost and step, so
@@ -69,10 +68,6 @@ type Code struct {
 	// BlockSegs counts the block-compiled segments installed (0 when
 	// predecoded with NoBlockCompile or AuditHooks; see blocks.go).
 	BlockSegs int
-
-	// RegConvSites counts the direct call sites predecoded with a
-	// register-convention argument plan (see regArgPlan).
-	RegConvSites int
 }
 
 // FuncCode is one function flattened to a pc-indexed instruction stream.
@@ -80,9 +75,6 @@ type FuncCode struct {
 	Ins []PIns
 	// BlockPC maps a block index to the pc of its first instruction.
 	BlockPC []int32
-	// Plans holds the register-convention argument plans of this function's
-	// call sites, indexed by PIns.PlanIdx.
-	Plans [][]PArg
 	// NeedsRegClear marks functions where some register read is not
 	// provably preceded by a write on every path (see regsDefBeforeUse):
 	// their pooled register files must be re-zeroed per activation. Most
@@ -129,7 +121,6 @@ type PIns struct {
 	Blk, IP int32 // original (block, instr) position, for diagnostics
 	SiteOrd int32 // return-site ordinal (calls) / jmp-site ordinal (builtins); -1 otherwise
 	Callee  int32 // OpCall callee function index (< 0: intrinsic)
-	PlanIdx int32 // register-convention plan index into FuncCode.Plans; -1 means the generic arg loop runs
 
 	Args []PVal // predecoded call/intrinsic argument list
 	In   *ir.Instr
@@ -142,42 +133,6 @@ type JmpSite struct {
 	Fn  int32
 	PC  int32
 	Dst int32
-}
-
-// PArg is one argument of the register calling convention: a caller register
-// (Reg >= 0) or an immediate (Reg < 0, value in Imm). A call site with a
-// plan (PIns.PlanIdx >= 0) moves its arguments straight into the callee's
-// register file — pushFrameReg — with no per-argument operand kind dispatch.
-// Plans live in a per-function side table rather than in PIns itself so the
-// stream's per-instruction footprint (dispatch-loop cache pressure) does not
-// pay a slice header on every instruction.
-type PArg struct {
-	Imm uint64
-	Reg int32
-}
-
-// regArgPlan builds the register-convention plan for a call site the irgen
-// promotion pass tagged (ir.Instr.RegArgs): the tag is the eligibility
-// signal, and this re-validates what the fast path relies on — every
-// argument a register or constant, and the argument list covering the
-// callee's parameters exactly, so pushFrameReg needs neither the arity
-// zero-fill nor a bounds guard against the callee register file.
-func regArgPlan(callee *ir.Func, in *ir.Instr) []PArg {
-	if len(in.Args) != len(callee.Params) || len(callee.Params) > callee.NumRegs {
-		return nil
-	}
-	plan := make([]PArg, len(in.Args))
-	for i, a := range in.Args {
-		switch a.Kind {
-		case ir.ValReg:
-			plan[i] = PArg{Reg: int32(a.Reg)}
-		case ir.ValConst:
-			plan[i] = PArg{Reg: -1, Imm: uint64(a.Imm)}
-		default:
-			return nil
-		}
-	}
-	return plan
 }
 
 // PVal is a predecoded operand: the ir.Value kind-switch with every
@@ -220,12 +175,6 @@ func predecodeVal(p *ir.Program, fn *ir.Func, v ir.Value) PVal {
 
 // PredecodeOptions tunes the lowering.
 type PredecodeOptions struct {
-	// NoRegConv disables the register calling convention: no call site gets
-	// an argument plan, so every call runs the generic pushFrame argument
-	// loop. The calling-convention equivalence tests use this to check that
-	// the fast path is observationally identical.
-	NoRegConv bool
-
 	// NoBlockCompile disables the block-compilation stage (blocks.go):
 	// no basic block or trace is compiled into a segment, so every
 	// instruction dispatches through the loop. The block
@@ -242,7 +191,7 @@ type PredecodeOptions struct {
 }
 
 // Predecode lowers a program into its execution-ready form with the default
-// options (block compilation and the register convention enabled). Site
+// options (block compilation enabled). Site
 // ordinals are assigned in program order (function, block, instruction) —
 // the same order Machine.load registers site addresses in, which is what
 // makes the ordinal→address tables line up.
@@ -275,7 +224,6 @@ func PredecodeWith(p *ir.Program, opt PredecodeOptions) *Code {
 					Blk:     int32(bi),
 					IP:      int32(ii),
 					SiteOrd: -1,
-					PlanIdx: -1,
 					Scale:   in.Scale,
 					Off:     in.Off,
 					Flags:   in.Flags,
@@ -296,13 +244,6 @@ func PredecodeWith(p *ir.Program, opt PredecodeOptions) *Code {
 					if in.Callee >= 0 {
 						pi.SiteOrd = retOrd
 						retOrd++
-						if in.RegArgs && !opt.NoRegConv {
-							if plan := regArgPlan(p.Funcs[in.Callee], in); plan != nil {
-								pi.PlanIdx = int32(len(fc.Plans))
-								fc.Plans = append(fc.Plans, plan)
-								c.RegConvSites++
-							}
-						}
 					} else {
 						pi.SiteOrd = jmpOrd
 						jmpOrd++
@@ -357,7 +298,7 @@ func PredecodeWith(p *ir.Program, opt PredecodeOptions) *Code {
 	// layout, which global-address GEPs fold in at compile time.
 	if !opt.NoBlockCompile && !opt.AuditHooks {
 		for fi := range c.Funcs {
-			c.BlockSegs += compileBlocks(c, &c.Funcs[fi])
+			c.BlockSegs += compileBlocks(p, c, &c.Funcs[fi])
 		}
 	}
 	return c

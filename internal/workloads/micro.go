@@ -56,7 +56,7 @@ int main() {
 // call-convention stress. Where fib interleaves an add and two loads of the
 // accumulator between calls, ping/pong do nothing but test, decrement and
 // call, so virtually every dynamic step is frame push/pop traffic — the
-// workload that isolates the register calling convention's per-call cost.
+// workload that isolates the per-call cost of argument passing.
 const srcCalls = `
 int pong(int n);
 
