@@ -255,17 +255,20 @@ func generate(seed int64) string {
 	return g.b.String()
 }
 
-func TestPromotionFuzzEquivalence(t *testing.T) {
+func FuzzPromotionEquivalence(f *testing.F) {
 	n := 60
 	if !testing.Short() {
 		n = 200
+	}
+	for seed := int64(0); seed < int64(n); seed++ {
+		f.Add(seed)
 	}
 	cfgs := []Config{
 		{DEP: true},
 		{Protect: CPS, DEP: true},
 		{Protect: CPI, DEP: true},
 	}
-	for seed := int64(0); seed < int64(n); seed++ {
+	f.Fuzz(func(t *testing.T, seed int64) {
 		src := generate(seed)
 		for _, cfg := range cfgs {
 			promotedProg, err := Compile(src, cfg)
@@ -312,5 +315,5 @@ func TestPromotionFuzzEquivalence(t *testing.T) {
 				t.Fatalf("seed %d/%v: post-run verify (nopromote): %v\n%s", seed, cfg.Protect, err, src)
 			}
 		}
-	}
+	})
 }

@@ -391,50 +391,62 @@ func alignUp(n, a int64) int64 {
 	return (n + a - 1) / a * a
 }
 
+// Bits is a set over the items 0..n-1 of a dataflow domain, 64 to a word.
+type Bits []uint64
+
+// NewBits returns an empty set able to hold items 0..n-1.
+func NewBits(n int) Bits { return make(Bits, (n+63)>>6) }
+
+// Has reports whether item i is in the set.
+func (s Bits) Has(i int) bool { return s[i>>6]&(1<<(uint(i)&63)) != 0 }
+
+// Add puts item i in the set.
+func (s Bits) Add(i int) { s[i>>6] |= 1 << (uint(i) & 63) }
+
+// succs returns a block's control-flow successors: the one terminator walk
+// both dataflows share.
+func (b *Block) succs() ([2]int, int) {
+	term := &b.Ins[len(b.Ins)-1]
+	switch term.Op {
+	case OpBr:
+		return [2]int{term.Blk0}, 1
+	case OpCondBr:
+		return [2]int{term.Blk0, term.Blk1}, 2
+	}
+	return [2]int{}, 0
+}
+
 // MustDefinedIn computes the forward must-defined dataflow over the block
 // graph: for an item domain of size n (registers, frame slots, ...), the
 // returned per-block sets hold the items guaranteed written on every path
 // from entry to that block's start (IN[b] = ∩ OUT[pred]; OUT = IN ∪ defs).
-// entry seeds the entry block's IN (nil means nothing pre-defined);
-// blockDefs must mark the items a block writes into the given set. The
-// verifier's promoted-register invariant, the irgen promotion pass's
-// initialization check, and the VM's register-clear elision all share this
-// lattice — and, importantly, this one terminator successor walk.
-func (f *Func) MustDefinedIn(n int, entry []bool, blockDefs func(b *Block, out []bool)) [][]bool {
-	nb := len(f.Blocks)
-	in := make([][]bool, nb)
-	for bi := range in {
-		set := make([]bool, n)
+// entry seeds the entry block's IN (nil means nothing pre-defined).
+// blockDefs runs once per block, before iterating, and must add the items
+// the block writes to the given empty set. Bits at or above n are
+// unspecified in every returned set. The verifier's promoted-register
+// invariant, the irgen promotion pass's initialization check, and the VM's
+// register-clear elision all share this lattice.
+func (f *Func) MustDefinedIn(n int, entry Bits, blockDefs func(b *Block, gen Bits)) []Bits {
+	nb, w := len(f.Blocks), (n+63)>>6
+	words := make([]uint64, 2*nb*w)
+	in, gen := splitBits(words[:nb*w], nb, w), words[nb*w:]
+	for bi, b := range f.Blocks {
 		if bi != 0 {
-			for i := range set {
-				set[i] = true
+			for k := range in[bi] {
+				in[bi][k] = ^uint64(0)
 			}
 		}
-		in[bi] = set
+		blockDefs(b, gen[bi*w:(bi+1)*w])
 	}
 	copy(in[0], entry)
-	changed := true
-	for changed {
+	for changed := true; changed; {
 		changed = false
 		for bi, b := range f.Blocks {
-			out := make([]bool, n)
-			copy(out, in[bi])
-			blockDefs(b, out)
-			term := &b.Ins[len(b.Ins)-1]
-			var succs [2]int
-			ns := 0
-			switch term.Op {
-			case OpBr:
-				succs[0], ns = term.Blk0, 1
-			case OpCondBr:
-				succs[0], succs[1], ns = term.Blk0, term.Blk1, 2
-			}
-			for si := 0; si < ns; si++ {
-				sb := succs[si]
-				for i := range out {
-					if in[sb][i] && !out[i] {
-						in[sb][i] = false
-						changed = true
+			succs, ns := b.succs()
+			for _, s := range succs[:ns] {
+				for k, g := range gen[bi*w : (bi+1)*w] {
+					if v := in[s][k] & (in[bi][k] | g); v != in[s][k] {
+						in[s][k], changed = v, true
 					}
 				}
 			}
@@ -443,22 +455,76 @@ func (f *Func) MustDefinedIn(n int, entry []bool, blockDefs func(b *Block, out [
 	return in
 }
 
-// RegDefs marks every register a block writes; the blockDefs callback for
+// LiveIn computes per-block register live-in sets, the backward liveness
+// dataflow: IN[b] = use[b] ∪ (∪ IN[succ] − def[b]), where use[b] holds the
+// registers b reads before writing them and def[b] those it writes.
+func (f *Func) LiveIn() []Bits {
+	nb, n := len(f.Blocks), f.NumRegs
+	w := (n + 63) >> 6
+	words := make([]uint64, 3*nb*w)
+	in, use, def := splitBits(words[:nb*w], nb, w), words[nb*w:2*nb*w], words[2*nb*w:]
+	for bi, b := range f.Blocks {
+		u, d := Bits(use[bi*w:(bi+1)*w]), Bits(def[bi*w:(bi+1)*w])
+		read := func(v Value) {
+			if v.Kind == ValReg && v.Reg >= 0 && v.Reg < n && !d.Has(v.Reg) {
+				u.Add(v.Reg)
+			}
+		}
+		for ii := range b.Ins {
+			ins := &b.Ins[ii]
+			read(ins.A)
+			read(ins.B)
+			for _, a := range ins.Args {
+				read(a)
+			}
+			if r := ins.Dst; r >= 0 && r < n {
+				d.Add(r)
+			}
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for bi := nb - 1; bi >= 0; bi-- {
+			succs, ns := f.Blocks[bi].succs()
+			for k := 0; k < w; k++ {
+				var out uint64
+				for _, s := range succs[:ns] {
+					out |= in[s][k]
+				}
+				if v := in[bi][k] | use[bi*w+k] | out&^def[bi*w+k]; v != in[bi][k] {
+					in[bi][k], changed = v, true
+				}
+			}
+		}
+	}
+	return in
+}
+
+// splitBits cuts words into nb consecutive sets of w words each.
+func splitBits(words []uint64, nb, w int) []Bits {
+	sets := make([]Bits, nb)
+	for i := range sets {
+		sets[i] = words[i*w : (i+1)*w : (i+1)*w]
+	}
+	return sets
+}
+
+// RegDefs adds every register a block writes; the blockDefs callback for
 // register-domain MustDefinedIn dataflows.
-func RegDefs(b *Block, out []bool) {
+func RegDefs(b *Block, gen Bits) {
 	for ii := range b.Ins {
-		if d := b.Ins[ii].Dst; d >= 0 && d < len(out) {
-			out[d] = true
+		if d := b.Ins[ii].Dst; d >= 0 && d>>6 < len(gen) {
+			gen.Add(d)
 		}
 	}
 }
 
 // ParamSet returns the register set the caller materializes on entry.
-func (f *Func) ParamSet() []bool {
-	set := make([]bool, f.NumRegs)
+func (f *Func) ParamSet() Bits {
+	set := NewBits(f.NumRegs)
 	for i := range f.Params {
 		if i < f.NumRegs {
-			set[i] = true
+			set.Add(i)
 		}
 	}
 	return set

@@ -232,13 +232,12 @@ func verifyFlags(f *Func, in *Instr, safeStack bool) error {
 func (f *Func) verifyDefBeforeUse(mutable []bool) error {
 	nr := f.NumRegs
 	in := f.MustDefinedIn(nr, f.ParamSet(), RegDefs)
-
+	defined := NewBits(nr)
 	for bi, b := range f.Blocks {
-		defined := make([]bool, nr)
 		copy(defined, in[bi])
 		check := func(v Value, ii int) error {
 			if v.Kind == ValReg && v.Reg >= 0 && v.Reg < nr &&
-				mutable[v.Reg] && !defined[v.Reg] {
+				mutable[v.Reg] && !defined.Has(v.Reg) {
 				return fmt.Errorf("block .%d instr %d: promoted r%d read before write on some path",
 					bi, ii, v.Reg)
 			}
@@ -258,7 +257,7 @@ func (f *Func) verifyDefBeforeUse(mutable []bool) error {
 				}
 			}
 			if d := ins.Dst; d >= 0 && d < nr {
-				defined[d] = true
+				defined.Add(d)
 			}
 		}
 	}

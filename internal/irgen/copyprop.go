@@ -221,7 +221,7 @@ func sinkMovs(fn *ir.Func) bool {
 	preds := predLists(fn)
 	changed := false
 	for {
-		liveIn := livenessIn(fn)
+		liveIn := fn.LiveIn()
 		moved := false
 		for bi, b := range fn.Blocks {
 			for len(b.Ins) >= 2 {
@@ -236,8 +236,8 @@ func sinkMovs(fn *ir.Func) bool {
 				if term.A.Kind == ir.ValReg && term.A.Reg == mv.Dst {
 					break // the mov feeds the branch condition
 				}
-				l0 := liveIn[term.Blk0][mv.Dst]
-				l1 := liveIn[term.Blk1][mv.Dst]
+				l0 := liveIn[term.Blk0].Has(mv.Dst)
+				l1 := liveIn[term.Blk1].Has(mv.Dst)
 				if !l0 && !l1 { // path-dead: no successor reads it
 					b.Ins = append(b.Ins[:len(b.Ins)-2], term)
 					moved, changed = true, true
@@ -269,57 +269,6 @@ func sinkMovs(fn *ir.Func) bool {
 		}
 		if !moved {
 			return changed
-		}
-	}
-}
-
-// livenessIn computes per-block register live-in sets (backward dataflow).
-func livenessIn(fn *ir.Func) [][]bool {
-	nb, nr := len(fn.Blocks), fn.NumRegs
-	liveIn := make([][]bool, nb)
-	for i := range liveIn {
-		liveIn[i] = make([]bool, nr)
-	}
-	for {
-		changed := false
-		for bi := nb - 1; bi >= 0; bi-- {
-			b := fn.Blocks[bi]
-			live := make([]bool, nr)
-			term := &b.Ins[len(b.Ins)-1]
-			switch term.Op {
-			case ir.OpBr:
-				copy(live, liveIn[term.Blk0])
-			case ir.OpCondBr:
-				copy(live, liveIn[term.Blk0])
-				for r, l := range liveIn[term.Blk1] {
-					live[r] = live[r] || l
-				}
-			}
-			use := func(v ir.Value) {
-				if v.Kind == ir.ValReg && v.Reg >= 0 && v.Reg < nr {
-					live[v.Reg] = true
-				}
-			}
-			for ii := len(b.Ins) - 1; ii >= 0; ii-- {
-				in := &b.Ins[ii]
-				if d := in.Dst; d >= 0 && d < nr {
-					live[d] = false
-				}
-				use(in.A)
-				use(in.B)
-				for _, a := range in.Args {
-					use(a)
-				}
-			}
-			for r := range live {
-				if live[r] && !liveIn[bi][r] {
-					liveIn[bi][r] = true
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			return liveIn
 		}
 	}
 }

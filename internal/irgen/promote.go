@@ -159,27 +159,27 @@ func promoteCandidates(fn *ir.Func) []bool {
 // lowering always emits first, so they are never cleared here.
 func refineDefBeforeLoad(fn *ir.Func, cand []bool) {
 	ns := len(fn.Frame)
-	in := fn.MustDefinedIn(ns, nil, func(b *ir.Block, out []bool) {
+	in := fn.MustDefinedIn(ns, nil, func(b *ir.Block, gen ir.Bits) {
 		for ii := range b.Ins {
 			ins := &b.Ins[ii]
 			if ins.Op == ir.OpStore && ins.A.Kind == ir.ValFrame {
-				out[ins.A.Index] = true
+				gen.Add(ins.A.Index)
 			}
 		}
 	})
+	defined := ir.NewBits(ns)
 	for bi, b := range fn.Blocks {
-		defined := make([]bool, ns)
 		copy(defined, in[bi])
 		for ii := range b.Ins {
 			ins := &b.Ins[ii]
 			switch ins.Op {
 			case ir.OpLoad:
-				if ins.A.Kind == ir.ValFrame && !defined[ins.A.Index] {
+				if ins.A.Kind == ir.ValFrame && !defined.Has(ins.A.Index) {
 					cand[ins.A.Index] = false
 				}
 			case ir.OpStore:
 				if ins.A.Kind == ir.ValFrame {
-					defined[ins.A.Index] = true
+					defined.Add(ins.A.Index)
 				}
 			}
 		}

@@ -319,13 +319,13 @@ func regsDefBeforeUse(fn *ir.Func) bool {
 	in := fn.MustDefinedIn(nr, fn.ParamSet(), ir.RegDefs)
 
 	// Check every read against the running must-defined set.
-	readOK := func(defined []bool, v ir.Value) bool {
+	readOK := func(defined ir.Bits, v ir.Value) bool {
 		if v.Kind != ir.ValReg {
 			return true
 		}
-		return v.Reg >= 0 && v.Reg < nr && defined[v.Reg]
+		return v.Reg >= 0 && v.Reg < nr && defined.Has(v.Reg)
 	}
-	defined := make([]bool, nr)
+	defined := ir.NewBits(nr)
 	for bi, b := range fn.Blocks {
 		copy(defined, in[bi])
 		for ii := range b.Ins {
@@ -339,7 +339,7 @@ func regsDefBeforeUse(fn *ir.Func) bool {
 				}
 			}
 			if dst := ins.Dst; dst >= 0 && dst < nr {
-				defined[dst] = true
+				defined.Add(dst)
 			}
 		}
 	}
