@@ -37,7 +37,7 @@ func equivConfigs() []core.Config {
 		{DEP: true},
 		{Protect: core.CPS, DEP: true},
 		{Protect: core.CPI, DEP: true},
-		{Backend: "pac", DEP: true},
+		{Protect: core.PAC, DEP: true},
 		{Protect: core.CPI, DEP: true, NoPromote: true},
 	}
 }
@@ -45,9 +45,6 @@ func equivConfigs() []core.Config {
 // cfgName labels an equivConfigs entry in failure messages.
 func cfgName(cfg core.Config) string {
 	name := cfg.Protect.String()
-	if cfg.Backend != "" {
-		name = cfg.Backend
-	}
 	if cfg.NoPromote {
 		name += "/nopromote"
 	}

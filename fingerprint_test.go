@@ -69,7 +69,7 @@ func prunedSpecs() []fpSpec {
 	return []fpSpec{
 		{"cps/nopt", core.Config{Protect: core.CPS, DEP: true, NoPointsTo: true}, true},
 		{"cpi/nopt", core.Config{Protect: core.CPI, DEP: true, NoPointsTo: true}, true},
-		{"pac/nopt", core.Config{Backend: "pac", DEP: true, NoPointsTo: true}, true},
+		{"pac/nopt", core.Config{Protect: core.PAC, DEP: true, NoPointsTo: true}, true},
 	}
 }
 

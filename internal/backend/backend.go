@@ -1,9 +1,12 @@
-// Package backend defines the pluggable pointer-integrity enforcement
-// abstraction. A Backend describes, for the instrumentation pass, *what* to
-// protect (its Scope) and *how* each protected operation is marked (the
-// ir.Prot flags it emits); the VM side runs the enforcer of the same name
-// (vm.Config.Backend, selected in vm's newEnforcer together with the flag
-// bits that activate it).
+// Package backend owns the protection selector and the pluggable
+// pointer-integrity enforcement abstraction. A Protection names the one
+// defense a compilation gets, as the paper's compiler flags do (-fcpi,
+// -fcps, -fstack-protector-safe, §4); core.Config.Protect and
+// vm.Config.Protect both hold one. The pointer-integrity protections (cps,
+// cpi, pac) also have a Backend, which describes, for the instrumentation
+// pass, *what* to protect (its Scope) and *how* each protected operation is
+// marked (the ir.Prot flags it emits); the VM's newEnforcer maps the same
+// Protection onto its runtime enforcer and the flag bits that activate it.
 //
 // The classification pipeline in front of the backend is shared: the safe
 // stack direct-access skip, the type classifier, the char* string
@@ -11,16 +14,74 @@
 // asked anything. The backend only decides how a surviving sensitive
 // operation is rewritten. This is what lets one instrument pass serve the
 // safe-region backends (cps/cpi, §3.2–§3.3 of the paper) and the
-// authenticate-in-place pac backend (PACTight / "PAC it up" family) — and
-// what the planned code-pointer-table backend will plug into.
+// authenticate-in-place pac backend (PACTight / "PAC it up" family).
 package backend
 
 import (
 	"fmt"
-	"sort"
+	"strings"
 
 	"repro/internal/ir"
 )
+
+// Protection selects the compiled-in defense.
+type Protection int
+
+// Protection levels. New values are appended so no existing value shifts.
+const (
+	Vanilla   Protection = iota // nothing (DEP/ASLR/cookies are separate toggles)
+	SafeStack                   // safe stack only (-fstack-protector-safe)
+	CPS                         // safe stack + code-pointer separation (-fcps)
+	CPI                         // safe stack + full code-pointer integrity (-fcpi)
+	SoftBound                   // full spatial memory safety baseline (its own pass)
+	CFI                         // coarse-grained control-flow integrity baseline
+	PAC                         // safe stack + code pointers signed in place with a keyed MAC
+)
+
+var protNames = [...]string{"vanilla", "safestack", "cps", "cpi", "softbound", "cfi", "pac"}
+
+// String names the protection level.
+func (p Protection) String() string {
+	if p < 0 || int(p) >= len(protNames) {
+		return fmt.Sprintf("Protection(%d)", int(p))
+	}
+	return protNames[p]
+}
+
+// ParseProtection converts a name to a Protection.
+func ParseProtection(s string) (Protection, error) {
+	for i, n := range protNames {
+		if n == s {
+			return Protection(i), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown protection %q (want one of %s)", s, strings.Join(protNames[:], ", "))
+}
+
+// Backend returns the pointer-integrity backend that instruments p, or nil
+// for the protections with their own passes (vanilla, safestack,
+// softbound, cfi).
+func (p Protection) Backend() Backend {
+	switch p {
+	case CPS:
+		return codeBackend("cps")
+	case CPI:
+		return cpiBackend{}
+	case PAC:
+		return codeBackend("pac")
+	}
+	return nil
+}
+
+// Get returns the backend of the named protection.
+func Get(name string) (Backend, bool) {
+	p, err := ParseProtection(name)
+	if err != nil {
+		return nil, false
+	}
+	bk := p.Backend()
+	return bk, bk != nil
+}
 
 // Class is the classification of one memory operation that survived the
 // shared front-end (type classifier + pruning + heuristics).
@@ -58,8 +119,8 @@ const (
 
 // Backend describes one enforcement mechanism to the compilation pipeline.
 type Backend interface {
-	// Name is the registry key, the p.Protection tag, and the table column
-	// label ("cps", "cpi", "pac", ...).
+	// Name is the protection's name: the p.Protection tag and the table
+	// column label ("cps", "cpi", "pac").
 	Name() string
 	// Scope selects the sensitive universe the instrumentation presents.
 	Scope() Scope
@@ -78,41 +139,4 @@ type Backend interface {
 	// SafeIntrFlags marks memcpy/memmove/memset/free calls that may touch
 	// protected data and must run as safe variants.
 	SafeIntrFlags() ir.Prot
-}
-
-var (
-	registry = map[string]Backend{}
-	order    []string
-)
-
-// Register adds a backend to the registry. Registering a duplicate name
-// panics: names are table columns and config keys, so a collision is a
-// programming error.
-func Register(b Backend) {
-	name := b.Name()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("backend: duplicate registration of %q", name))
-	}
-	registry[name] = b
-	order = append(order, name)
-}
-
-// Get returns the named backend.
-func Get(name string) (Backend, bool) {
-	b, ok := registry[name]
-	return b, ok
-}
-
-// Names returns the registered backend names in registration order
-// (cps, cpi, pac) — the column order of the cross-backend tables.
-func Names() []string {
-	return append([]string(nil), order...)
-}
-
-// Sorted returns the registered names sorted lexicographically, for error
-// messages.
-func Sorted() []string {
-	s := Names()
-	sort.Strings(s)
-	return s
 }

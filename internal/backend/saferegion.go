@@ -2,20 +2,26 @@ package backend
 
 import "repro/internal/ir"
 
-// The safe-region backends: the paper's own enforcement mechanism
-// (§3.2–§3.3). Protected pointers live in the isolated safe pointer store,
-// keyed by their regular-region address; the runtime half is the sps
-// package behind the VM's safe-region enforcer. Two registry entries share
-// it: cps (code pointers only, no bounds) and cpi (the full sensitive
-// closure with bounds metadata and dereference checks).
+// The compile-side backends. cps and cpi are the paper's own enforcement
+// mechanism (§3.2–§3.3): protected pointers live in the isolated safe
+// pointer store, keyed by their regular-region address, behind the VM's
+// safe-region enforcer. pac (the PACTight / "PAC it up" family) instead
+// signs code pointers in place with a keyed MAC bound to the pointer value
+// and its storage slot, and authenticates them on load: no shadow memory,
+// but a forgery that guesses the MAC (probability 2^-PacBits)
+// authenticates, which the VM surfaces as Result.PacForgeryProb.
 
-// cpsBackend is the §3.3 relaxation: code and universal pointers only.
-type cpsBackend struct{}
+// codeBackend is the §3.3 relaxation's instrumented set: code and
+// universal pointers only. cps and pac share it, flags included, so
+// predecode-time handler selection and block compilation behave
+// identically under both; only the runtime enforcer the VM picks for the
+// protection differs. The value is the backend's name.
+type codeBackend string
 
-func (cpsBackend) Name() string    { return "cps" }
-func (cpsBackend) Scope() Scope    { return ScopeCode }
-func (cpsBackend) SafeStack() bool { return true }
-func (cpsBackend) MemOp(c Class, regAddr bool) ir.Prot {
+func (b codeBackend) Name() string  { return string(b) }
+func (codeBackend) Scope() Scope    { return ScopeCode }
+func (codeBackend) SafeStack() bool { return true }
+func (codeBackend) MemOp(c Class, regAddr bool) ir.Prot {
 	switch c {
 	case ClassFuncPtr:
 		return ir.ProtCPS
@@ -24,8 +30,8 @@ func (cpsBackend) MemOp(c Class, regAddr bool) ir.Prot {
 	}
 	return 0
 }
-func (cpsBackend) SetjmpFlags() ir.Prot   { return ir.ProtCPS }
-func (cpsBackend) SafeIntrFlags() ir.Prot { return ir.ProtSafeIntr }
+func (codeBackend) SetjmpFlags() ir.Prot   { return ir.ProtCPS }
+func (codeBackend) SafeIntrFlags() ir.Prot { return ir.ProtSafeIntr }
 
 // cpiBackend is full code-pointer integrity (§3.2): the sensitive closure,
 // bounds metadata, and dereference checks on computed addresses.
@@ -53,12 +59,3 @@ func (cpiBackend) MemOp(c Class, regAddr bool) ir.Prot {
 }
 func (cpiBackend) SetjmpFlags() ir.Prot   { return ir.ProtCPIStore }
 func (cpiBackend) SafeIntrFlags() ir.Prot { return ir.ProtSafeIntr }
-
-// All built-in backends register here, in one place, so the registration
-// order — which is the cross-backend table column order — is explicit
-// rather than an accident of per-file init ordering.
-func init() {
-	Register(cpsBackend{})
-	Register(cpiBackend{})
-	Register(pacBackend{})
-}

@@ -8,23 +8,22 @@
 //	prog, err := core.Compile(src, core.Config{Protect: core.CPI})
 //	res, err := prog.Run()
 //
-// Config.Backend is the one protection selector: it names a registered
-// pointer-integrity backend (cps, cpi, pac, ...), which fixes both the
-// instrumentation (instrument.WithBackend) and the VM enforcer of the same
-// name. Protect is a thin alias resolved here and nowhere else:
+// Config.Protect is the one protection selector (backend.Protection, aliased
+// here). It fixes both the instrumentation — the pointer-integrity backend
+// of cps, cpi and pac through instrument.WithBackend, or the protection's
+// own pass — and, through VMConfig, the VM's enforcer, safe stack and CFI:
 //
 //	Vanilla    — nothing (DEP/ASLR/cookies are separate toggles)
 //	SafeStack  — safe stack only (-fstack-protector-safe)
-//	CPS        — Backend "cps": safe stack + code-pointer separation (-fcps)
-//	CPI        — Backend "cpi": safe stack + full code-pointer integrity (-fcpi)
-//	SoftBound  — full spatial memory safety baseline (its own pass, VM
-//	             enforcer "softbound")
+//	CPS        — safe stack + code-pointer separation (-fcps)
+//	CPI        — safe stack + full code-pointer integrity (-fcpi)
+//	SoftBound  — full spatial memory safety baseline
 //	CFI        — coarse-grained control-flow integrity baseline
+//	PAC        — safe stack + code pointers signed in place with a keyed MAC
 package core
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"repro/internal/analysis"
@@ -38,45 +37,24 @@ import (
 )
 
 // Protection selects the compiled-in defense.
-type Protection int
+type Protection = backend.Protection
 
 // Protection levels.
 const (
-	Vanilla Protection = iota
-	SafeStack
-	CPS
-	CPI
-	SoftBound
-	CFI
+	Vanilla   = backend.Vanilla
+	SafeStack = backend.SafeStack
+	CPS       = backend.CPS
+	CPI       = backend.CPI
+	SoftBound = backend.SoftBound
+	CFI       = backend.CFI
+	PAC       = backend.PAC
 )
-
-var protNames = [...]string{"vanilla", "safestack", "cps", "cpi", "softbound", "cfi"}
-
-// String names the protection level.
-func (p Protection) String() string { return protNames[p] }
-
-// ParseProtection converts a name to a Protection.
-func ParseProtection(s string) (Protection, error) {
-	for i, n := range protNames {
-		if n == s {
-			return Protection(i), nil
-		}
-	}
-	return 0, fmt.Errorf("unknown protection %q (want one of vanilla, safestack, cps, cpi, softbound, cfi)", s)
-}
 
 // Config selects protection and runtime parameters for a compilation.
 type Config struct {
+	// Protect selects the defense: the instrumentation passes here and
+	// the VM's enforcer, safe stack and CFI (vm.Config.Protect).
 	Protect Protection
-
-	// Backend selects the pointer-integrity enforcement backend by
-	// registered name ("cps", "cpi", "pac", ...); the VM runs the enforcer
-	// of the same name. Empty means derive it from Protect: CPS and CPI
-	// map to the safe-region backends of the same name, everything else
-	// compiles without a backend. Setting both Backend and a conflicting
-	// Protect is an error; Backend "cps"/"cpi" with Protect Vanilla is
-	// exactly equivalent to Protect CPS/CPI.
-	Backend string
 
 	// PacBits is the modeled MAC width of the pac backend (bits 47..62 of
 	// the signed pointer word hold the MAC field). 0 means the default 16;
@@ -151,49 +129,14 @@ type Config struct {
 	Cost     vm.CostModel
 }
 
-// backend resolves the configuration's enforcement backend against the
-// registry: Protect CPS/CPI alias the safe-region backends of the same
-// name, an explicit Backend must agree with them and composes with no
-// other Protect level. Nil means no backend (vanilla, safestack, and the
-// softbound/cfi baselines).
-func (c Config) backend() (backend.Backend, error) {
-	name := c.Backend
-	switch {
-	case c.Protect == CPS || c.Protect == CPI:
-		if name != "" && name != c.Protect.String() {
-			return nil, fmt.Errorf("conflicting Protect %s and Backend %q", c.Protect, name)
-		}
-		name = c.Protect.String()
-	case name == "":
-		return nil, nil
-	case c.Protect != Vanilla:
-		return nil, fmt.Errorf("Backend %q cannot compose with Protect %s", name, c.Protect)
-	}
-	bk, ok := backend.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("unknown backend %q (registered: %s)",
-			name, strings.Join(backend.Sorted(), ", "))
-	}
-	return bk, nil
-}
-
-// Backends returns the registered backend names in registration order —
-// the column set of the cross-backend evaluation tables.
-func Backends() []string { return backend.Names() }
-
-// ConfigForName maps an evaluation column name — a Protection level or a
-// registered backend name — onto its compile Config. Protection names win
-// (so "cps"/"cpi" yield the Protect form both halves of the registry agree
-// on); backend-only names like "pac" select the backend directly.
+// ConfigForName maps an evaluation column name — a protection name such
+// as "cpi" or "pac" — onto its compile Config.
 func ConfigForName(name string) (Config, error) {
-	if p, err := ParseProtection(name); err == nil {
-		return Config{Protect: p}, nil
+	p, err := backend.ParseProtection(name)
+	if err != nil {
+		return Config{}, err
 	}
-	if _, ok := backend.Get(name); ok {
-		return Config{Backend: name}, nil
-	}
-	return Config{}, fmt.Errorf("unknown protection or backend %q (backends: %s)",
-		name, strings.Join(backend.Sorted(), ", "))
+	return Config{Protect: p}, nil
 }
 
 // Program is a compiled, instrumented program ready to run.
@@ -231,10 +174,7 @@ func Compile(src string, cfg Config) (*Program, error) {
 		return nil, fmt.Errorf("lower: %w", err)
 	}
 
-	bk, err := cfg.backend()
-	if err != nil {
-		return nil, err
-	}
+	bk := cfg.Protect.Backend()
 
 	// Whole-program sensitivity propagation (points-to pruning) is on by
 	// default for every backend compilation (the classification front is
@@ -268,7 +208,7 @@ func Compile(src string, cfg Config) (*Program, error) {
 			instrument.CFI(p)
 			stats = analysis.Collect(p)
 		default:
-			return nil, fmt.Errorf("unknown protection %d", cfg.Protect)
+			return nil, fmt.Errorf("unknown protection %v", cfg.Protect)
 		}
 	}
 	if err := p.Verify(); err != nil {
@@ -302,7 +242,7 @@ func (p *Program) Predecoded() *vm.Code {
 // predecodings (e.g. vm.PredecodeWith with NoBlockCompile) of the same
 // compiled program.
 func (p *Program) VMConfig() vm.Config {
-	c := vm.Config{
+	return vm.Config{
 		DEP:            p.Cfg.DEP,
 		ASLR:           p.Cfg.ASLR,
 		PIE:            p.Cfg.PIE,
@@ -320,18 +260,8 @@ func (p *Program) VMConfig() vm.Config {
 		MaxSteps:       p.Cfg.MaxSteps,
 		Cost:           p.Cfg.Cost,
 		PacBits:        p.Cfg.PacBits,
-		SafeStack:      p.Cfg.Protect == SafeStack,
-		CFI:            p.Cfg.Protect == CFI,
+		Protect:        p.Cfg.Protect,
 	}
-	// The resolved backend names the VM's enforcer (Compile already
-	// validated it); SoftBound's enforcer has no compile-side backend.
-	if bk, _ := p.Cfg.backend(); bk != nil {
-		c.Backend = bk.Name()
-		c.SafeStack = bk.SafeStack()
-	} else if p.Cfg.Protect == SoftBound {
-		c.Backend = "softbound"
-	}
-	return c
 }
 
 // NewMachine builds a fresh machine instance (one per run). All machines

@@ -21,30 +21,31 @@ type NamedConfig struct {
 	Cfg  core.Config
 }
 
+// backendColumns are the pointer-integrity backends every comparison table
+// renders, in column order.
+var backendColumns = []core.Protection{core.CPS, core.CPI, core.PAC}
+
 // SpecConfigs are the Fig. 3 configurations: the vanilla baseline, the
-// safe stack alone, and one column per registered enforcement backend —
-// the comparison set tracks the backend registry rather than hard-coding
-// cps/cpi, so a new backend lands in every table automatically.
+// safe stack alone, and one column per pointer-integrity backend.
 func SpecConfigs() []NamedConfig {
 	out := []NamedConfig{
 		{"vanilla", core.Config{DEP: true}},
 		{"safestack", core.Config{Protect: core.SafeStack, DEP: true}},
 	}
-	for _, name := range core.Backends() {
-		cfg, err := core.ConfigForName(name)
-		if err != nil {
-			panic(err) // registered names always resolve
-		}
-		cfg.DEP = true
-		out = append(out, NamedConfig{name, cfg})
+	for _, p := range backendColumns {
+		out = append(out, NamedConfig{p.String(), core.Config{Protect: p, DEP: true}})
 	}
 	return out
 }
 
 // ProtColumns is the protection column list the comparison tables render:
-// the safe stack plus every registered backend, in SpecConfigs order.
+// the safe stack plus every pointer-integrity backend, in SpecConfigs order.
 func ProtColumns() []string {
-	return append([]string{"safestack"}, core.Backends()...)
+	cols := []string{"safestack"}
+	for _, p := range backendColumns {
+		cols = append(cols, p.String())
+	}
+	return cols
 }
 
 // Result holds one workload's measurements across configurations.

@@ -8,9 +8,8 @@
 //   - WithBackend: the one pointer-integrity pass. A shared classification
 //     front (safe-stack skip, type classifier, char* string heuristic,
 //     points-to pruning) decides which operations are sensitive; the
-//     registered backend (cps §3.3, cpi §3.2.1–§3.2.2, pac, ...) decides how
-//     each is flagged. CPS and CPI are shorthands for the two safe-region
-//     backends.
+//     protection's backend (cps §3.3, cpi §3.2.1–§3.2.2, pac) decides how
+//     each is flagged.
 //   - SoftBound: full spatial memory safety baseline (every pointer-typed
 //     access carries metadata, every computed access is checked).
 //   - CFI: coarse-grained indirect-call target checks (baseline).
@@ -61,24 +60,12 @@ type Opts struct {
 	PointsTo *analysis.PointsTo
 }
 
-// CPI runs the registered "cpi" backend with no annotations or pruning.
-// SafeStack must have run first (the paper's CPI includes the safe stack).
-func CPI(p *ir.Program) analysis.Stats {
-	return WithBackend(p, mustBackend("cpi"), Opts{})
-}
-
-// CPS runs the registered "cps" backend (the relaxed code-pointer
-// separation) with no pruning.
-func CPS(p *ir.Program) analysis.Stats {
-	return WithBackend(p, mustBackend("cps"), Opts{})
-}
-
-// WithBackend runs the protection instrumentation for one registered
-// backend: the shared classification front (safe-stack skip, type
-// classifier, string heuristic, points-to pruning) decides which
-// operations are sensitive, and the backend decides how each surviving
-// operation is flagged. SafeStack must have run first when the backend
-// composes with it (bk.SafeStack()).
+// WithBackend runs the protection instrumentation for one backend (a
+// backend.Protection's Backend): the shared classification front
+// (safe-stack skip, type classifier, string heuristic, points-to pruning)
+// decides which operations are sensitive, and the backend decides how each
+// surviving operation is flagged. SafeStack must have run first when the
+// backend composes with it (bk.SafeStack()).
 func WithBackend(p *ir.Program, bk backend.Backend, opts Opts) analysis.Stats {
 	annotated := annotSet{}
 	if bk.Scope() == backend.ScopeFull {
@@ -97,14 +84,6 @@ func WithBackend(p *ir.Program, bk backend.Backend, opts Opts) analysis.Stats {
 	markGlobals(p, annotated)
 	p.Protection = append(p.Protection, bk.Name())
 	return analysis.Collect(p)
-}
-
-func mustBackend(name string) backend.Backend {
-	bk, ok := backend.Get(name)
-	if !ok {
-		panic("instrument: backend " + name + " not registered")
-	}
-	return bk
 }
 
 // annotSet holds the sensitive-struct tags of one WithBackend run. It is

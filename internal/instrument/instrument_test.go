@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/backend"
 	"repro/internal/ir"
 	"repro/internal/irgen"
 	"repro/internal/minic/parser"
@@ -106,7 +107,7 @@ int readback(struct obj *o) {
 func TestCPIFlags(t *testing.T) {
 	p := lower(t, mixedSrc)
 	SafeStack(p)
-	stats := CPI(p)
+	stats := WithBackend(p, backend.CPI.Backend(), Opts{})
 
 	var fptrStores, intStores int
 	for _, f := range p.Funcs {
@@ -143,11 +144,11 @@ func TestCPIFlags(t *testing.T) {
 func TestCPSInstrumentsLessThanCPI(t *testing.T) {
 	p1 := lower(t, mixedSrc)
 	SafeStack(p1)
-	cpi := CPI(p1)
+	cpi := WithBackend(p1, backend.CPI.Backend(), Opts{})
 
 	p2 := lower(t, mixedSrc)
 	SafeStack(p2)
-	cps := CPS(p2)
+	cps := WithBackend(p2, backend.CPS.Backend(), Opts{})
 
 	if cps.Instrumented >= cpi.Instrumented {
 		t.Errorf("CPS (%d) must instrument fewer ops than CPI (%d): "+
@@ -164,7 +165,7 @@ func TestSoftBoundInstrumentsMost(t *testing.T) {
 	sb := SoftBound(p)
 	p2 := lower(t, mixedSrc)
 	SafeStack(p2)
-	cpi := CPI(p2)
+	cpi := WithBackend(p2, backend.CPI.Backend(), Opts{})
 	if sb.Instrumented+sb.Checks <= cpi.Instrumented+cpi.Checks {
 		t.Errorf("SoftBound (%d+%d) must exceed CPI (%d+%d)",
 			sb.Instrumented, sb.Checks, cpi.Instrumented, cpi.Checks)
@@ -203,7 +204,7 @@ int f(char **out) {
 }
 `)
 	SafeStack(p)
-	CPI(p)
+	WithBackend(p, backend.CPI.Backend(), Opts{})
 	fn := p.FuncByName("f")
 	for _, b := range fn.Blocks {
 		for i := range b.Ins {
@@ -291,7 +292,7 @@ int g(char **out, char *raw) {
 			for _, promote := range []bool{false, true} {
 				p := lowerOpt(tc.src, promote)
 				SafeStack(p)
-				CPI(p)
+				WithBackend(p, backend.CPI.Backend(), Opts{})
 				if got := universal(p); got != tc.want {
 					t.Errorf("promote=%v: %d universal-flagged memops, want %d",
 						promote, got, tc.want)
@@ -314,7 +315,7 @@ void f(struct obj *dst, struct obj *src, int *a, int *b) {
 }
 `)
 	SafeStack(p)
-	CPI(p)
+	WithBackend(p, backend.CPI.Backend(), Opts{})
 	fn := p.FuncByName("f")
 	var flags []bool
 	for _, b := range fn.Blocks {
@@ -369,7 +370,7 @@ int main(void) {
 	mo := func(src string) float64 {
 		p := lower(t, src)
 		SafeStack(p)
-		stats := CPI(p)
+		stats := WithBackend(p, backend.CPI.Backend(), Opts{})
 		return stats.MOPct()
 	}
 	c, f := mo(cxxish), mo(flat)

@@ -29,7 +29,7 @@ func Defenses() []Defense {
 		{"safestack", core.Config{Protect: core.SafeStack, DEP: true}},
 		{"cps", core.Config{Protect: core.CPS, DEP: true}},
 		{"cpi", core.Config{Protect: core.CPI, DEP: true}},
-		{"pac", core.Config{Backend: "pac", DEP: true}},
+		{"pac", core.Config{Protect: core.PAC, DEP: true}},
 	}
 }
 

@@ -3,23 +3,31 @@ package vm
 import (
 	"fmt"
 
+	"repro/internal/backend"
 	"repro/internal/ir"
 	"repro/internal/sps"
 )
 
-// The runtime half of the pointer-integrity backend abstraction.
-// Config.Backend names the one enforcer a machine owns: "" (none: vanilla,
-// safestack and cfi machines hold a nil enforcer and never reach a hook),
-// "cps", "cpi" or "softbound" (the safe-region enforcer in the matching
-// mode, which also backs the audit oracle and the temporal sweep), or "pac"
-// (MAC-authenticate-in-place, pac.go). The check paths (memops.go,
-// setjmp.go, intrinsics.go, calls.go) gate on m.enf != nil or on the
-// capabilities the enforcer fixed at construction (enfCaps), and dispatch
+// The runtime half of the protection selector. Config.Protect fixes, in
+// newEnforcer, the one enforcer a machine owns and its capabilities:
+// vanilla, safestack and cfi machines hold a nil enforcer and never reach a
+// hook; cps, cpi and softbound get the safe-region enforcer in the matching
+// mode (which also backs the audit oracle and the temporal sweep); pac gets
+// the MAC-authenticate-in-place enforcer (pac.go). The check paths
+// (memops.go, setjmp.go, intrinsics.go, calls.go) gate on m.enf != nil or
+// on the capabilities fixed at construction (enfCaps), and dispatch
 // protected accesses through the hooks.
 
-// enfCaps are the enforcement capabilities of a machine, fixed at
-// construction by newEnforcer. Unprotected machines hold the zero value.
+// enfCaps are the protection capabilities of a machine, fixed at
+// construction by newEnforcer. Vanilla machines hold the zero value.
 type enfCaps struct {
+	// safeStack places return addresses and proven-safe frame objects on
+	// the isolated safe stack (§3.2.4). Without it, everything including
+	// return addresses lives on the regular stack.
+	safeStack bool
+	// cfi checks indirect-call and return targets against statically
+	// valid sets (coarse-grained, merged target sets, as in [53, 54]).
+	cfi bool
 	// active is the set of flag bits that route a word-sized load/store
 	// (and a setjmp, when transfers is set) through the enforcer.
 	active ir.Prot
@@ -77,23 +85,27 @@ type enforcer interface {
 	reset()
 }
 
-// newEnforcer builds the enforcer a configuration names and its
-// capabilities; unprotected configurations get a nil enforcer.
+// newEnforcer builds the enforcer and capabilities cfg.Protect selects;
+// protections without a pointer-integrity enforcer get a nil one.
 func newEnforcer(cfg Config) (enforcer, enfCaps, error) {
-	switch cfg.Backend {
-	case "":
+	switch cfg.Protect {
+	case backend.Vanilla:
 		return nil, enfCaps{}, nil
-	case "cps":
+	case backend.SafeStack:
+		return nil, enfCaps{safeStack: true}, nil
+	case backend.CFI:
+		return nil, enfCaps{cfi: true}, nil
+	case backend.CPS:
 		return &srEnforcer{sps: sps.New(cfg.SPS), codeOnly: true},
-			enfCaps{active: ir.ProtCPS, transfers: true, trap: TrapCPSViolation}, nil
-	case "cpi":
+			enfCaps{safeStack: true, active: ir.ProtCPS, transfers: true, trap: TrapCPSViolation}, nil
+	case backend.CPI:
 		return &srEnforcer{sps: sps.New(cfg.SPS)},
-			enfCaps{active: ir.ProtCPIStore | ir.ProtCPILoad, check: ir.ProtCPICheck,
+			enfCaps{safeStack: true, active: ir.ProtCPIStore | ir.ProtCPILoad, check: ir.ProtCPICheck,
 				transfers: true, trap: TrapCPIViolation}, nil
-	case "softbound":
+	case backend.SoftBound:
 		return &srEnforcer{sps: sps.New(cfg.SPS)},
 			enfCaps{active: ir.ProtSB, check: ir.ProtSBCheck, boundsGEP: true, trap: TrapSBViolation}, nil
-	case "pac":
+	case backend.PAC:
 		bits := cfg.PacBits
 		if bits == 0 {
 			bits = pacDefaultBits
@@ -102,9 +114,9 @@ func newEnforcer(cfg Config) (enforcer, enfCaps, error) {
 			return nil, enfCaps{}, fmt.Errorf("vm: PacBits %d out of range [1,%d]", bits, pacMaxBits)
 		}
 		return &pacEnforcer{bits: uint(bits), mask: uint64(1)<<bits - 1},
-			enfCaps{active: ir.ProtCPS, transfers: true, trap: TrapPacViolation}, nil
+			enfCaps{safeStack: true, active: ir.ProtCPS, transfers: true, trap: TrapPacViolation}, nil
 	}
-	return nil, enfCaps{}, fmt.Errorf("vm: unknown backend %q (want cps, cpi, softbound or pac)", cfg.Backend)
+	return nil, enfCaps{}, fmt.Errorf("vm: unknown protection %v", cfg.Protect)
 }
 
 // spsStore returns the safe pointer store when the safe-region enforcer is

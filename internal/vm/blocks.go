@@ -48,7 +48,7 @@ import (
 //
 // Config independence: a Code is shared by machines with different
 // vm.Configs and ASLR slides (NewShared), so segments never bake in
-// SafeStack/SFI/SoftBound/cost decisions or machine addresses — those are
+// safe-stack/SFI/SoftBound/cost decisions or machine addresses — those are
 // read from the running machine, like the handlers they replace.
 
 // segMaxOps caps a trace's constituent count so pathological single-block
@@ -67,19 +67,17 @@ const (
 	skBinCR         // const ⊗ reg (imm = A)
 	skMovR
 	skMovC
-	skGEPRR        // base reg + index reg (aux = scale, imm = offset)
-	skGEPRC        // base reg + constant (imm = whole precomputed offset)
-	skGEPGR        // global + index reg (aux = scale, imm = slide-free offset)
-	skLoadRegW8    // plain word load, register address
-	skLoadFrameW8  // plain word load, safe-eligible frame object
-	skLoadFrameUW8 // plain word load, unsafe-stack frame object
+	skGEPRR       // base reg + index reg (aux = scale, imm = offset)
+	skGEPRC       // base reg + constant (imm = whole precomputed offset)
+	skGEPGR       // global + index reg (aux = scale, imm = slide-free offset)
+	skLoadRegW8   // plain word load, register address
+	skLoadFrameW8 // plain word load, safe-eligible frame object
 	skStoreRegW8
 	skStoreFrameW8
-	skStoreFrameUW8
 	skBr      // trace-extending unconditional branch not folded (a br follows)
-	skCondBrR // terminal two-way branch on a register
-	skCondBrX // trace-extending branch: fall-through arm is the next op,
-	// taken arm exits the activation early (imm = taken, aux = fall-through)
+	skCondBrX // trace-extending branch on a register: fall-through arm is the
+	// next op, taken arm exits the activation early (imm = taken, aux =
+	// fall-through)
 	skRet  // terminal return (retFinish invoked directly)
 	skCall // direct call passing only registers and constants; mid-trace
 	// when the callee's entry continuation is inlined into the trace
@@ -90,7 +88,6 @@ const (
 	// shapes. The second segOp stays in place unmodified; the merged body
 	// reads its fields directly.
 	skPairCmpRCBrX  // reg-const compare feeding a trace-extending branch
-	skPairCmpRCBr   // reg-const compare feeding a terminal branch
 	skPairCmpRRBrX  // reg-reg compare feeding a trace-extending branch
 	skPairBinRCCall // add/sub reg-const feeding a direct call
 	skPairBinRCRet  // add/sub reg-const whose fresh result is returned
@@ -181,10 +178,9 @@ func makeSegOp(p *ir.Program, c *Code, in *PIns, pc, k int) segOp {
 			case ir.ValReg:
 				op.kind, op.aReg, op.dst = skLoadRegW8, in.A.Reg, in.Dst
 			case ir.ValFrame:
-				op.kind, op.dst = skLoadFrameW8, in.Dst
-				op.imm = uint64(in.A.ObjOff) + in.A.Imm
-				if in.A.Unsafe {
-					op.kind = skLoadFrameUW8
+				if !in.A.Unsafe {
+					op.kind, op.dst = skLoadFrameW8, in.Dst
+					op.imm = uint64(in.A.ObjOff) + in.A.Imm
 				}
 			}
 		}
@@ -198,24 +194,16 @@ func makeSegOp(p *ir.Program, c *Code, in *PIns, pc, k int) segOp {
 			default:
 				op.bReg = -2 // slow operand evaluation via in.B
 			}
-			switch in.A.Kind {
-			case ir.ValReg:
+			switch {
+			case in.A.Kind == ir.ValReg:
 				op.kind, op.aReg = skStoreRegW8, in.A.Reg
-			case ir.ValFrame:
+			case in.A.Kind == ir.ValFrame && !in.A.Unsafe:
 				// aux carries the frame displacement; imm may hold a
 				// constant stored value.
 				op.kind, op.aux = skStoreFrameW8, uint64(in.A.ObjOff)+in.A.Imm
-				if in.A.Unsafe {
-					op.kind = skStoreFrameUW8
-				}
 			default:
 				op.bReg, op.imm = 0, 0 // stay generic
 			}
-		}
-	case ir.OpCondBr:
-		if in.A.Kind == ir.ValReg {
-			op.kind, op.aReg = skCondBrR, in.A.Reg
-			op.imm, op.aux = uint64(in.Targ0), uint64(in.Targ1)
 		}
 	case ir.OpRet:
 		op.kind = skRet
@@ -310,8 +298,6 @@ func mergePairs(ops []segOp) {
 			a.kind = gepPair(a.kind, b.kind == skStoreRegW8)
 		case a.kind == skBinRC && isCmp(a.alu) && b.kind == skCondBrX && b.aReg == a.dst:
 			a.kind = skPairCmpRCBrX
-		case a.kind == skBinRC && isCmp(a.alu) && b.kind == skCondBrR && b.aReg == a.dst:
-			a.kind = skPairCmpRCBr
 		case a.kind == skBinRR && isCmp(a.alu) && b.kind == skCondBrX && b.aReg == a.dst:
 			a.kind = skPairCmpRRBrX
 		case a.kind == skBinRC && addSub && b.kind == skCall:
@@ -416,8 +402,11 @@ func (tb *traceCompiler) build(p *ir.Program, c *Code, fc *FuncCode, start int) 
 				}
 			}
 		case ir.OpCondBr:
-			if op.kind == skCondBrR && room && tb.visit(fc, in.Targ1) {
-				op.kind, next = skCondBrX, int(in.Targ1)
+			// Unextended, the branch stays generic like an unextended br.
+			if in.A.Kind == ir.ValReg && room && tb.visit(fc, in.Targ1) {
+				op.kind, op.aReg = skCondBrX, in.A.Reg
+				op.imm, op.aux = uint64(in.Targ0), uint64(in.Targ1)
+				next = int(in.Targ1)
 			}
 		case ir.OpBr:
 			// Unextended, the branch stays generic: the handler redirects,
@@ -478,19 +467,19 @@ func hSeg(m *Machine, f *frame, in *PIns) {
 // The register file and metadata slices are hoisted per frame.
 //
 // Metadata elision (tm): register metadata is behaviorally dead unless some
-// consumer is armed — an enforcer (cps/cpi/softbound/pac), the safe stack
-// (SafeStack), fortifyLimit, CFI, pointer mangling, the temporal-safety
-// sweep, the dual-store and audit oracles, or a driver hook (which can
-// observe anything). When none is, the segment executors skip every
+// consumer is armed — an enforcer (cps/cpi/softbound/pac), the safe
+// stack, fortifyLimit, CFI, pointer mangling, the temporal-safety sweep,
+// the dual-store and audit oracles, or a driver hook (which can observe
+// anything). When none is, the segment executors skip every
 // meta read and write; slow-path fallbacks then see invalidMeta, which is
 // what plain operations produce anyway. Configurations with any consumer
 // armed keep full metadata maintenance, bit-identical to the handlers.
 func (m *Machine) runSegment(f *frame) {
 	cost := &m.cfg.Cost
-	safeStack := m.cfg.SafeStack
+	safeStack := m.caps.safeStack
 	sfi := m.cfg.Isolation == IsoSFI
 	boundsGEP := m.caps.boundsGEP
-	tm := safeStack || m.enf != nil || m.cfg.CFI ||
+	tm := safeStack || m.enf != nil || m.caps.cfi ||
 		m.cfg.Fortify || m.cfg.PtrMangle ||
 		m.cfg.TemporalSafety || m.cfg.DebugDualStore ||
 		m.cfg.AuditSensitive || m.hooks != nil
@@ -661,22 +650,6 @@ activation:
 						break body
 					}
 
-				case skLoadFrameUW8:
-					addr := f.regBase + op.imm
-					if v, ok := m.mem.TryLoadWord(addr); ok {
-						cyc += cost.Load
-						regs[op.dst] = v
-						if tm {
-							meta[op.dst] = invalidMeta
-						}
-						break
-					}
-					f.pc = int(op.pc)
-					m.loadPlainInto(f, addr, false, op.dst, 8)
-					if m.trap != nil {
-						break body
-					}
-
 				case skStoreRegW8:
 					addr := regs[op.aReg]
 					var val uint64
@@ -732,43 +705,10 @@ activation:
 						break body
 					}
 
-				case skStoreFrameUW8:
-					addr := f.regBase + op.aux
-					var val uint64
-					valMeta := invalidMeta
-					if op.bReg >= 0 {
-						val = regs[op.bReg]
-						if tm {
-							valMeta = meta[op.bReg]
-						}
-					} else {
-						val, valMeta = m.evalValSlow(f, &op.in.B)
-					}
-					if sfi {
-						cyc += cost.SFIMask
-					}
-					if m.mem.TryStoreWord(addr, val) {
-						cyc += cost.Store
-						break
-					}
-					f.pc = int(op.pc)
-					m.storePlainSlow(f, addr, false, val, valMeta, 8)
-					if m.trap != nil {
-						break body
-					}
-
 				case skBr:
 					// Trace-extending branch into another br: the next segOp IS
 					// the target.
 					cyc += cost.Br
-
-				case skCondBrR: // terminal
-					if regs[op.aReg] != 0 {
-						f.pc = int(op.imm)
-					} else {
-						f.pc = int(op.aux)
-					}
-					cyc += cost.CondBr
 
 				case skCondBrX: // trace-extending: the fall-through arm is the
 					// next op; the taken arm leaves the activation early and
@@ -803,7 +743,7 @@ activation:
 						continue frame
 					}
 
-				case skPairCmpRCBrX, skPairCmpRCBr, skPairCmpRRBrX:
+				case skPairCmpRCBrX, skPairCmpRRBrX:
 					// Compare + branch on the fresh flag. Each constituent
 					// charges its own step, cycle and budget check.
 					var b uint64
@@ -825,15 +765,7 @@ activation:
 						break activation
 					}
 					cyc += cost.CondBr
-					if op.kind == skPairCmpRCBr { // terminal two-way branch
-						if v != 0 {
-							f.pc = int(op2.imm)
-						} else {
-							f.pc = int(op2.aux)
-						}
-						break
-					}
-					if v != 0 { // trace-extending: taken arm exits early
+					if v != 0 { // taken arm exits early
 						f.pc = int(op2.imm)
 						break body
 					}
@@ -1250,7 +1182,7 @@ func (m *Machine) segCall(f *frame, op *segOp, tm bool, cyc int64) int64 {
 			}
 		}
 	}
-	if !m.cfg.SafeStack {
+	if !m.caps.safeStack {
 		f2.safeBase = f2.regBase
 	}
 	m.frames = m.frames[:n+1]

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/backend"
 	"repro/internal/ctypes"
 	"repro/internal/instrument"
 	"repro/internal/ir"
@@ -129,7 +130,7 @@ func TestSegmentBudgetSweep(t *testing.T) {
 		blockCode := PredecodeWith(p, PredecodeOptions{})
 		plainCode := PredecodeWith(p, PredecodeOptions{NoBlockCompile: true})
 		codes = append(codes, blockCode)
-		for _, cfg := range []Config{{}, {SafeStack: true}, {ASLR: true, PIE: true, Seed: 7}} {
+		for _, cfg := range []Config{{}, {Protect: backend.SafeStack}, {ASLR: true, PIE: true, Seed: 7}} {
 			full := runCode(t, p, plainCode, cfg)
 			if full.Trap != TrapExit {
 				t.Fatalf("full run: trap %v (%v)", full.Trap, full.Err)
@@ -228,12 +229,12 @@ int main(void) {
 }`
 	p := compileWith(t, src, irgen.Options{PromoteRegisters: true})
 	instrument.SafeStack(p)
-	instrument.CPI(p)
+	instrument.WithBackend(p, backend.CPI.Backend(), instrument.Opts{})
 	blockCode := PredecodeWith(p, PredecodeOptions{})
 	if n := segOpCensus(blockCode); n.kinds[skPairGEPGRLoad] == 0 || n.kinds[skPairGEPGRStore] == 0 {
 		t.Fatal("program compiled no global GEP load and store pairs")
 	}
-	cfg := Config{SafeStack: true, Backend: "cpi", DEP: true}
+	cfg := Config{Protect: backend.CPI, DEP: true}
 	b := runCode(t, p, blockCode, cfg)
 	n := runCode(t, p, PredecodeWith(p, PredecodeOptions{NoBlockCompile: true}), cfg)
 	for _, r := range []*Result{b, n} {

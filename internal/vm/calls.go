@@ -84,7 +84,7 @@ func (m *Machine) execICall(f *frame, in *PIns) {
 	m.cycles += m.cfg.Cost.ICall
 	target, meta := m.evalP(f, &in.A)
 
-	if m.cfg.CFI && in.Flags&ir.ProtCFI != 0 {
+	if m.caps.cfi && in.Flags&ir.ProtCFI != 0 {
 		// Coarse-grained CFI: the merged valid set is "any function entry"
 		// ([53, 54]); finer sets would still admit the attacks of
 		// [19, 15, 9].
@@ -174,7 +174,7 @@ func (m *Machine) retFinish(f *frame, rv uint64, rm Meta) {
 
 	if retWord != f.retAddr {
 		// Corrupted return address.
-		if m.cfg.CFI {
+		if m.caps.cfi {
 			m.cycles += m.cfg.Cost.CFICheck
 			if !m.isRetSite(retWord) {
 				m.trapf(TrapCFIViolation, retWord, ViaReturn,

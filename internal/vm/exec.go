@@ -257,7 +257,7 @@ func (m *Machine) pushFrame(fi int, caller *frame, args []PVal, retAddr uint64, 
 		}
 	}
 
-	if !m.cfg.SafeStack {
+	if !m.caps.safeStack {
 		f.safeBase = f.regBase // "safe-space" objects live on the regular stack
 	}
 	if fn.NeedsUnsafeFrame {
@@ -282,7 +282,7 @@ func (m *Machine) objAddr(f *frame, idx int) (uint64, bool) {
 	if obj.Unsafe {
 		return f.regBase + uint64(obj.Offset), false
 	}
-	if m.cfg.SafeStack {
+	if m.caps.safeStack {
 		return f.safeBase + uint64(obj.Offset), true
 	}
 	return f.safeBase + uint64(obj.Offset), false
@@ -335,7 +335,7 @@ func (m *Machine) addrSpaceP(f *frame, v *PVal) (addr uint64, meta Meta, safe bo
 		a := base + uint64(v.ObjOff)
 		return a + v.Imm, Meta{
 			Kind: sps.KindData, Lower: a, Upper: a + uint64(v.Size),
-		}, !v.Unsafe && m.cfg.SafeStack
+		}, !v.Unsafe && m.caps.safeStack
 	}
 	addr, meta = m.evalP(f, v)
 	return addr, meta, false

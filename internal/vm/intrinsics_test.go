@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/sps"
 )
 
@@ -15,7 +16,7 @@ import (
 // entry across the destination range.
 func TestSafeMemcpyOverlapMigratesEntries(t *testing.T) {
 	p := compile(t, `int main(void) { return 0; }`)
-	m, err := New(p, Config{Backend: "cpi"})
+	m, err := New(p, Config{Protect: backend.CPI})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +318,7 @@ int main(void) {
 	return 3;
 }`
 	p := compile(t, src)
-	m, err := New(p, Config{Backend: "cpi"})
+	m, err := New(p, Config{Protect: backend.CPI})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"repro/internal/backend"
 	"repro/internal/ir"
 	"repro/internal/mem"
 	"repro/internal/sps"
@@ -45,13 +46,6 @@ func (m IsolationMode) String() string { return isoNames[m] }
 // flags (which loads/stores use the safe pointer store) come from the
 // instrumentation passes; Config controls the runtime mechanisms.
 type Config struct {
-	// SafeStack places return addresses and proven-safe frame objects on
-	// the isolated safe stack (§3.2.4). Without it, everything including
-	// return addresses lives on the regular stack.
-	SafeStack bool
-	// CFI checks indirect-call and return targets against statically valid
-	// sets (coarse-grained, merged target sets, as in [53, 54]).
-	CFI bool
 	// StackCookies places a canary between locals and the return address
 	// on the regular stack.
 	StackCookies bool
@@ -93,13 +87,13 @@ type Config struct {
 	// predecoder's AuditHooks routing (core.Program.Predecoded sets it up).
 	AuditSensitive bool
 
-	// Backend names the one pointer-integrity enforcer (see backend.go):
-	// "" for none, "cps"/"cpi" for the safe pointer store semantics of
-	// §3.3/§3.2 on accesses flagged by that pass, "softbound" for
-	// full-memory-safety semantics on ProtSB accesses, "pac" to sign code
-	// pointers in place with a keyed MAC and authenticate them on load
-	// (pac.go). Any other name is a construction error.
-	Backend string
+	// Protect is the one protection selector (see backend.go). It fixes
+	// the pointer-integrity enforcer — the safe pointer store semantics of
+	// cps/cpi (§3.3/§3.2) on accesses flagged by that pass, full memory
+	// safety for softbound's ProtSB accesses, or pac's in-place signed code
+	// pointers (pac.go) — and whether the safe stack (§3.2.4) and coarse
+	// CFI checks are on. An out-of-range value is a construction error.
+	Protect backend.Protection
 	// PacBits is the MAC field width for the pac backend (0 = default 16).
 	// The modeled forgery probability is 2^-PacBits.
 	PacBits int
@@ -262,7 +256,7 @@ type Machine struct {
 
 	mem  *mem.Memory // regular region (+code, rodata)
 	safe *mem.Memory // safe region (safe stacks)
-	enf  enforcer    // runtime enforcement backend (cfg.Backend); nil when unprotected
+	enf  enforcer    // pointer-integrity enforcer (cfg.Protect); nil for vanilla, safestack, cfi
 
 	frames []*frame
 	// cur caches frames[len(frames)-1]: the dispatch loop reads the top
@@ -490,7 +484,7 @@ func (m *Machine) load() error {
 	m.finfo = make([]frameInfo, len(m.prog.Funcs))
 	for i, fn := range m.prog.Funcs {
 		fi := &m.finfo[i]
-		if m.cfg.SafeStack {
+		if m.caps.safeStack {
 			fi.objBytes = uint64(fn.UnsafeSize)
 			fi.retOnSafe = true
 			fi.safeTotal = uint64(fn.SafeSize) + 8 // + return address slot

@@ -17,12 +17,8 @@ import (
 func compilePac(t *testing.T, src string) *ir.Program {
 	t.Helper()
 	p := compile(t, src)
-	bk, ok := backend.Get("pac")
-	if !ok {
-		t.Fatal("pac backend not registered")
-	}
 	instrument.SafeStack(p)
-	instrument.WithBackend(p, bk, instrument.Opts{})
+	instrument.WithBackend(p, backend.PAC.Backend(), instrument.Opts{})
 	return p
 }
 
@@ -86,7 +82,7 @@ int main(void) {
 	return hit;
 }`
 	p := compilePac(t, src)
-	cfg := Config{Backend: "pac", PacBits: 8, SafeStack: true, DEP: true, Seed: 7}
+	cfg := Config{Protect: backend.PAC, PacBits: 8, DEP: true, Seed: 7}
 
 	successes, violations := 0, 0
 	var prob float64
@@ -138,7 +134,7 @@ int main(void) {
 	return 0;
 }`
 	p := compilePac(t, src)
-	m, err := New(p, Config{Backend: "pac", SafeStack: true, DEP: true, Seed: 7})
+	m, err := New(p, Config{Protect: backend.PAC, DEP: true, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +166,7 @@ func TestPacZeroMetadataFootprint(t *testing.T) {
 void f(void) {}
 void (*fp)(void) = f;
 int main(void) { fp(); return 0; }`
-	rp := runOn(t, compilePac(t, src), Config{Backend: "pac", SafeStack: true, DEP: true})
+	rp := runOn(t, compilePac(t, src), Config{Protect: backend.PAC, DEP: true})
 	if rp.Trap != TrapExit {
 		t.Fatalf("pac run: %v", rp.Err)
 	}
@@ -184,8 +180,8 @@ int main(void) { fp(); return 0; }`
 
 	cpiProg := compile(t, src)
 	instrument.SafeStack(cpiProg)
-	instrument.CPI(cpiProg)
-	rc := runOn(t, cpiProg, Config{SafeStack: true, Backend: "cpi", DEP: true})
+	instrument.WithBackend(cpiProg, backend.CPI.Backend(), instrument.Opts{})
+	rc := runOn(t, cpiProg, Config{Protect: backend.CPI, DEP: true})
 	if rc.Trap != TrapExit {
 		t.Fatalf("cpi run: %v", rc.Err)
 	}

@@ -1,9 +1,12 @@
 package vm
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/instrument"
+	"repro/internal/ir"
 )
 
 // Protection-mechanism unit tests at the machine level.
@@ -98,8 +101,8 @@ int main(void) {
 }`
 	p := compile(t, src)
 	instrument.SafeStack(p)
-	instrument.CPI(p)
-	m, err := New(p, Config{SafeStack: true, Backend: "cpi", DEP: true})
+	instrument.WithBackend(p, backend.CPI.Backend(), instrument.Opts{})
+	m, err := New(p, Config{Protect: backend.CPI, DEP: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +124,7 @@ void vuln(void) { char buf[16]; buf[0] = 1; probe_point(); }
 int main(void) { vuln(); return 0; }`
 	p := compile(t, src)
 	instrument.SafeStack(p)
-	m, err := New(p, Config{SafeStack: true})
+	m, err := New(p, Config{Protect: backend.SafeStack})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,5 +189,54 @@ int main(void) {
 	}
 	if r1.ExitCode != r2.ExitCode {
 		t.Error("isolation mode changed semantics")
+	}
+}
+
+// TestProtectionMechanisms pins the one protection selector's mapping onto
+// the runtime mechanisms: for every Protection, the enforcer newEnforcer
+// builds and the capabilities it fixes, safe stack and CFI included. An
+// out-of-range value is a construction error that names it.
+func TestProtectionMechanisms(t *testing.T) {
+	p := compile(t, `int main(void) { return 0; }`)
+	sr := func(active, check ir.Prot, trap TrapKind) enfCaps {
+		return enfCaps{safeStack: true, active: active, check: check, transfers: true, trap: trap}
+	}
+	for _, tc := range []struct {
+		prot backend.Protection
+		enf  string // enforcer: "" (nil), "sr", "sr-code" (codeOnly) or "pac"
+		caps enfCaps
+	}{
+		{backend.Vanilla, "", enfCaps{}},
+		{backend.SafeStack, "", enfCaps{safeStack: true}},
+		{backend.CPS, "sr-code", sr(ir.ProtCPS, 0, TrapCPSViolation)},
+		{backend.CPI, "sr", sr(ir.ProtCPIStore|ir.ProtCPILoad, ir.ProtCPICheck, TrapCPIViolation)},
+		{backend.SoftBound, "sr", enfCaps{active: ir.ProtSB, check: ir.ProtSBCheck, boundsGEP: true, trap: TrapSBViolation}},
+		{backend.CFI, "", enfCaps{cfi: true}},
+		{backend.PAC, "pac", sr(ir.ProtCPS, 0, TrapPacViolation)},
+	} {
+		m, err := New(p, Config{Protect: tc.prot})
+		if err != nil {
+			t.Fatalf("%v: %v", tc.prot, err)
+		}
+		enf := ""
+		switch e := m.enf.(type) {
+		case nil:
+		case *srEnforcer:
+			enf = "sr"
+			if e.codeOnly {
+				enf = "sr-code"
+			}
+		case *pacEnforcer:
+			enf = "pac"
+		default:
+			t.Fatalf("%v: enforcer %T", tc.prot, e)
+		}
+		if enf != tc.enf || m.caps != tc.caps {
+			t.Errorf("%v: enforcer %q caps %+v, want %q %+v", tc.prot, enf, m.caps, tc.enf, tc.caps)
+		}
+	}
+	bad := backend.PAC + 1
+	if _, err := New(p, Config{Protect: bad}); err == nil || !strings.Contains(err.Error(), bad.String()) {
+		t.Errorf("New with Protect %v: error %v, want one naming it", bad, err)
 	}
 }

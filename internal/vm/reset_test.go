@@ -3,6 +3,8 @@ package vm
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/backend"
 )
 
 // TestResetCoversAllFields walks Machine's fields by reflection and fails
@@ -54,16 +56,16 @@ func TestResetEquivalentToFresh(t *testing.T) {
 		free(q);
 		return n;
 	}`
-	if _, err := New(compile(t, src), Config{Backend: "bogus"}); err == nil {
-		t.Error(`New with Backend "bogus" succeeded`)
+	if _, err := New(compile(t, src), Config{Protect: backend.PAC + 1}); err == nil {
+		t.Error("New with an out-of-range Protect succeeded")
 	}
 	for _, cfg := range []Config{
 		{DEP: true},
-		{SafeStack: true, Backend: "cps", DEP: true, ASLR: true, PIE: true, Seed: 7},
-		{SafeStack: true, Backend: "cpi", DEP: true, TemporalSafety: true, SweepEvery: 2},
-		{Backend: "softbound", DEP: true},
-		{SafeStack: true, DEP: true},
-		{CFI: true, DEP: true},
+		{Protect: backend.CPS, DEP: true, ASLR: true, PIE: true, Seed: 7},
+		{Protect: backend.CPI, DEP: true, TemporalSafety: true, SweepEvery: 2},
+		{Protect: backend.SoftBound, DEP: true},
+		{Protect: backend.SafeStack, DEP: true},
+		{Protect: backend.CFI, DEP: true},
 	} {
 		prog := compile(t, src)
 		code := Predecode(prog)
@@ -72,10 +74,10 @@ func TestResetEquivalentToFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := fresh.Run("main")
-		// Unprotected machines hold no enforcer and report no safe pointer
-		// store footprint.
-		if cfg.Backend == "" && (fresh.enf != nil || want.Mem.SPSBytes != 0) {
-			t.Errorf("cfg %+v: enforcer %T, SPSBytes %d; want none", cfg, fresh.enf, want.Mem.SPSBytes)
+		// Machines without an enforcer report no safe pointer store
+		// footprint (TestProtectionMechanisms pins which ones those are).
+		if fresh.enf == nil && want.Mem.SPSBytes != 0 {
+			t.Errorf("cfg %+v: SPSBytes %d without an enforcer", cfg, want.Mem.SPSBytes)
 		}
 
 		m, err := NewShared(prog, code, cfg)

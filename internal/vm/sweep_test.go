@@ -3,6 +3,7 @@ package vm
 import (
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/sps"
 )
 
@@ -13,7 +14,7 @@ import (
 // pointing at a freed or recycled allocation are dropped and counted.
 func TestTemporalSweepDropsStaleEntries(t *testing.T) {
 	p := compile(t, `int main(void) { return 0; }`)
-	m, err := New(p, Config{Backend: "cpi", SweepEvery: 1})
+	m, err := New(p, Config{Protect: backend.CPI, SweepEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestSweepCadenceAndGating(t *testing.T) {
 	}
 	p := compile(t, `int main(void) { return 0; }`)
 
-	m, err := New(p, Config{Backend: "cps", SweepEvery: 3})
+	m, err := New(p, Config{Protect: backend.CPS, SweepEvery: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestSweepCadenceAndGating(t *testing.T) {
 	}
 
 	// Disabled by default: SweepEvery = 0.
-	m0, err := New(p, Config{Backend: "cpi"})
+	m0, err := New(p, Config{Protect: backend.CPI})
 	if err != nil {
 		t.Fatal(err)
 	}

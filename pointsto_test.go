@@ -38,9 +38,9 @@ func oracleWorkloads() []workloads.Workload {
 // not — covered every sensitive operation these programs execute.
 func TestAuditSensitiveOracle(t *testing.T) {
 	var cfgs []core.Config
-	for _, bk := range []string{"cps", "cpi", "pac"} {
+	for _, p := range []core.Protection{core.CPS, core.CPI, core.PAC} {
 		for _, noPT := range []bool{false, true} {
-			cfgs = append(cfgs, core.Config{Backend: bk, DEP: true,
+			cfgs = append(cfgs, core.Config{Protect: p, DEP: true,
 				NoPointsTo: noPT, AuditSensitive: true})
 		}
 	}

@@ -36,7 +36,7 @@ func servingConfigs() []struct {
 		{"cps", core.Config{Protect: core.CPS, DEP: true}},
 		{"cpi", core.Config{Protect: core.CPI, DEP: true,
 			ASLR: true, PIE: true, Seed: 42, TemporalSafety: true, SweepEvery: 64}},
-		{"pac", core.Config{Backend: "pac", DEP: true, ASLR: true, Seed: 42}},
+		{"pac", core.Config{Protect: core.PAC, DEP: true, ASLR: true, Seed: 42}},
 	}
 }
 
