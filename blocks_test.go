@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -27,11 +28,15 @@ import (
 // report the same step count and PC as the plain dispatch loop.
 
 // equivConfigs are the protection configurations the equivalence must
-// hold under: segments inline flagged-load/store fallbacks and metadata
-// maintenance that only the enforcement backends arm. The unpromoted cpi
-// row is RIPE's victim configuration: its direct calls pass spilled
-// variables as register temporaries, so they take the segment call shape
-// and extend traces into callees as well.
+// hold under: segments inline flagged-load/store fallbacks and maintain
+// register metadata only where the program can consume it and the machine
+// arms a consumer (runSegment's tm). The unpromoted cpi row is RIPE's
+// victim configuration: its direct calls pass spilled variables as register
+// temporaries, so they take the segment call shape and extend traces into
+// callees as well. The last metaTermRows rows — safestack, cfi, softbound,
+// and cpi with every other runtime check armed — cover each configuration
+// term the metadata predicate leaves out: safestack and cfi machines skip
+// metadata on every program.
 func equivConfigs() []core.Config {
 	return []core.Config{
 		{DEP: true},
@@ -39,8 +44,18 @@ func equivConfigs() []core.Config {
 		{Protect: core.CPI, DEP: true},
 		{Protect: core.PAC, DEP: true},
 		{Protect: core.CPI, DEP: true, NoPromote: true},
+		{Protect: core.SafeStack, DEP: true},
+		{Protect: core.CFI, DEP: true},
+		{Protect: core.SoftBound, DEP: true},
+		{Protect: core.CPI, DEP: true, TemporalSafety: true, PtrMangle: true, Fortify: true},
 	}
 }
+
+// metaTermRows counts the metadata-term rows at the end of equivConfigs.
+// TestBlockCompileEquivalence runs them over every workload but the
+// web-stack pages, which under them would push the root package's
+// race-detector run past CI's 25-minute budget.
+const metaTermRows = 4
 
 // cfgName labels an equivConfigs entry in failure messages.
 func cfgName(cfg core.Config) string {
@@ -48,19 +63,125 @@ func cfgName(cfg core.Config) string {
 	if cfg.NoPromote {
 		name += "/nopromote"
 	}
+	if cfg.TemporalSafety {
+		name += "/temporal"
+	}
+	if cfg.PtrMangle {
+		name += "/mangle"
+	}
+	if cfg.Fortify {
+		name += "/fortify"
+	}
 	return name
 }
 
-// equivWorkloads is the bundled workload set the property runs over. The
-// SPEC stand-ins are where the global-indexing and folded-branch segment
-// shapes fire most.
+// equivWorkloads is the bundled workload set the property runs over, plus
+// the metadata-consumer programs. The SPEC stand-ins are where the
+// global-indexing and folded-branch segment shapes fire most.
 func equivWorkloads() []workloads.Workload {
 	set := append([]workloads.Workload{}, workloads.Micro()...)
 	set = append(set, workloads.Spec()...)
 	for _, p := range workloads.WebStack() {
 		set = append(set, workloads.Workload{Name: p.Name, Src: p.Src})
 	}
-	return set
+	return append(set, metaConsumerWorkloads()...)
+}
+
+// metaConsumerWorkloads are three small programs, one per kind of
+// instruction that makes vm.Code.ReadsMeta true, and each has no consumer
+// of any other kind. In each, the metadata reaches its consumer only
+// through a segment-executed Mov or GEP, so a predicate that missed the
+// kind would let the segments drop it and make blocks differ from
+// noblocks:
+//   - consumer.icall: promoted function-pointer copies (join Movs) feed an
+//     indirect call, which cps, cpi and pac reject without code provenance;
+//   - consumer.fptrstore: a joined function pointer is stored through a
+//     GEP'd pointer by a flagged store. Without metadata, cpi's bounds
+//     check on the pointer fails, and cps drops the safe-store entry of
+//     the value, so the flagged reload reads 0;
+//   - consumer.fortify: memcpy through a GEP into a 24-byte global, which
+//     overruns it at i == 17 and Fortify stops (wantTrap).
+func metaConsumerWorkloads() []workloads.Workload {
+	return []workloads.Workload{
+		{Name: "consumer.icall", Src: srcConsumerICall},
+		{Name: "consumer.fptrstore", Src: srcConsumerFptrStore},
+		{Name: "consumer.fortify", Src: srcConsumerFortify},
+	}
+}
+
+const srcConsumerICall = `
+int inc(int x) { return x + 1; }
+int dbl(int x) { return x + x; }
+
+int main() {
+	int (*f)(int) = inc;
+	int (*h)(int) = dbl;
+	int (*g)(int);
+	int i;
+	int acc = 0;
+	for (i = 0; i < 50; i++) {
+		if (i & 1) {
+			g = f;
+		} else {
+			g = h;
+		}
+		acc = g(acc) % 1000;
+	}
+	return acc % 251;
+}
+`
+
+const srcConsumerFptrStore = `
+int inc(int x) { return x + 1; }
+int dbl(int x) { return x + x; }
+
+int (*slots[4])(int);
+
+int main() {
+	int (*f)(int) = inc;
+	int (*h)(int) = dbl;
+	int (*g)(int);
+	int (**pp)(int);
+	int i;
+	int acc = 0;
+	for (i = 0; i < 40; i++) {
+		if (i & 1) {
+			g = f;
+		} else {
+			g = h;
+		}
+		pp = &slots[i & 3];
+		*pp = g;
+		if (*pp == g) {
+			acc = acc + 1;
+		}
+	}
+	return acc;
+}
+`
+
+const srcConsumerFortify = `
+char small[24];
+char big[64];
+
+int main() {
+	char *p;
+	int i;
+	for (i = 0; i < 20; i++) {
+		p = small + i;
+		memcpy(p, big, 8);
+	}
+	return 0;
+}
+`
+
+// wantTrap is how a workload must end under cfg: every program exits,
+// except that Fortify stops consumer.fortify's overrun.
+func wantTrap(w workloads.Workload, cfg core.Config) vm.TrapKind {
+	if w.Name == "consumer.fortify" && cfg.Fortify {
+		return vm.TrapFortify
+	}
+	return vm.TrapExit
 }
 
 // runBlocksBoth executes one compiled program on the block-compiled and
@@ -117,11 +238,19 @@ func compareBlockResults(t *testing.T, name string, blocks, noblocks *vm.Result)
 	}
 }
 
-// TestBlockCompileEquivalence runs every bundled workload to completion
-// under every equivConfigs configuration, block-compiled vs not.
+// TestBlockCompileEquivalence runs every bundled workload to its end
+// under the equivConfigs configurations, block-compiled vs not.
 func TestBlockCompileEquivalence(t *testing.T) {
+	web := map[string]bool{}
+	for _, p := range workloads.WebStack() {
+		web[p.Name] = true
+	}
 	for _, w := range equivWorkloads() {
-		for _, cfg := range equivConfigs() {
+		cfgs := equivConfigs()
+		if web[w.Name] {
+			cfgs = cfgs[:len(cfgs)-metaTermRows]
+		}
+		for _, cfg := range cfgs {
 			prog, err := core.Compile(w.Src, cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", w.Name, err)
@@ -132,14 +261,62 @@ func TestBlockCompileEquivalence(t *testing.T) {
 			name := w.Name + "/" + cfgName(cfg)
 			blocks, noblocks := runBlocksBoth(t, prog, 0)
 			compareBlockResults(t, name, blocks, noblocks)
-			if blocks.Trap != vm.TrapExit {
-				t.Errorf("%s: workload did not run to completion (%v)", name, blocks.Trap)
+			if want := wantTrap(w, cfg); blocks.Trap != want {
+				t.Errorf("%s: workload ended with %v, want %v", name, blocks.Trap, want)
 			}
 			// Every step runs inside a segment: the per-instruction
 			// handlers are the reference tier, never the hot one.
 			if blocks.BlockSteps != blocks.Steps {
 				t.Errorf("%s: %d of %d steps executed inside segments; want all",
 					name, blocks.BlockSteps, blocks.Steps)
+			}
+		}
+	}
+}
+
+// TestFortifyTermEquivalence runs consumer.fortify on a vanilla machine
+// with Fortify armed. There Fortify is the only machine-level metadata
+// consumer, so only the predicate's Fortify term keeps the GEP's metadata
+// for fortifyLimit; every equivConfigs row with Fortify also has an
+// enforcer.
+func TestFortifyTermEquivalence(t *testing.T) {
+	cfg := core.Config{DEP: true, Fortify: true}
+	for _, w := range metaConsumerWorkloads() {
+		prog, err := core.Compile(w.Src, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		name := w.Name + "/" + cfgName(cfg)
+		blocks, noblocks := runBlocksBoth(t, prog, 0)
+		compareBlockResults(t, name, blocks, noblocks)
+		if want := wantTrap(w, cfg); blocks.Trap != want {
+			t.Errorf("%s: workload ended with %v, want %v", name, blocks.Trap, want)
+		}
+	}
+}
+
+// TestReadsMetaPerProgram pins which bundled programs let the segments
+// skip register metadata under cps, cpi and pac: exactly the four micros,
+// which have no flagged access, indirect call or intrinsic call. Every
+// SPEC, Phoronix and web-stack program keeps full maintenance, and so does
+// each metadata-consumer program.
+func TestReadsMetaPerProgram(t *testing.T) {
+	set := append([]workloads.Workload{}, workloads.Micro()...)
+	set = append(set, workloads.Spec()...)
+	set = append(set, workloads.Phoronix()...)
+	for _, p := range append(workloads.WebStack(), workloads.WebServe()...) {
+		set = append(set, workloads.Workload{Name: p.Name, Src: p.Src})
+	}
+	set = append(set, metaConsumerWorkloads()...)
+	for _, w := range set {
+		want := !strings.HasPrefix(w.Name, "micro.")
+		for _, p := range []core.Protection{core.CPS, core.CPI, core.PAC} {
+			prog, err := core.Compile(w.Src, core.Config{Protect: p, DEP: true})
+			if err != nil {
+				t.Fatalf("%s/%v: %v", w.Name, p, err)
+			}
+			if got := prog.Predecoded().ReadsMeta; got != want {
+				t.Errorf("%s/%v: ReadsMeta = %v, want %v", w.Name, p, got, want)
 			}
 		}
 	}

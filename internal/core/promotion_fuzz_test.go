@@ -16,7 +16,12 @@ import (
 // (including the f(i, i++) capture shape), assignments nested inside
 // expressions — then cross-check the promoted and unpromoted compilations:
 // both must verify, and execution must agree on output, exit code, trap and
-// heap-visible state, with promoted steps never exceeding unpromoted.
+// heap-visible state, with promoted steps never exceeding unpromoted. The
+// function pointers, pointer arguments and intrinsic calls make this the
+// generator whose programs consume register metadata, so each promoted run
+// is also checked against its NoBlockCompile twin (the handlers, which
+// maintain metadata unconditionally) on Trap, ExitCode, Output, Steps and
+// Cycles.
 //
 // The generator only emits terminating programs (literal loop bounds, loop
 // variables frozen inside their own body, no recursion) and only reads
@@ -267,6 +272,7 @@ func FuzzPromotionEquivalence(f *testing.F) {
 		{DEP: true},
 		{Protect: CPS, DEP: true},
 		{Protect: CPI, DEP: true},
+		{Protect: PAC, DEP: true},
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		src := generate(seed)
@@ -300,6 +306,18 @@ func FuzzPromotionEquivalence(f *testing.F) {
 			}
 			if ph, uh := pm.HeapGlobalsHash(), um.HeapGlobalsHash(); ph != uh {
 				t.Fatalf("seed %d/%v: heap state differs\n%s", seed, cfg.Protect, src)
+			}
+			nm, err := vm.NewShared(promotedProg.IR,
+				vm.PredecodeWith(promotedProg.IR, vm.PredecodeOptions{NoBlockCompile: true}),
+				promotedProg.VMConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if nr := nm.Run("main"); nr.Trap != pr.Trap || nr.ExitCode != pr.ExitCode ||
+				nr.Output != pr.Output || nr.Steps != pr.Steps || nr.Cycles != pr.Cycles {
+				t.Fatalf("seed %d/%v: blocks (%v, %d, %q, %d steps, %d cycles) vs noblocks (%v, %d, %q, %d steps, %d cycles)\n%s",
+					seed, cfg.Protect, pr.Trap, pr.ExitCode, pr.Output, pr.Steps, pr.Cycles,
+					nr.Trap, nr.ExitCode, nr.Output, nr.Steps, nr.Cycles, src)
 			}
 			if pr.Steps > ur.Steps {
 				t.Fatalf("seed %d/%v: promotion increased steps %d > %d\n%s",

@@ -466,23 +466,31 @@ func hSeg(m *Machine, f *frame, in *PIns) {
 // of f.pc = op.pc, and every terminal leaves its continuation in f.pc.
 // The register file and metadata slices are hoisted per frame.
 //
-// Metadata elision (tm): register metadata is behaviorally dead unless some
-// consumer is armed — an enforcer (cps/cpi/softbound/pac), the safe
-// stack, fortifyLimit, CFI, pointer mangling, the temporal-safety sweep,
-// the dual-store and audit oracles, or a driver hook (which can observe
-// anything). When none is, the segment executors skip every
-// meta read and write; slow-path fallbacks then see invalidMeta, which is
-// what plain operations produce anyway. Configurations with any consumer
-// armed keep full metadata maintenance, bit-identical to the handlers.
+// Metadata elision (tm): register metadata is behaviorally dead unless the
+// program contains an instruction that can consume it (Code.ReadsMeta) and
+// the machine arms that consumer: an enforcer (derefCheck and storeProt on
+// flagged accesses, execICall's code-provenance check) or Fortify
+// (fortifyLimit on intrinsic calls). The audit oracle reads the metadata of
+// every store, flagged or not, so it keeps maintenance on for any program
+// (its code is predecoded with AuditHooks and has no segments anyway). No
+// other configuration reads register metadata: the safe stack's shadow
+// only carries metadata back into registers; CFI checks target addresses,
+// never metadata; pointer mangling transforms the word setjmp stores;
+// TemporalSafety and DebugDualStore read metadata only inside
+// derefCheck/loadProt of flagged accesses; and SetHook callbacks see the
+// exported Machine API, which exposes no register metadata. When tm is
+// false the inline paths of the segment executors, segCall and segRet skip
+// every metadata read and write, registers and safe-stack shadow alike,
+// while the handlers and the slow paths keep maintaining it: stale
+// metadata can then reach a register, but nothing reads it, and
+// maintenance is never charged, so Cycles, Steps, traps and output are
+// those of the NoBlockCompile full-metadata run.
 func (m *Machine) runSegment(f *frame) {
 	cost := &m.cfg.Cost
 	safeStack := m.caps.safeStack
 	sfi := m.cfg.Isolation == IsoSFI
 	boundsGEP := m.caps.boundsGEP
-	tm := safeStack || m.enf != nil || m.caps.cfi ||
-		m.cfg.Fortify || m.cfg.PtrMangle ||
-		m.cfg.TemporalSafety || m.cfg.DebugDualStore ||
-		m.cfg.AuditSensitive || m.hooks != nil
+	tm := m.cfg.AuditSensitive || m.code.ReadsMeta && (m.enf != nil || m.cfg.Fortify)
 	budget := m.stepBudget
 	steps0 := m.steps
 	steps := steps0
@@ -641,7 +649,9 @@ activation:
 					} else if v, ok := m.safe.TryLoadWord(addr); ok {
 						cyc += cost.Load
 						regs[op.dst] = v
-						meta[op.dst] = m.safeMetaAt(addr)
+						if tm {
+							meta[op.dst] = m.safeMetaAt(addr)
+						}
 						break
 					}
 					f.pc = int(op.pc)
@@ -695,7 +705,9 @@ activation:
 							break
 						}
 					} else if m.safe.TryStoreWord(addr, val) {
-						m.setSafeMeta(addr, valMeta)
+						if tm {
+							m.setSafeMeta(addr, valMeta)
+						}
 						cyc += cost.Store
 						break
 					}
@@ -1027,7 +1039,9 @@ func (m *Machine) budgetTrap() {
 // no shadow metadata to clear, not the final frame); anything else falls
 // through to retFinish before any state or cost mutation. retFinish only
 // adds to m.cycles, so the local cycle delta rides through either way. The
-// caller has already flushed f.pc.
+// caller has already flushed f.pc. tm is runSegment's metadata predicate:
+// when it is false the fast path neither reads the return value's metadata
+// nor writes the caller's.
 func (m *Machine) segRet(f *frame, op *segOp, tm bool, cyc int64) int64 {
 	var rv uint64
 	rm := invalidMeta
@@ -1076,7 +1090,9 @@ func (m *Machine) segRet(f *frame, op *segOp, tm bool, cyc int64) int64 {
 // recycles correctly) and pushFrame's frame setup for cookie-less frames,
 // copying the register and constant arguments straight into the callee's
 // register file; any other shape falls through to pushFrame before any
-// state mutation. The caller has already flushed f.pc.
+// state mutation. The caller has already flushed f.pc. tm is runSegment's
+// metadata predicate: when it is false the fast path copies argument values
+// without their metadata.
 func (m *Machine) segCall(f *frame, op *segOp, tm bool, cyc int64) int64 {
 	retPC := int(op.pc) + 1
 	if m.hooks != nil {

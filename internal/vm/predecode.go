@@ -68,6 +68,14 @@ type Code struct {
 	// BlockSegs counts the block-compiled segments installed (0 when
 	// predecoded with NoBlockCompile or AuditHooks; see blocks.go).
 	BlockSegs int
+
+	// ReadsMeta reports whether some instruction can consume register
+	// metadata: a load or store with a protMask flag (derefCheck,
+	// storeProt), an indirect call (the code-provenance check under the
+	// transfer-protecting enforcers) or an intrinsic call (argMeta,
+	// fortifyLimit). Without one, the segment executors skip metadata
+	// maintenance (see runSegment).
+	ReadsMeta bool
 }
 
 // FuncCode is one function flattened to a pc-indexed instruction stream.
@@ -232,6 +240,8 @@ func PredecodeWith(p *ir.Program, opt PredecodeOptions) *Code {
 					In:      in,
 				}
 				switch in.Op {
+				case ir.OpLoad, ir.OpStore:
+					c.ReadsMeta = c.ReadsMeta || in.Flags&protMask != 0
 				case ir.OpBr:
 					pi.Targ0 = fc.BlockPC[in.Blk0]
 				case ir.OpCondBr:
@@ -245,6 +255,7 @@ func PredecodeWith(p *ir.Program, opt PredecodeOptions) *Code {
 						pi.SiteOrd = retOrd
 						retOrd++
 					} else {
+						c.ReadsMeta = true
 						pi.SiteOrd = jmpOrd
 						jmpOrd++
 						c.JmpSites = append(c.JmpSites, JmpSite{
@@ -252,6 +263,7 @@ func PredecodeWith(p *ir.Program, opt PredecodeOptions) *Code {
 						})
 					}
 				case ir.OpICall:
+					c.ReadsMeta = true
 					pi.Callee = -1
 					pi.SiteOrd = retOrd
 					retOrd++
