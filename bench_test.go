@@ -172,10 +172,12 @@ func BenchmarkRIPE(b *testing.B) {
 // BenchmarkSPSOrganisations is the §4 safe-pointer-store microbenchmark:
 // raw store/load mixes per organisation.
 func BenchmarkSPSOrganisations(b *testing.B) {
-	for _, org := range []string{"array", "twolevel", "hash"} {
-		org := org
-		b.Run(org, func(b *testing.B) {
-			s := sps.New(org)
+	for _, org := range []struct {
+		name string
+		s    sps.Store
+	}{{"array", sps.NewArray()}, {"twolevel", sps.NewTwoLevel()}, {"hash", sps.NewHash()}} {
+		s := org.s
+		b.Run(org.name, func(b *testing.B) {
 			e := sps.Entry{Value: 0x1000, Lower: 0x1000, Upper: 0x2000, Kind: sps.KindData}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

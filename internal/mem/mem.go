@@ -189,29 +189,11 @@ func (m *Memory) Reset() {
 	clear(m.cache[:])
 }
 
-// Protect changes permissions on the pages covering [addr, addr+size).
-// Unmapped pages in the range are ignored.
-func (m *Memory) Protect(addr, size uint64, perm Perm) {
-	first := addr >> pageShift
-	last := (addr + size - 1) >> pageShift
-	for pn := first; pn <= last; pn++ {
-		if _, ok := m.perms[pn]; ok {
-			m.perms[pn] = perm
-			if pg, ok := m.pages[pn]; ok {
-				pg.perm = perm
-			}
-		}
-	}
-}
-
 // Mapped reports whether addr is on a mapped page.
 func (m *Memory) Mapped(addr uint64) bool {
 	_, ok := m.perms[addr>>pageShift]
 	return ok
 }
-
-// PagesMapped returns the number of mapped pages (memory accounting).
-func (m *Memory) PagesMapped() int { return len(m.perms) }
 
 // CheckExec verifies addr lies on an executable page.
 func (m *Memory) CheckExec(addr uint64) error {
@@ -475,22 +457,10 @@ func (m *Memory) ForceStore(addr uint64, size int, v uint64) error {
 	return nil
 }
 
-// ForceWrite writes bytes ignoring page write permissions (used by the
-// loader to populate read-only segments, never by program execution).
-func (m *Memory) ForceWrite(addr uint64, b []byte) error {
-	for i, c := range b {
-		pg := m.page(addr + uint64(i))
-		if pg == nil {
-			return &Fault{Addr: addr + uint64(i), Kind: FaultUnmapped}
-		}
-		pg.data[(addr+uint64(i))&offMask] = c
-	}
-	return nil
-}
-
-// ForceWriteString is ForceWrite from a string source, avoiding the
-// []byte conversion allocation — the loader writes every string literal on
-// each machine load/reset.
+// ForceWriteString writes the bytes of s ignoring page write permissions:
+// the loader populates read-only segments with it, never program
+// execution. A string source avoids a []byte conversion allocation — the
+// loader writes every string literal on each machine load/reset.
 func (m *Memory) ForceWriteString(addr uint64, s string) error {
 	for i := 0; i < len(s); i++ {
 		pg := m.page(addr + uint64(i))

@@ -62,27 +62,11 @@ func TestFaults(t *testing.T) {
 	}
 }
 
-func TestProtect(t *testing.T) {
-	m := New()
-	m.Map(0x1000, 0x1000, R|W)
-	if err := m.Store(0x1000, 8, 42); err != nil {
-		t.Fatal(err)
-	}
-	m.Protect(0x1000, 0x1000, R)
-	if err := m.Store(0x1000, 8, 43); err == nil {
-		t.Error("store after Protect(R) should fault")
-	}
-	v, _ := m.Load(0x1000, 8)
-	if v != 42 {
-		t.Errorf("content changed: %d", v)
-	}
-}
-
 func TestForceWriteIgnoresPerms(t *testing.T) {
 	m := New()
 	m.Map(0x1000, 0x1000, R)
-	if err := m.ForceWrite(0x1000, []byte{1, 2, 3}); err != nil {
-		t.Fatalf("ForceWrite: %v", err)
+	if err := m.ForceWriteString(0x1000, "\x01\x02\x03"); err != nil {
+		t.Fatalf("ForceWriteString: %v", err)
 	}
 	b, err := m.ReadBytes(0x1000, 3)
 	if err != nil || b[0] != 1 || b[2] != 3 {
@@ -142,15 +126,6 @@ func TestWordRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPagesMapped(t *testing.T) {
-	m := New()
-	m.Map(0x0, 1, R)
-	m.Map(0x1000, PageSize*3, R)
-	if got := m.PagesMapped(); got != 4 {
-		t.Errorf("PagesMapped = %d, want 4", got)
 	}
 }
 
@@ -235,6 +210,9 @@ func TestCacheCollisionsStayCorrect(t *testing.T) {
 	}
 }
 
+// TestProtectAfterCaching: re-Mapping a cached page, as malloc's heap growth
+// does to the pages the loader mapped, changes its permissions in place,
+// and the translation cache sees the change.
 func TestProtectAfterCaching(t *testing.T) {
 	m := New()
 	const a = 0x4000
@@ -246,26 +224,26 @@ func TestProtectAfterCaching(t *testing.T) {
 		t.Fatal("page not cached after a store")
 	}
 
-	m.Protect(a, PageSize, R)
+	m.Map(a, PageSize, R)
 	if m.TryStoreWord(a, 9) {
-		t.Error("TryStoreWord succeeded on a page protected read-only")
+		t.Error("TryStoreWord succeeded on a page remapped read-only")
 	}
 	if err := m.StoreWord(a, 9); err == nil || err.(*Fault).Kind != FaultNoWrite {
-		t.Errorf("StoreWord after Protect(R) = %v, want a no-write fault", err)
+		t.Errorf("StoreWord after Map(R) = %v, want a no-write fault", err)
 	}
 	if v, ok := m.TryLoadWord(a); !ok || v != 8 {
-		t.Errorf("TryLoadWord after Protect(R) = %d, %v; want 8, true", v, ok)
+		t.Errorf("TryLoadWord after Map(R) = %d, %v; want 8, true", v, ok)
 	}
 
-	m.Protect(a, PageSize, 0)
+	m.Map(a, PageSize, 0)
 	if _, ok := m.TryLoadWord(a); ok {
 		t.Error("TryLoadWord succeeded on a page with no permissions")
 	}
 	if _, err := m.LoadWord(a); err == nil || err.(*Fault).Kind != FaultNoRead {
-		t.Errorf("LoadWord after Protect(0) = %v, want a no-read fault", err)
+		t.Errorf("LoadWord after Map(0) = %v, want a no-read fault", err)
 	}
 
-	m.Protect(a, PageSize, R|W)
+	m.Map(a, PageSize, R|W)
 	if !m.TryStoreWord(a, 10) {
 		t.Error("TryStoreWord failed after restoring R|W")
 	}

@@ -132,29 +132,29 @@ func randEntry(rng *rand.Rand) Entry {
 }
 
 // checkAgainstModel compares one store's full observable state to the model.
-func checkAgainstModel(t *testing.T, s Store, model modelStore, step int) {
+func checkAgainstModel(t *testing.T, s named, model modelStore, step int) {
 	t.Helper()
 	if s.Len() != len(model) {
-		t.Fatalf("step %d: %s: Len = %d, model has %d", step, s.Name(), s.Len(), len(model))
+		t.Fatalf("step %d: %s: Len = %d, model has %d", step, s.name, s.Len(), len(model))
 	}
 	got, want := scanAll(s), model.dump()
 	if len(got) != len(want) {
-		t.Fatalf("step %d: %s: Scan yields %d entries, model %d", step, s.Name(), len(got), len(want))
+		t.Fatalf("step %d: %s: Scan yields %d entries, model %d", step, s.name, len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("step %d: %s: Scan[%d] = %+v, want %+v", step, s.Name(), i, got[i], want[i])
+			t.Fatalf("step %d: %s: Scan[%d] = %+v, want %+v", step, s.name, i, got[i], want[i])
 		}
 	}
 	for i := 1; i < len(got); i++ {
 		if got[i].addr <= got[i-1].addr {
-			t.Fatalf("step %d: %s: Scan order not strictly ascending at %d", step, s.Name(), i)
+			t.Fatalf("step %d: %s: Scan order not strictly ascending at %d", step, s.name, i)
 		}
 	}
 }
 
 // checkScanRange compares a bounded scan against the model over one window.
-func checkScanRange(t *testing.T, s Store, model modelStore, lo, hi uint64, step int) {
+func checkScanRange(t *testing.T, s named, model modelStore, lo, hi uint64, step int) {
 	t.Helper()
 	var got []scanPair
 	s.ScanRange(lo, hi, func(addr uint64, e Entry) bool {
@@ -164,20 +164,20 @@ func checkScanRange(t *testing.T, s Store, model modelStore, lo, hi uint64, step
 	want := model.dumpRange(lo, hi)
 	if len(got) != len(want) {
 		t.Fatalf("step %d: %s: ScanRange(%#x,%#x) yields %d entries, model %d",
-			step, s.Name(), lo, hi, len(got), len(want))
+			step, s.name, lo, hi, len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("step %d: %s: ScanRange[%d] = %+v, want %+v", step, s.Name(), i, got[i], want[i])
+			t.Fatalf("step %d: %s: ScanRange[%d] = %+v, want %+v", step, s.name, i, got[i], want[i])
 		}
 	}
 }
 
 // checkFootprint asserts each organisation's documented footprint model.
-func checkFootprint(t *testing.T, s Store, step int) {
+func checkFootprint(t *testing.T, s named, step int) {
 	t.Helper()
 	fp, live := s.FootprintBytes(), int64(s.Len())
-	switch st := s.(type) {
+	switch st := s.Store.(type) {
 	case *Hash:
 		// Entries plus key word and ~1.5x table slack — exact by model.
 		if want := live * (EntryBytes + 8) * 3 / 2; fp != want {
@@ -202,7 +202,7 @@ func checkFootprint(t *testing.T, s Store, step int) {
 				step, fp, live*EntryBytes)
 		}
 	}
-	if live == 0 && s.Name() == "hash" && fp != 0 {
+	if live == 0 && s.name == "hash" && fp != 0 {
 		t.Fatalf("step %d: empty hash footprint %d", step, fp)
 	}
 }
@@ -241,7 +241,7 @@ func FuzzCrossStoreEquivalence(f *testing.F) {
 				for _, s := range stores {
 					if e, ok := s.Get(a); ok != wok || e != we {
 						t.Fatalf("step %d: %s: Get(%#x) = %+v,%v want %+v,%v",
-							i, s.Name(), a, e, ok, we, wok)
+							i, s.name, a, e, ok, we, wok)
 					}
 				}
 			case op < 9: // Delete (often of an absent slot)
@@ -273,9 +273,9 @@ func FuzzCrossStoreEquivalence(f *testing.F) {
 				for _, s := range stores {
 					units := s.DropPages(base, words)
 					if units < 0 {
-						t.Fatalf("step %d: %s: DropPages units = %d", i, s.Name(), units)
+						t.Fatalf("step %d: %s: DropPages units = %d", i, s.name, units)
 					}
-					if _, isHash := s.(*Hash); isHash && units != removed {
+					if _, isHash := s.Store.(*Hash); isHash && units != removed {
 						t.Fatalf("step %d: hash DropPages units = %d, want %d removed entries",
 							i, units, removed)
 					}
@@ -313,19 +313,19 @@ func TestSetZeroEntryClears(t *testing.T) {
 		s.Set(0x4000, e)
 		s.Set(0x4000, Entry{})
 		if _, ok := s.Get(0x4000); ok {
-			t.Errorf("%s: zero-entry Set must clear the slot", s.Name())
+			t.Errorf("%s: zero-entry Set must clear the slot", s.name)
 		}
 		if s.Len() != 0 {
-			t.Errorf("%s: Len = %d after zero-entry Set, want 0", s.Name(), s.Len())
+			t.Errorf("%s: Len = %d after zero-entry Set, want 0", s.name, s.Len())
 		}
 		// Zero-entry Set on a virgin address must not grow the store.
 		before := s.FootprintBytes()
 		s.Set(0xdead_f000, Entry{})
 		if fp := s.FootprintBytes(); fp != before {
-			t.Errorf("%s: zero-entry Set reserved %d footprint bytes", s.Name(), fp-before)
+			t.Errorf("%s: zero-entry Set reserved %d footprint bytes", s.name, fp-before)
 		}
 		if s.Len() != 0 {
-			t.Errorf("%s: zero-entry Set on empty slot counted as live", s.Name())
+			t.Errorf("%s: zero-entry Set on empty slot counted as live", s.name)
 		}
 	}
 }
@@ -345,17 +345,17 @@ func TestScanRangeEarlyStopAndBounds(t *testing.T) {
 			return true
 		})
 		if len(addrs) != 8 {
-			t.Errorf("%s: ScanRange across pages visited %d entries, want 8", s.Name(), len(addrs))
+			t.Errorf("%s: ScanRange across pages visited %d entries, want 8", s.name, len(addrs))
 		}
 		for _, a := range addrs {
 			if a < lo || a >= hi {
-				t.Errorf("%s: ScanRange visited %#x outside [%#x,%#x)", s.Name(), a, lo, hi)
+				t.Errorf("%s: ScanRange visited %#x outside [%#x,%#x)", s.name, a, lo, hi)
 			}
 		}
 		n := 0
 		s.ScanRange(0, 2*pageWords*8, func(uint64, Entry) bool { n++; return n < 3 })
 		if n != 3 {
-			t.Errorf("%s: early-stop ScanRange visited %d entries, want 3", s.Name(), n)
+			t.Errorf("%s: early-stop ScanRange visited %d entries, want 3", s.name, n)
 		}
 		// Unaligned lo excludes the slot it truncates into: the entry at 0
 		// must not be visited by a window starting at byte 4 (entries sit
@@ -363,7 +363,7 @@ func TestScanRangeEarlyStopAndBounds(t *testing.T) {
 		got := []uint64(nil)
 		s.ScanRange(4, 64, func(a uint64, _ Entry) bool { got = append(got, a); return true })
 		if len(got) != 3 || got[0] != 16 {
-			t.Errorf("%s: ScanRange(4,64) visited %v, want [16 32 48]", s.Name(), got)
+			t.Errorf("%s: ScanRange(4,64) visited %v, want [16 32 48]", s.name, got)
 		}
 	}
 }

@@ -102,17 +102,6 @@ func (a *Array) FootprintBytes() int64 {
 	return int64(len(a.blocks)) * pageWords * EntryBytes
 }
 
-// LoadCost implements Store (shift/mask plus one access off the dedicated
-// segment register; slightly more than a plain load, per §3.3's "essentially
-// the same number of memory accesses" plus address arithmetic).
-func (a *Array) LoadCost() int64 { return 4 }
-
-// StoreCost implements Store.
-func (a *Array) StoreCost() int64 { return 4 }
-
-// Name implements Store.
-func (a *Array) Name() string { return "array" }
-
 // Reset implements Store, retiring reserved blocks into the recycle pool
 // and keeping the map's buckets, so a pooled machine's next run reserves
 // its shadow pages without allocating.
@@ -428,15 +417,6 @@ func (t *TwoLevel) FootprintBytes() int64 {
 	return int64(len(t.dir))*4096 + int64(t.live)*EntryBytes
 }
 
-// LoadCost implements Store (two dependent lookups).
-func (t *TwoLevel) LoadCost() int64 { return 7 }
-
-// StoreCost implements Store.
-func (t *TwoLevel) StoreCost() int64 { return 7 }
-
-// Name implements Store.
-func (t *TwoLevel) Name() string { return "twolevel" }
-
 // Reset implements Store. The directory map keeps its buckets; the
 // second-level tables are dropped whole (their maps shrink to nothing
 // useful once cleared, and the directory rebuild re-creates few of them).
@@ -579,15 +559,6 @@ func (h *Hash) Len() int { return len(h.m) }
 func (h *Hash) FootprintBytes() int64 {
 	return int64(len(h.m)) * (EntryBytes + 8) * 3 / 2
 }
-
-// LoadCost implements Store (hash + probe + compare).
-func (h *Hash) LoadCost() int64 { return 12 }
-
-// StoreCost implements Store.
-func (h *Hash) StoreCost() int64 { return 12 }
-
-// Name implements Store.
-func (h *Hash) Name() string { return "hash" }
 
 // Reset implements Store, keeping the table's buckets for reuse.
 func (h *Hash) Reset() { clear(h.m); h.keys = nil }

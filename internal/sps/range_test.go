@@ -34,7 +34,7 @@ func TestScanRangeEmptyWindows(t *testing.T) {
 		} {
 			if got := collect(s, w[0], w[1]); len(got) != 0 {
 				t.Errorf("%s: ScanRange(%#x,%#x) visited %v, want nothing",
-					s.Name(), w[0], w[1], got)
+					s.name, w[0], w[1], got)
 			}
 		}
 	}
@@ -52,17 +52,17 @@ func TestScanRangeUnalignedBounds(t *testing.T) {
 			got := collect(s, 0x1000+off, 0x1018)
 			if len(got) != 2 || got[0] != 0x1008 || got[1] != 0x1010 {
 				t.Fatalf("%s: ScanRange(%#x,0x1018) = %#v, want [0x1008 0x1010]",
-					s.Name(), 0x1000+off, got)
+					s.name, 0x1000+off, got)
 			}
 		}
 		// An unaligned hi is exclusive at byte granularity: any hi above the
 		// slot address includes that slot.
 		if got := collect(s, 0x1000, 0x1011); len(got) != 3 {
 			t.Errorf("%s: hi=0x1011 visited %d slots, want 3 (slot 0x1010 starts below hi)",
-				s.Name(), len(got))
+				s.name, len(got))
 		}
 		if got := collect(s, 0x1000, 0x1010); len(got) != 2 {
-			t.Errorf("%s: hi=0x1010 visited %d slots, want 2", s.Name(), len(got))
+			t.Errorf("%s: hi=0x1010 visited %d slots, want 2", s.name, len(got))
 		}
 	}
 }
@@ -82,11 +82,11 @@ func TestScanRangeStraddlesTwoLevelBoundary(t *testing.T) {
 		got := collect(s, lo, twoLevelBoundary+16)
 		want := []uint64{lo, twoLevelBoundary - 8, twoLevelBoundary, twoLevelBoundary + 8}
 		if len(got) != len(want) {
-			t.Fatalf("%s: straddling scan visited %d slots, want %d", s.Name(), len(got), len(want))
+			t.Fatalf("%s: straddling scan visited %d slots, want %d", s.name, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Errorf("%s: visit %d = %#x, want %#x", s.Name(), i, got[i], want[i])
+				t.Errorf("%s: visit %d = %#x, want %#x", s.name, i, got[i], want[i])
 			}
 		}
 	}
@@ -103,26 +103,26 @@ func TestDeleteRangeStraddlesBoundaries(t *testing.T) {
 
 		s.DeleteRange(twoLevelBoundary-8, 2) // deletes -8 and +0
 		if s.Len() != 2 {
-			t.Fatalf("%s: Len=%d after straddling DeleteRange, want 2", s.Name(), s.Len())
+			t.Fatalf("%s: Len=%d after straddling DeleteRange, want 2", s.name, s.Len())
 		}
 		if _, ok := s.Get(twoLevelBoundary - 16); !ok {
-			t.Errorf("%s: sentinel below window deleted", s.Name())
+			t.Errorf("%s: sentinel below window deleted", s.name)
 		}
 		if _, ok := s.Get(twoLevelBoundary + 8); !ok {
-			t.Errorf("%s: sentinel above window deleted", s.Name())
+			t.Errorf("%s: sentinel above window deleted", s.name)
 		}
 		if _, ok := s.Get(twoLevelBoundary - 8); ok {
-			t.Errorf("%s: slot below boundary survived", s.Name())
+			t.Errorf("%s: slot below boundary survived", s.name)
 		}
 		if _, ok := s.Get(twoLevelBoundary); ok {
-			t.Errorf("%s: slot at boundary survived", s.Name())
+			t.Errorf("%s: slot at boundary survived", s.name)
 		}
 
 		// Zero-length and negative-length deletes are no-ops.
 		s.DeleteRange(twoLevelBoundary-16, 0)
 		s.DeleteRange(twoLevelBoundary-16, -1)
 		if s.Len() != 2 {
-			t.Errorf("%s: empty DeleteRange changed Len to %d", s.Name(), s.Len())
+			t.Errorf("%s: empty DeleteRange changed Len to %d", s.name, s.Len())
 		}
 	}
 }
@@ -139,37 +139,37 @@ func TestDropPagesStraddlesBoundaries(t *testing.T) {
 
 		units := s.DropPages(twoLevelBoundary-8, 2) // drops -8 and +0
 		if units <= 0 {
-			t.Errorf("%s: straddling DropPages touched %d units, want > 0", s.Name(), units)
+			t.Errorf("%s: straddling DropPages touched %d units, want > 0", s.name, units)
 		}
 		if s.Len() != 2 {
-			t.Fatalf("%s: Len=%d after straddling DropPages, want 2", s.Name(), s.Len())
+			t.Fatalf("%s: Len=%d after straddling DropPages, want 2", s.name, s.Len())
 		}
 		if _, ok := s.Get(twoLevelBoundary - 16); !ok {
-			t.Errorf("%s: sentinel below window dropped", s.Name())
+			t.Errorf("%s: sentinel below window dropped", s.name)
 		}
 		if _, ok := s.Get(twoLevelBoundary + 8); !ok {
-			t.Errorf("%s: sentinel above window dropped", s.Name())
+			t.Errorf("%s: sentinel above window dropped", s.name)
 		}
 		if _, ok := s.Get(twoLevelBoundary - 8); ok {
-			t.Errorf("%s: slot below boundary survived", s.Name())
+			t.Errorf("%s: slot below boundary survived", s.name)
 		}
 		if _, ok := s.Get(twoLevelBoundary); ok {
-			t.Errorf("%s: slot at boundary survived", s.Name())
+			t.Errorf("%s: slot at boundary survived", s.name)
 		}
 
 		// Zero-length and negative-length drops are no-ops with zero units.
 		if u := s.DropPages(twoLevelBoundary-16, 0); u != 0 {
-			t.Errorf("%s: zero-length DropPages reported %d units", s.Name(), u)
+			t.Errorf("%s: zero-length DropPages reported %d units", s.name, u)
 		}
 		if u := s.DropPages(twoLevelBoundary-16, -1); u != 0 {
-			t.Errorf("%s: negative-length DropPages reported %d units", s.Name(), u)
+			t.Errorf("%s: negative-length DropPages reported %d units", s.name, u)
 		}
 		if s.Len() != 2 {
-			t.Errorf("%s: empty DropPages changed Len to %d", s.Name(), s.Len())
+			t.Errorf("%s: empty DropPages changed Len to %d", s.name, s.Len())
 		}
 		// A window over never-touched address space costs zero units.
 		if u := s.DropPages(0x7000_0000, 4*pageWords); u != 0 {
-			t.Errorf("%s: DropPages over virgin space reported %d units", s.Name(), u)
+			t.Errorf("%s: DropPages over virgin space reported %d units", s.name, u)
 		}
 	}
 }
@@ -253,13 +253,13 @@ func TestCopyRangeStraddlesBoundaries(t *testing.T) {
 
 		s.CopyRange(dst-8, twoLevelBoundary-8, 3)
 		if e, ok := s.Get(dst - 8); !ok || e.Value != 1 {
-			t.Errorf("%s: copied slot below boundary = %+v ok=%v", s.Name(), e, ok)
+			t.Errorf("%s: copied slot below boundary = %+v ok=%v", s.name, e, ok)
 		}
 		if _, ok := s.Get(dst); ok {
-			t.Errorf("%s: absent source slot did not clear destination", s.Name())
+			t.Errorf("%s: absent source slot did not clear destination", s.name)
 		}
 		if e, ok := s.Get(dst + 8); !ok || e.Value != 2 {
-			t.Errorf("%s: copied slot above boundary = %+v ok=%v (want value 2)", s.Name(), e, ok)
+			t.Errorf("%s: copied slot above boundary = %+v ok=%v (want value 2)", s.name, e, ok)
 		}
 
 		// Self-copy and empty copies are no-ops.
@@ -267,7 +267,7 @@ func TestCopyRangeStraddlesBoundaries(t *testing.T) {
 		s.CopyRange(twoLevelBoundary-8, twoLevelBoundary-8, 2)
 		s.CopyRange(dst, twoLevelBoundary-8, 0)
 		if s.Len() != before {
-			t.Errorf("%s: no-op CopyRange changed Len", s.Name())
+			t.Errorf("%s: no-op CopyRange changed Len", s.name)
 		}
 	}
 }

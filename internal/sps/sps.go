@@ -7,8 +7,9 @@
 // sparse address-space support (modelled with per-page entry blocks, the
 // superpage-backed variant the paper found fastest), a two-level lookup
 // table, and a hash table. All three behave identically; they differ in
-// access cost and memory footprint, which the cost model and the memory
-// overhead experiment (§5.2) consume.
+// memory footprint, which the memory overhead experiment (§5.2) consumes,
+// and in access cost, which the VM's CostModel prices per organisation
+// (SPSArray, SPSTwoLevel, SPSHash) rather than the store itself.
 package sps
 
 // Entry is the protected copy of one sensitive pointer.
@@ -39,15 +40,6 @@ const (
 // Valid reports whether the entry grants any access.
 func (e Entry) Valid() bool { return e.Kind != KindInvalid }
 
-// InBounds reports whether an access of size bytes at addr is within the
-// entry's target object (the Appendix A check l' ∈ [b, e-sizeof(a)]).
-func (e Entry) InBounds(addr uint64, size int64) bool {
-	if e.Kind != KindData {
-		return false
-	}
-	return addr >= e.Lower && addr+uint64(size) <= e.Upper
-}
-
 // EntryBytes is the modelled size of one safe-pointer-store entry:
 // value + lower + upper + id, four 8-byte words (Fig. 2).
 const EntryBytes = 32
@@ -71,11 +63,6 @@ type Store interface {
 	// FootprintBytes models the memory the organisation consumes
 	// (the §5.2 memory-overhead experiment).
 	FootprintBytes() int64
-	// LoadCost and StoreCost are the cycle-model access costs.
-	LoadCost() int64
-	StoreCost() int64
-	// Name identifies the organisation.
-	Name() string
 	// Reset drops all entries.
 	Reset()
 	// ScanRange visits the live entries whose slot address a satisfies
@@ -106,17 +93,4 @@ type Store interface {
 	// hash) removed entries — which is what the page-granular cost model
 	// charges instead of a per-word charge over the whole window.
 	DropPages(base uint64, words int) int
-}
-
-// New returns a store by organisation name: "array", "twolevel", "hash".
-func New(name string) Store {
-	switch name {
-	case "array", "":
-		return NewArray()
-	case "twolevel":
-		return NewTwoLevel()
-	case "hash":
-		return NewHash()
-	}
-	panic("sps: unknown organisation " + name)
 }

@@ -5,8 +5,14 @@ import (
 	"testing/quick"
 )
 
-func allStores() []Store {
-	return []Store{NewArray(), NewTwoLevel(), NewHash()}
+// named pairs a store with its organisation's name for test messages.
+type named struct {
+	Store
+	name string
+}
+
+func allStores() []named {
+	return []named{{NewArray(), "array"}, {NewTwoLevel(), "twolevel"}, {NewHash(), "hash"}}
 }
 
 func TestBasicSetGetDelete(t *testing.T) {
@@ -15,14 +21,14 @@ func TestBasicSetGetDelete(t *testing.T) {
 		s.Set(0x7000_0000, e)
 		got, ok := s.Get(0x7000_0000)
 		if !ok || got != e {
-			t.Errorf("%s: Get = %+v, %v", s.Name(), got, ok)
+			t.Errorf("%s: Get = %+v, %v", s.name, got, ok)
 		}
 		if _, ok := s.Get(0x7000_0008); ok {
-			t.Errorf("%s: adjacent slot should be empty", s.Name())
+			t.Errorf("%s: adjacent slot should be empty", s.name)
 		}
 		s.Delete(0x7000_0000)
 		if _, ok := s.Get(0x7000_0000); ok {
-			t.Errorf("%s: deleted entry still present", s.Name())
+			t.Errorf("%s: deleted entry still present", s.name)
 		}
 	}
 }
@@ -33,7 +39,7 @@ func TestOverwrite(t *testing.T) {
 		s.Set(64, Entry{Value: 2, Kind: KindCode})
 		e, ok := s.Get(64)
 		if !ok || e.Value != 2 {
-			t.Errorf("%s: overwrite lost: %+v", s.Name(), e)
+			t.Errorf("%s: overwrite lost: %+v", s.name, e)
 		}
 	}
 }
@@ -54,62 +60,12 @@ func TestFootprintOrdering(t *testing.T) {
 	}
 }
 
-func TestCostOrdering(t *testing.T) {
-	arr, two, hash := NewArray(), NewTwoLevel(), NewHash()
-	if !(arr.LoadCost() < two.LoadCost() && two.LoadCost() < hash.LoadCost()) {
-		t.Errorf("cost order must be array < twolevel < hash: %d %d %d",
-			arr.LoadCost(), two.LoadCost(), hash.LoadCost())
-	}
-}
-
-func TestEntryInBounds(t *testing.T) {
-	e := Entry{Lower: 100, Upper: 164, Kind: KindData}
-	cases := []struct {
-		addr uint64
-		size int64
-		want bool
-	}{
-		{100, 8, true},
-		{156, 8, true},
-		{157, 8, false},
-		{99, 8, false},
-		{100, 64, true},
-		{100, 65, false},
-		{163, 1, true},
-		{164, 1, false},
-	}
-	for _, c := range cases {
-		if got := e.InBounds(c.addr, c.size); got != c.want {
-			t.Errorf("InBounds(%d, %d) = %v, want %v", c.addr, c.size, got, c.want)
-		}
-	}
-	// Code and invalid entries never grant data access.
-	if (Entry{Lower: 0, Upper: ^uint64(0), Kind: KindCode}).InBounds(5, 1) {
-		t.Error("code entry must not pass data bounds check")
-	}
-	if (Entry{Lower: 0, Upper: ^uint64(0), Kind: KindInvalid}).InBounds(5, 1) {
-		t.Error("invalid entry must not pass bounds check")
-	}
-}
-
 func TestValid(t *testing.T) {
 	if (Entry{Kind: KindInvalid}).Valid() {
 		t.Error("invalid entry is Valid")
 	}
 	if !(Entry{Kind: KindCode}).Valid() || !(Entry{Kind: KindData}).Valid() {
 		t.Error("code/data entries must be Valid")
-	}
-}
-
-func TestNewByName(t *testing.T) {
-	for _, name := range []string{"array", "twolevel", "hash"} {
-		s := New(name)
-		if s.Name() != name {
-			t.Errorf("New(%q).Name() = %q", name, s.Name())
-		}
-	}
-	if New("").Name() != "array" {
-		t.Error("default organisation should be array")
 	}
 }
 

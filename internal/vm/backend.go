@@ -86,8 +86,11 @@ type enforcer interface {
 }
 
 // newEnforcer builds the enforcer and capabilities cfg.Protect selects;
-// protections without a pointer-integrity enforcer get a nil one.
+// protections without a pointer-integrity enforcer get a nil one. It is
+// also the one place Config.SPS is read: cps, cpi and softbound get a safe
+// pointer store of that organisation, charged at its CostModel price.
 func newEnforcer(cfg Config) (enforcer, enfCaps, error) {
+	var caps enfCaps
 	switch cfg.Protect {
 	case backend.Vanilla:
 		return nil, enfCaps{}, nil
@@ -96,15 +99,12 @@ func newEnforcer(cfg Config) (enforcer, enfCaps, error) {
 	case backend.CFI:
 		return nil, enfCaps{cfi: true}, nil
 	case backend.CPS:
-		return &srEnforcer{sps: sps.New(cfg.SPS), codeOnly: true},
-			enfCaps{safeStack: true, active: ir.ProtCPS, transfers: true, trap: TrapCPSViolation}, nil
+		caps = enfCaps{safeStack: true, active: ir.ProtCPS, transfers: true, trap: TrapCPSViolation}
 	case backend.CPI:
-		return &srEnforcer{sps: sps.New(cfg.SPS)},
-			enfCaps{safeStack: true, active: ir.ProtCPIStore | ir.ProtCPILoad, check: ir.ProtCPICheck,
-				transfers: true, trap: TrapCPIViolation}, nil
+		caps = enfCaps{safeStack: true, active: ir.ProtCPIStore | ir.ProtCPILoad, check: ir.ProtCPICheck,
+			transfers: true, trap: TrapCPIViolation}
 	case backend.SoftBound:
-		return &srEnforcer{sps: sps.New(cfg.SPS)},
-			enfCaps{active: ir.ProtSB, check: ir.ProtSBCheck, boundsGEP: true, trap: TrapSBViolation}, nil
+		caps = enfCaps{active: ir.ProtSB, check: ir.ProtSBCheck, boundsGEP: true, trap: TrapSBViolation}
 	case backend.PAC:
 		bits := cfg.PacBits
 		if bits == 0 {
@@ -115,8 +115,21 @@ func newEnforcer(cfg Config) (enforcer, enfCaps, error) {
 		}
 		return &pacEnforcer{bits: uint(bits), mask: uint64(1)<<bits - 1},
 			enfCaps{safeStack: true, active: ir.ProtCPS, transfers: true, trap: TrapPacViolation}, nil
+	default:
+		return nil, enfCaps{}, fmt.Errorf("vm: unknown protection %v", cfg.Protect)
 	}
-	return nil, enfCaps{}, fmt.Errorf("vm: unknown protection %v", cfg.Protect)
+	s := &srEnforcer{codeOnly: cfg.Protect == backend.CPS}
+	switch cfg.SPS {
+	case "array", "":
+		s.sps, s.price = sps.NewArray(), cfg.Cost.SPSArray
+	case "twolevel":
+		s.sps, s.price = sps.NewTwoLevel(), cfg.Cost.SPSTwoLevel
+	case "hash":
+		s.sps, s.price = sps.NewHash(), cfg.Cost.SPSHash
+	default:
+		return nil, enfCaps{}, fmt.Errorf("vm: unknown safe pointer store organisation %q", cfg.SPS)
+	}
+	return s, caps, nil
 }
 
 // spsStore returns the safe pointer store when the safe-region enforcer is
@@ -138,6 +151,8 @@ func (m *Machine) spsStore() sps.Store {
 // enfCaps carry the mode's activation bits and trap kind.
 type srEnforcer struct {
 	sps sps.Store
+	// price is the CostModel price of one probe or write of sps.
+	price int64
 	// codeOnly is CPS's store rule: only values with code provenance enter
 	// the safe store.
 	codeOnly bool
@@ -146,7 +161,7 @@ type srEnforcer struct {
 func (s *srEnforcer) seed(*Machine) {}
 
 func (s *srEnforcer) loadProt(m *Machine, f *frame, addr uint64, dst int32, universal bool) bool {
-	m.cycles += s.sps.LoadCost()
+	m.cycles += s.price
 	e, ok := s.sps.Get(addr)
 	switch {
 	case ok && e.Valid():
@@ -183,7 +198,7 @@ func (s *srEnforcer) loadProt(m *Machine, f *frame, addr uint64, dst int32, univ
 }
 
 func (s *srEnforcer) storeProt(m *Machine, addr, val uint64, valMeta Meta, flags ir.Prot) uint64 {
-	m.cycles += s.sps.StoreCost()
+	m.cycles += s.price
 	m.spsDirty = true
 	switch {
 	case s.codeOnly:
@@ -216,14 +231,14 @@ func (s *srEnforcer) storeProt(m *Machine, addr, val uint64, valMeta Meta, flags
 }
 
 func (s *srEnforcer) setjmpSave(m *Machine, buf, siteAddr uint64) {
-	m.cycles += s.sps.StoreCost()
+	m.cycles += s.price
 	m.spsDirty = true
 	s.sps.Set(buf, sps.Entry{Value: siteAddr, Lower: siteAddr,
 		Upper: siteAddr, Kind: sps.KindCode})
 }
 
 func (s *srEnforcer) longjmpResume(m *Machine, buf uint64) (uint64, bool) {
-	m.cycles += s.sps.LoadCost()
+	m.cycles += s.price
 	e, ok := s.sps.Get(buf)
 	if !ok || e.Kind != sps.KindCode {
 		m.trapf(m.caps.trap, buf, ViaLongjmp,
@@ -241,7 +256,7 @@ func (s *srEnforcer) copyRange(m *Machine, dst, src uint64, words int) {
 	// Each covered word pays the probe of the source slot (a safe-store
 	// load) and the Set/Delete of the destination slot (a safe-store
 	// store), on top of the per-word bookkeeping.
-	m.cycles += int64(words) * (m.cfg.Cost.SafeIntrWord + s.sps.LoadCost() + s.sps.StoreCost())
+	m.cycles += int64(words) * (m.cfg.Cost.SafeIntrWord + 2*s.price)
 	m.spsDirty = true
 	// The store-level bulk move is overlap-safe (snapshot-equivalent),
 	// matching the memmove-safe byte copy the caller already performed,
@@ -253,14 +268,14 @@ func (s *srEnforcer) copyRange(m *Machine, dst, src uint64, words int) {
 func (s *srEnforcer) clearRange(m *Machine, base uint64, words int) {
 	// memset performs no source probe, but every covered word's Delete
 	// is a safe-store write and is charged as one.
-	m.cycles += int64(words) * (m.cfg.Cost.SafeIntrWord + s.sps.StoreCost())
+	m.cycles += int64(words) * (m.cfg.Cost.SafeIntrWord + s.price)
 	m.spsDirty = true
 	s.sps.DeleteRange(base, words)
 }
 
 func (s *srEnforcer) dropRange(m *Machine, base uint64, words int) {
 	units := s.sps.DropPages(base, words)
-	m.cycles += m.cfg.Cost.DropBase + int64(units)*(m.cfg.Cost.DropUnit+s.sps.StoreCost())
+	m.cycles += m.cfg.Cost.DropBase + int64(units)*(m.cfg.Cost.DropUnit+s.price)
 	m.spsDirty = true
 }
 

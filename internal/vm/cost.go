@@ -50,6 +50,17 @@ type CostModel struct {
 	SBCheck int64
 	SBGEP   int64
 
+	// SPSArray, SPSTwoLevel and SPSHash price one probe or write of the
+	// safe pointer store in each organisation (Config.SPS selects which
+	// one a machine charges). The array is shift/mask plus one access off
+	// the dedicated segment register, slightly more than a plain load
+	// (§3.3: "essentially the same number of memory accesses"); the
+	// two-level table is two dependent lookups; the hash is hash, probe and
+	// compare.
+	SPSArray    int64
+	SPSTwoLevel int64
+	SPSHash     int64
+
 	// SafeIntrWord is the per-word extra cost of the safe-region-aware
 	// memcpy/memset variants (§3.2.2), on top of the SPS probe.
 	SafeIntrWord int64
@@ -65,8 +76,8 @@ type CostModel struct {
 
 	// SweepAlloc and SweepEntry price the periodic temporal-safety sweep:
 	// one charge per live allocation walked, one per safe-pointer-store
-	// entry validated against its owning allocation's id (plus the store's
-	// LoadCost per probe and StoreCost per dropped entry).
+	// entry validated against its owning allocation's id (plus the store
+	// organisation's SPS price per probe and per dropped entry).
 	SweepAlloc int64
 	SweepEntry int64
 
@@ -112,6 +123,9 @@ func DefaultCosts() CostModel {
 		CPICheck:     3,
 		SBCheck:      6,
 		SBGEP:        2,
+		SPSArray:     4,
+		SPSTwoLevel:  7,
+		SPSHash:      12,
 		SafeIntrWord: 2,
 		DropBase:     20,
 		DropUnit:     30,

@@ -98,8 +98,10 @@ type Config struct {
 	// The modeled forgery probability is 2^-PacBits.
 	PacBits int
 
-	// SPS selects the safe pointer store organisation: array (default),
-	// twolevel, hash.
+	// SPS selects the safe pointer store organisation of cps, cpi and
+	// softbound machines: array (the default, also ""), twolevel or hash,
+	// charged at CostModel's SPSArray, SPSTwoLevel or SPSHash. Any other
+	// name is a construction error.
 	SPS string
 	// Cost is the cycle model; zero value means DefaultCosts.
 	Cost CostModel

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -238,5 +239,45 @@ func TestProtectionMechanisms(t *testing.T) {
 	bad := backend.PAC + 1
 	if _, err := New(p, Config{Protect: bad}); err == nil || !strings.Contains(err.Error(), bad.String()) {
 		t.Errorf("New with Protect %v: error %v, want one naming it", bad, err)
+	}
+}
+
+// TestSPSOrganisationByName pins newEnforcer's mapping of Config.SPS onto a
+// safe pointer store organisation and the CostModel price its accesses are
+// charged at. The empty name means the array.
+func TestSPSOrganisationByName(t *testing.T) {
+	p := compile(t, `int main(void) { return 0; }`)
+	c := DefaultCosts()
+	for _, tc := range []struct {
+		name  string
+		store string
+		price int64
+	}{
+		{"", "*sps.Array", c.SPSArray},
+		{"array", "*sps.Array", c.SPSArray},
+		{"twolevel", "*sps.TwoLevel", c.SPSTwoLevel},
+		{"hash", "*sps.Hash", c.SPSHash},
+	} {
+		m, err := New(p, Config{Protect: backend.CPI, SPS: tc.name})
+		if err != nil {
+			t.Fatalf("SPS %q: %v", tc.name, err)
+		}
+		s := m.enf.(*srEnforcer)
+		if got := fmt.Sprintf("%T", s.sps); got != tc.store || s.price != tc.price {
+			t.Errorf("SPS %q: store %s at price %d, want %s at %d", tc.name, got, s.price, tc.store, tc.price)
+		}
+	}
+}
+
+// TestUnknownSPSOrganisation: an unknown store organisation is a
+// construction error naming it under every protection that owns a safe
+// pointer store, not a panic.
+func TestUnknownSPSOrganisation(t *testing.T) {
+	p := compile(t, `int main(void) { return 0; }`)
+	for _, prot := range []backend.Protection{backend.CPS, backend.CPI, backend.SoftBound} {
+		m, err := NewShared(p, Predecode(p), Config{Protect: prot, SPS: "bogus"})
+		if m != nil || err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+			t.Errorf("%v: NewShared with SPS bogus = %v, %v; want an error naming it", prot, m, err)
+		}
 	}
 }

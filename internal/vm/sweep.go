@@ -38,14 +38,14 @@ func (m *Machine) sweepTick() {
 
 // temporalSweep performs one pass over the live allocations. The cost is
 // SweepAlloc per live allocation walked plus, per entry visited, SweepEntry
-// and the store's LoadCost (the validation probe), plus StoreCost per
-// dropped entry (the invalidating write). Charging depends only on counts,
+// and the store's CostModel price (the validation probe), plus that price
+// again per dropped entry (the invalidating write). Charging depends only on counts,
 // and deletions commute, so the allocation-map iteration order cannot
 // influence any observable or measured state.
 func (m *Machine) temporalSweep() {
 	cost := &m.cfg.Cost
-	st := m.spsStore() // sweepTick's gate admits safe-region machines only
-	loadC, storeC := st.LoadCost(), st.StoreCost()
+	sr := m.enf.(*srEnforcer) // sweepTick's gate admits safe-region machines only
+	st, price := sr.sps, sr.price
 	var cycles int64
 	var stale []uint64
 	for _, a := range m.allocs {
@@ -54,7 +54,7 @@ func (m *Machine) temporalSweep() {
 		}
 		cycles += cost.SweepAlloc
 		st.ScanRange(a.addr, a.addr+uint64(a.size), func(slot uint64, e sps.Entry) bool {
-			cycles += cost.SweepEntry + loadC
+			cycles += cost.SweepEntry + price
 			if e.ID != 0 {
 				if t := m.allocs[e.Lower]; t != nil && (t.freed || t.id != e.ID) {
 					stale = append(stale, slot)
@@ -65,7 +65,7 @@ func (m *Machine) temporalSweep() {
 	}
 	for _, slot := range stale {
 		st.Delete(slot)
-		cycles += storeC
+		cycles += price
 	}
 	if len(stale) > 0 {
 		m.spsDirty = true
