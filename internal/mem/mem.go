@@ -232,6 +232,29 @@ func (m *Memory) TryStoreWord(addr, v uint64) bool {
 	return true
 }
 
+// TryLoadByte is the 1-byte counterpart of TryLoadWord: one readable byte
+// at addr through the translation cache, ok=false on a miss or a fault.
+func (m *Memory) TryLoadByte(addr uint64) (v uint64, ok bool) {
+	pn := addr >> pageShift
+	c := &m.cache[pn&(cacheWays-1)]
+	if c.pg == nil || c.pn != pn || c.pg.perm&R == 0 {
+		return 0, false
+	}
+	return uint64(c.pg.data[addr&offMask]), true
+}
+
+// TryStoreByte is the store counterpart of TryLoadByte: it writes the low
+// byte of v.
+func (m *Memory) TryStoreByte(addr, v uint64) bool {
+	pn := addr >> pageShift
+	c := &m.cache[pn&(cacheWays-1)]
+	if c.pg == nil || c.pn != pn || c.pg.perm&W == 0 {
+		return false
+	}
+	c.pg.data[addr&offMask] = byte(v)
+	return true
+}
+
 // LoadWord reads one 8-byte little-endian word at addr: the TryLoadWord
 // fast path with the general fallback.
 func (m *Memory) LoadWord(addr uint64) (uint64, error) {

@@ -252,6 +252,43 @@ func TestProtectAfterCaching(t *testing.T) {
 	}
 }
 
+// TestTryByteAccess: the byte fast paths hit on a cached page, its last
+// byte included (a byte never straddles pages), store only the low byte,
+// miss on an uncached or unmapped page, and refuse a page that lacks the
+// permission.
+func TestTryByteAccess(t *testing.T) {
+	m := New()
+	const pg = 0x4000
+	const a = pg + PageSize - 1
+	m.Map(pg, PageSize, R|W)
+	if _, ok := m.TryLoadByte(a); ok {
+		t.Error("TryLoadByte hit a page never touched")
+	}
+	if _, ok := m.TryLoadByte(0); ok {
+		t.Error("TryLoadByte hit an unmapped page")
+	}
+	if err := m.Store(a, 1, 0x1ab); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := m.TryLoadByte(a); !ok || v != 0xab {
+		t.Errorf("TryLoadByte = %#x, %v; want 0xab, true", v, ok)
+	}
+	if !m.TryStoreByte(a, 0x2cd) {
+		t.Error("TryStoreByte missed a cached writable page")
+	}
+	if v, err := m.Load(a-7, 8); err != nil || v != 0xcd<<56 {
+		t.Errorf("word ending at the stored byte = %#x, %v; want %#x", v, err, uint64(0xcd)<<56)
+	}
+	m.Map(pg, PageSize, R)
+	if m.TryStoreByte(a, 1) {
+		t.Error("TryStoreByte succeeded on a page remapped read-only")
+	}
+	m.Map(pg, PageSize, 0)
+	if _, ok := m.TryLoadByte(a); ok {
+		t.Error("TryLoadByte succeeded on a page with no permissions")
+	}
+}
+
 func TestResetFlushesCache(t *testing.T) {
 	m := New()
 	// One page per cache entry, each touched so every entry is filled.

@@ -19,17 +19,21 @@ import (
 // PIns-stride records, holds the frame's register file and the cycle delta
 // in locals across the body, evaluates every ALU operator of the register
 // and constant Bin shapes inline (division behind an outlined zero-divisor
-// trap), and inlines the page-translation-cache hit paths of the hottest
-// operand shapes; only control-flow joins, traps and uncompiled code return
-// to dispatch. mergePairs fuses the hottest adjacent shapes — compare +
-// branch, add/sub + call/return, GEP + the word load/store through its
-// fresh address — into one op each. Trace-extending unconditional
-// branches cost no op of their own: foldBranches drops them and marks the
-// following op, which charges the branch in front of itself. A trampoline
-// at segment exit chains directly into the next segment (the target of a
-// terminal branch, a callee entry, a return continuation) without
-// surfacing to the dispatch loop at all, charging exactly the bookkeeping
-// the loop would have.
+// trap) and casts of a register (a char cast as a result mask), and inlines
+// the page-translation-cache hit paths of the plain memory accesses: word
+// loads and stores through a register, a safe-eligible frame object or a
+// global, and byte loads and stores through a register. Protected accesses
+// and every other shape run their own handler in place (skGeneric); only
+// control-flow joins, traps and uncompiled code return to dispatch.
+// mergePairs fuses the hottest adjacent shapes — compare + branch, add/sub
+// + call/return, GEP + the word load/store through its fresh address —
+// into one op each. Trace-extending unconditional branches cost no op of
+// their own: foldBranches drops them and marks the following op, which
+// charges the branch in front of itself. A trampoline at segment exit
+// chains directly into the next segment (the target of a terminal branch,
+// a callee entry, a return continuation) without surfacing to the
+// dispatch loop at all, charging exactly the bookkeeping the loop would
+// have.
 //
 // Block compilation is pure dispatch elimination: every constituent,
 // folded branches included, charges its own Cycles in original order and
@@ -70,10 +74,19 @@ const (
 	skGEPRR       // base reg + index reg (aux = scale, imm = offset)
 	skGEPRC       // base reg + constant (imm = whole precomputed offset)
 	skGEPGR       // global + index reg (aux = scale, imm = slide-free offset)
+	skCastR       // cast of a register (imm = result mask: 0xff for a char cast)
 	skLoadRegW8   // plain word load, register address
 	skLoadFrameW8 // plain word load, safe-eligible frame object
-	skStoreRegW8
-	skStoreFrameW8
+	skLoadGlobW8  // plain word load, global object (imm = slide-free offset)
+	skLoadRegB    // plain 1-byte load, register address
+	// The stores take a register value, or with bReg -1 the constant imm;
+	// the register-address word store and the frame store also evaluate any
+	// other value operand through in.B (bReg -2).
+	skStoreRegW8   // plain word store, register address
+	skStoreFrameW8 // plain word store, safe-eligible frame object (aux = offset)
+	skStoreGlobW8  // plain word store, global object (aux = slide-free offset)
+	skStoreRegB    // plain 1-byte store, register address
+
 	skBr      // trace-extending unconditional branch not folded (a br follows)
 	skCondBrX // trace-extending branch on a register: fall-through arm is the
 	// next op, taken arm exits the activation early (imm = taken, aux =
@@ -120,8 +133,8 @@ type segOp struct {
 	pc   int32
 	k    int32
 	brPC int32
-	imm  uint64 // immediate / pre-summed frame or global offset / branch target / site ordinal
-	aux  uint64 // GEP scale / CondBr fallthrough target
+	imm  uint64 // immediate / pre-summed frame or global offset / cast mask / branch target / site ordinal
+	aux  uint64 // GEP scale / store's frame or global offset / CondBr fallthrough target
 	in   *PIns
 	h    handler
 }
@@ -172,38 +185,56 @@ func makeSegOp(p *ir.Program, c *Code, in *PIns, pc, k int) segOp {
 			op.aux = uint64(in.Scale)
 			op.imm = c.GlobalOff[in.A.Index] + in.A.Imm + uint64(in.Off)
 		}
-	case ir.OpLoad:
-		if in.Flags&protMask == 0 && in.Size == 8 {
-			switch in.A.Kind {
-			case ir.ValReg:
-				op.kind, op.aReg, op.dst = skLoadRegW8, in.A.Reg, in.Dst
-			case ir.ValFrame:
-				if !in.A.Unsafe {
-					op.kind, op.dst = skLoadFrameW8, in.Dst
-					op.imm = uint64(in.A.ObjOff) + in.A.Imm
-				}
+	case ir.OpCast:
+		// hCast ignores protection flags (no pass sets one on a cast).
+		if in.A.Kind == ir.ValReg {
+			op.kind, op.aReg, op.dst, op.imm = skCastR, in.A.Reg, in.Dst, ^uint64(0)
+			if in.CastChar {
+				op.imm = 0xff
 			}
 		}
+	case ir.OpLoad:
+		if in.Flags&protMask != 0 {
+			break
+		}
+		switch {
+		case in.Size == 8 && in.A.Kind == ir.ValReg:
+			op.kind, op.aReg, op.dst = skLoadRegW8, in.A.Reg, in.Dst
+		case in.Size == 8 && in.A.Kind == ir.ValFrame && !in.A.Unsafe:
+			op.kind, op.dst = skLoadFrameW8, in.Dst
+			op.imm = uint64(in.A.ObjOff) + in.A.Imm
+		case in.Size == 8 && in.A.Kind == ir.ValGlobal:
+			// Like skGEPGR: the runner adds the machine's slid data base.
+			op.kind, op.dst = skLoadGlobW8, in.Dst
+			op.imm = c.GlobalOff[in.A.Index] + in.A.Imm
+		case in.Size == 1 && in.A.Kind == ir.ValReg:
+			op.kind, op.aReg, op.dst = skLoadRegB, in.A.Reg, in.Dst
+		}
 	case ir.OpStore:
-		if in.Flags&protMask == 0 && in.Size == 8 {
-			switch in.B.Kind {
-			case ir.ValReg:
-				op.bReg = in.B.Reg
-			case ir.ValConst:
-				op.bReg, op.imm = -1, in.B.Imm
-			default:
-				op.bReg = -2 // slow operand evaluation via in.B
-			}
-			switch {
-			case in.A.Kind == ir.ValReg:
-				op.kind, op.aReg = skStoreRegW8, in.A.Reg
-			case in.A.Kind == ir.ValFrame && !in.A.Unsafe:
-				// aux carries the frame displacement; imm may hold a
-				// constant stored value.
-				op.kind, op.aux = skStoreFrameW8, uint64(in.A.ObjOff)+in.A.Imm
-			default:
-				op.bReg, op.imm = 0, 0 // stay generic
-			}
+		if in.Flags&protMask != 0 {
+			break
+		}
+		switch in.B.Kind {
+		case ir.ValReg:
+			op.bReg = in.B.Reg
+		case ir.ValConst:
+			op.bReg, op.imm = -1, in.B.Imm
+		default:
+			op.bReg = -2 // slow operand evaluation via in.B
+		}
+		// aux carries a frame or global displacement; imm may hold a
+		// constant stored value.
+		switch {
+		case in.Size == 8 && in.A.Kind == ir.ValReg:
+			op.kind, op.aReg = skStoreRegW8, in.A.Reg
+		case in.Size == 8 && in.A.Kind == ir.ValFrame && !in.A.Unsafe:
+			op.kind, op.aux = skStoreFrameW8, uint64(in.A.ObjOff)+in.A.Imm
+		case in.Size == 8 && in.A.Kind == ir.ValGlobal && op.bReg != -2:
+			op.kind, op.aux = skStoreGlobW8, c.GlobalOff[in.A.Index]+in.A.Imm
+		case in.Size == 1 && in.A.Kind == ir.ValReg && op.bReg != -2:
+			op.kind, op.aReg = skStoreRegB, in.A.Reg
+		default:
+			op.bReg, op.imm = 0, 0 // stay generic
 		}
 	case ir.OpRet:
 		op.kind = skRet
@@ -480,11 +511,13 @@ func hSeg(m *Machine, f *frame, in *PIns) {
 // derefCheck/loadProt of flagged accesses; and SetHook callbacks see the
 // exported Machine API, which exposes no register metadata. When tm is
 // false the inline paths of the segment executors, segCall and segRet skip
-// every metadata read and write, registers and safe-stack shadow alike,
-// while the handlers and the slow paths keep maintaining it: stale
-// metadata can then reach a register, but nothing reads it, and
-// maintenance is never charged, so Cycles, Steps, traps and output are
-// those of the NoBlockCompile full-metadata run.
+// every metadata read and write, registers and safe-stack shadow alike
+// (when it is true they write what the handlers write: a cast or a Mov
+// copies its operand's metadata, and a plain load outside the safe stack
+// writes invalidMeta), while the handlers and the slow paths keep
+// maintaining it: stale metadata can then reach a register, but nothing
+// reads it, and maintenance is never charged, so Cycles, Steps, traps and
+// output are those of the NoBlockCompile full-metadata run.
 func (m *Machine) runSegment(f *frame) {
 	cost := &m.cfg.Cost
 	safeStack := m.caps.safeStack
@@ -619,6 +652,15 @@ activation:
 						cyc += cost.SBGEP
 					}
 
+				case skCastR:
+					// hCast: the value masked to the cast's width, its
+					// metadata propagated.
+					regs[op.dst] = regs[op.aReg] & op.imm
+					if tm {
+						meta[op.dst] = meta[op.aReg]
+					}
+					cyc += cost.Cast
+
 				case skLoadRegW8:
 					addr := regs[op.aReg]
 					if v, ok := m.mem.TryLoadWord(addr); ok {
@@ -631,6 +673,38 @@ activation:
 					}
 					f.pc = int(op.pc)
 					m.loadPlainInto(f, addr, false, op.dst, 8)
+					if m.trap != nil {
+						break body
+					}
+
+				case skLoadGlobW8:
+					addr := globalBase + m.slideData + op.imm
+					if v, ok := m.mem.TryLoadWord(addr); ok {
+						cyc += cost.Load
+						regs[op.dst] = v
+						if tm {
+							meta[op.dst] = invalidMeta
+						}
+						break
+					}
+					f.pc = int(op.pc)
+					m.loadPlainInto(f, addr, false, op.dst, 8)
+					if m.trap != nil {
+						break body
+					}
+
+				case skLoadRegB:
+					addr := regs[op.aReg]
+					if v, ok := m.mem.TryLoadByte(addr); ok {
+						cyc += cost.Load
+						regs[op.dst] = v
+						if tm {
+							meta[op.dst] = invalidMeta
+						}
+						break
+					}
+					f.pc = int(op.pc)
+					m.loadPlainInto(f, addr, false, op.dst, 1)
 					if m.trap != nil {
 						break body
 					}
@@ -680,6 +754,44 @@ activation:
 					}
 					f.pc = int(op.pc)
 					m.storePlainSlow(f, addr, false, val, invalidMeta, 8)
+					if m.trap != nil {
+						break body
+					}
+
+				case skStoreGlobW8:
+					addr := globalBase + m.slideData + op.aux
+					val := op.imm
+					if op.bReg >= 0 {
+						val = regs[op.bReg]
+					}
+					if sfi {
+						cyc += cost.SFIMask
+					}
+					if m.mem.TryStoreWord(addr, val) {
+						cyc += cost.Store
+						break
+					}
+					f.pc = int(op.pc)
+					m.storePlainSlow(f, addr, false, val, invalidMeta, 8)
+					if m.trap != nil {
+						break body
+					}
+
+				case skStoreRegB:
+					addr := regs[op.aReg]
+					val := op.imm
+					if op.bReg >= 0 {
+						val = regs[op.bReg]
+					}
+					if sfi {
+						cyc += cost.SFIMask
+					}
+					if m.mem.TryStoreByte(addr, val) {
+						cyc += cost.Store
+						break
+					}
+					f.pc = int(op.pc)
+					m.storePlainSlow(f, addr, false, val, invalidMeta, 1)
 					if m.trap != nil {
 						break body
 					}

@@ -3,14 +3,17 @@ package vm
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"unsafe"
 
+	"repro/internal/analysis"
 	"repro/internal/backend"
 	"repro/internal/ctypes"
 	"repro/internal/instrument"
 	"repro/internal/ir"
 	"repro/internal/irgen"
+	"repro/internal/workloads"
 )
 
 // srcBrChainGlobals exercises the segment shapes whose accounting is
@@ -77,6 +80,29 @@ int main(void) {
 	return s & 255;
 }`
 
+// srcByteGlobals exercises the byte and global-scalar shapes: casts of a
+// register to char and back to int (skCastR; the char cast's result is
+// used unstored, so its truncation shows), byte stores of a register and of a constant
+// through a pointer (skStoreRegB), byte loads through it (skLoadRegB), and
+// word loads and stores of global scalars (skLoadGlobW8, skStoreGlobW8),
+// the stores of a register and of a constant.
+const srcByteGlobals = `
+char buf[16];
+int total;
+int last;
+int main(void) {
+	char *p = buf;
+	for (int i = 0; i < 12; i++) {
+		int v = (char)(i * 37 + total);
+		p[i] = v;
+		total = total + v + p[i];
+		last = 7;
+	}
+	p[3] = 120;
+	last = total;
+	return (total ^ total >> 8 ^ p[3] ^ last) & 255;
+}`
+
 // segCensus tallies segment ops: by kind, the folded branches, and the
 // Bin ops whose operator is neither add/sub nor a comparison (the
 // operators that left the executor before it inlined the whole ALU).
@@ -116,7 +142,7 @@ func segOpCensus(codes ...*Code) segCensus {
 // between the constituents of an address-mode pair must have run the GEP
 // alone. SafeStack arms the segment executors' metadata maintenance (the
 // global GEP bounds); PIE slides the data segment under the compile-time
-// global offsets.
+// global offsets; SFI isolation charges the plain stores' masking.
 func TestSegmentBudgetSweep(t *testing.T) {
 	var codes []*Code
 	for _, s := range []struct {
@@ -125,12 +151,13 @@ func TestSegmentBudgetSweep(t *testing.T) {
 	}{
 		{srcBrChainGlobals, irgen.Options{}},
 		{srcSegShapes, irgen.Options{PromoteRegisters: true}},
+		{srcByteGlobals, irgen.Options{PromoteRegisters: true}},
 	} {
 		p := compileWith(t, s.src, s.opts)
 		blockCode := PredecodeWith(p, PredecodeOptions{})
 		plainCode := PredecodeWith(p, PredecodeOptions{NoBlockCompile: true})
 		codes = append(codes, blockCode)
-		for _, cfg := range []Config{{}, {Protect: backend.SafeStack}, {ASLR: true, PIE: true, Seed: 7}} {
+		for _, cfg := range []Config{{}, {Protect: backend.SafeStack}, {ASLR: true, PIE: true, Seed: 7}, {Isolation: IsoSFI}} {
 			full := runCode(t, p, plainCode, cfg)
 			if full.Trap != TrapExit {
 				t.Fatalf("full run: trap %v (%v)", full.Trap, full.Err)
@@ -154,7 +181,8 @@ func TestSegmentBudgetSweep(t *testing.T) {
 	}
 	for _, k := range []uint8{skBr, skGEPGR, skBinCR,
 		skPairGEPRRLoad, skPairGEPRCLoad, skPairGEPGRLoad,
-		skPairGEPRRStore, skPairGEPRCStore, skPairGEPGRStore} {
+		skPairGEPRRStore, skPairGEPRCStore, skPairGEPGRStore,
+		skCastR, skLoadRegB, skStoreRegB, skLoadGlobW8, skStoreGlobW8} {
 		if n.kinds[k] == 0 {
 			t.Errorf("no segment op of kind %d; the sweep needs every widened shape", k)
 		}
@@ -163,29 +191,51 @@ func TestSegmentBudgetSweep(t *testing.T) {
 
 // TestSegmentPairFaults makes the second constituent of each address-mode
 // pair fault: a load or store through a null base plus an index (register
-// or constant) and through a global indexed far out of its segment. The
-// fault is raised on the slow path at the load or store, so the blocks run
-// must report the same trap, pc, steps and cycles as the dispatch loop.
+// or constant) and through a global indexed far out of its segment. It
+// makes the byte executors fault too: a byte load and a byte store through
+// a null pointer, and a byte store into a string literal's read-only page.
+// Each fault is raised on the slow path, so the blocks run must report the
+// same trap, message, pc, steps and cycles as the dispatch loop.
 func TestSegmentPairFaults(t *testing.T) {
-	srcs := []string{`
+	const unmapped, readOnly = "unmapped address", "write of non-writable page"
+	cases := []struct {
+		src   string
+		kind  uint8
+		fault string
+	}{
+		{`
 int get(int *p, int i) { return p[i]; }
-int main(void) { int *z = 0; return get(z, 3); }`, `
+int main(void) { int *z = 0; return get(z, 3); }`, skPairGEPRRLoad, unmapped},
+		{`
 int put(int *p, int i) { p[i] = i; return 0; }
-int main(void) { int *z = 0; return put(z, 3); }`, `
+int main(void) { int *z = 0; return put(z, 3); }`, skPairGEPRRStore, unmapped},
+		{`
 int get(int *p) { return p[2]; }
-int main(void) { int *z = 0; return get(z); }`, `
+int main(void) { int *z = 0; return get(z); }`, skPairGEPRCLoad, unmapped},
+		{`
 int put(int *p, int v) { p[2] = v; return 0; }
-int main(void) { int *z = 0; return put(z, 5); }`, `
+int main(void) { int *z = 0; return put(z, 5); }`, skPairGEPRCStore, unmapped},
+		{`
 int g[4];
-int main(void) { int i = 1 << 40; return g[i]; }`, `
+int main(void) { int i = 1 << 40; return g[i]; }`, skPairGEPGRLoad, unmapped},
+		{`
 int g[4];
-int main(void) { int i = 1 << 40; int v = 9; g[i] = v; return 0; }`}
-	want := []uint8{skPairGEPRRLoad, skPairGEPRRStore, skPairGEPRCLoad, skPairGEPRCStore, skPairGEPGRLoad, skPairGEPGRStore}
-	for i, src := range srcs {
-		p := compileWith(t, src, irgen.Options{PromoteRegisters: true})
+int main(void) { int i = 1 << 40; int v = 9; g[i] = v; return 0; }`, skPairGEPGRStore, unmapped},
+		{`
+int get(char *p) { return p[3]; }
+int main(void) { char *z = 0; return get(z); }`, skLoadRegB, unmapped},
+		{`
+int put(char *p, int v) { p[3] = (char)v; return 0; }
+int main(void) { char *z = 0; return put(z, 5); }`, skStoreRegB, unmapped},
+		{`
+int put(char *p, int v) { p[1] = (char)v; return p[0]; }
+int main(void) { return put("hello", 97); }`, skStoreRegB, readOnly},
+	}
+	for i, c := range cases {
+		p := compileWith(t, c.src, irgen.Options{PromoteRegisters: true})
 		blockCode := PredecodeWith(p, PredecodeOptions{})
-		if segOpCensus(blockCode).kinds[want[i]] == 0 {
-			t.Fatalf("program %d compiled no pair of kind %d", i, want[i])
+		if segOpCensus(blockCode).kinds[c.kind] == 0 {
+			t.Fatalf("program %d compiled no op of kind %d", i, c.kind)
 		}
 		b := runCode(t, p, blockCode, Config{})
 		n := runCode(t, p, PredecodeWith(p, PredecodeOptions{NoBlockCompile: true}), Config{})
@@ -195,6 +245,73 @@ int main(void) { int i = 1 << 40; int v = 9; g[i] = v; return 0; }`}
 		if b.Err.PC != n.Err.PC || b.Steps != n.Steps || b.Cycles != n.Cycles {
 			t.Fatalf("program %d: blocks pc=%s steps=%d cycles=%d; noblocks pc=%s steps=%d cycles=%d",
 				i, b.Err.PC, b.Steps, b.Cycles, n.Err.PC, n.Steps, n.Cycles)
+		}
+		if !strings.Contains(b.Err.Msg, c.fault) || b.Err.Msg != n.Err.Msg {
+			t.Fatalf("program %d: fault blocks %q, noblocks %q; want %q", i, b.Err.Msg, n.Err.Msg, c.fault)
+		}
+	}
+}
+
+// fallbackShape reports whether an instruction is one of the shapes the
+// segments inline because they dominated the serving pages' handler
+// fallbacks: a cast of a register, a plain 1-byte load or store through a
+// register, and a plain word load or store whose address is a global, the
+// stores of a register or constant value.
+func fallbackShape(in *PIns) bool {
+	plainAddr := in.Flags&protMask == 0 &&
+		(in.Size == 1 && in.A.Kind == ir.ValReg || in.Size == 8 && in.A.Kind == ir.ValGlobal)
+	switch in.Op {
+	case ir.OpCast:
+		return in.A.Kind == ir.ValReg
+	case ir.OpLoad:
+		return plainAddr
+	case ir.OpStore:
+		return plainAddr && (in.B.Kind == ir.ValReg || in.B.Kind == ir.ValConst)
+	}
+	return false
+}
+
+// TestFallbackShapesInline compiles every workload source as core.Compile
+// does under vanilla, cps, cpi and pac and requires that no segment op
+// whose instruction has a fallbackShape stays skGeneric, except the op a
+// trace cut at segMaxOps ends in. It guards makeSegOp against silently
+// sending a shape back to its handler.
+func TestFallbackShapesInline(t *testing.T) {
+	srcs := map[string]string{}
+	for _, set := range [][]workloads.Workload{workloads.Micro(), workloads.Spec(), workloads.Phoronix()} {
+		for _, w := range set {
+			srcs[w.Name] = w.Src
+		}
+	}
+	for _, pg := range append(workloads.WebStack(), workloads.WebServe()...) {
+		srcs[pg.Name] = pg.Src
+	}
+	inline := map[uint8]int{}
+	for name, src := range srcs {
+		for _, prot := range []backend.Protection{backend.Vanilla, backend.CPS, backend.CPI, backend.PAC} {
+			p := compileWith(t, src, irgen.Options{PromoteRegisters: true})
+			if bk := prot.Backend(); bk != nil {
+				pt := analysis.SolvePointsTo(p)
+				instrument.SafeStack(p)
+				instrument.WithBackend(p, bk, instrument.Opts{PointsTo: pt})
+			}
+			c := PredecodeWith(p, PredecodeOptions{})
+			for fi := range c.Funcs {
+				for _, op := range c.Funcs[fi].SegOps {
+					switch {
+					case !fallbackShape(op.in):
+					case op.kind != skGeneric:
+						inline[op.kind]++
+					case op.k != segMaxOps-1:
+						t.Errorf("%s/%v: %s op %d (pc %d) stays generic", name, prot, p.Funcs[fi].Name, op.in.Op, op.pc)
+					}
+				}
+			}
+		}
+	}
+	for _, k := range []uint8{skCastR, skLoadRegB, skStoreRegB, skLoadGlobW8, skStoreGlobW8} {
+		if inline[k] == 0 {
+			t.Errorf("no workload compiled an op of kind %d; the census would be vacuous for it", k)
 		}
 	}
 }

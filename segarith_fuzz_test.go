@@ -9,16 +9,25 @@ import (
 )
 
 // FuzzSegmentArith turns fuzz bytes into a short mini-C program of integer
-// arithmetic and word loads and stores over global arrays, then runs it
-// under vanilla and cpi with block compilation on and off: the segment
-// executors (the inline ALU, the const ⊗ reg shape, the GEP→load/store
-// pairs) must be invisible, so Trap, Steps, Cycles, ExitCode, Output and
-// the trap PC must agree. Every operand starts out in the initialized
-// global k, so the front end cannot fold the arithmetic away; division may
-// hit a zero divisor and shifts take any count, and the input may also
-// pick a small step budget that cuts the run mid-segment.
+// arithmetic and word loads and stores over global arrays, casts to char,
+// byte loads and stores through a pointer into a global char array, and
+// loads and stores of a global int scalar, then runs it under vanilla and
+// cpi with block compilation on and off: the segment executors (the inline
+// ALU, the const ⊗ reg shape, the GEP→load/store pairs, the register cast,
+// the byte and global-scalar accesses) must be invisible, so Trap, Steps,
+// Cycles, ExitCode, Output and the trap PC must agree. Every operand starts
+// out in the initialized global k, so the front end cannot fold the
+// arithmetic away; division may hit a zero divisor and shifts take any
+// count, and the input may also pick a small step budget that cuts the run
+// mid-segment.
 func FuzzSegmentArith(f *testing.F) {
 	f.Add([]byte("arith"))
+	// No budget, k = {0, 1, 2, 3, 7, 8, 63, 64}, 8 iterations of s = s;
+	// then byteLoop's 8 iterations of one statement of each char and
+	// scalar kind: p[i] = (char)(t), p[5] = 63, t = t ^ p[i], z = i,
+	// s = s - (char)(z).
+	f.Add([]byte{0, 0, 1, 2, 3, 4, 5, 6, 7, 7, 0, 0, 0,
+		5, 7, 0, 0, 3, 1, 16, 6, 2, 0, 3, 6, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src, budget := arithProgram(data)
 		for _, cfg := range []core.Config{{DEP: true}, {Protect: core.CPI, DEP: true}} {
@@ -71,7 +80,8 @@ func arithProgram(data []byte) (string, int64) {
 		}
 		g.b.WriteString(arithConsts[g.next()%len(arithConsts)])
 	}
-	g.b.WriteString("};\nint a[8];\nint b[8];\nint main(void) {\n\tint s = k[0];\n\tint t = k[1];\n")
+	g.b.WriteString("};\nint a[8];\nint b[8];\nchar c[8];\nint z;\n" +
+		"int main(void) {\n\tchar *p = c;\n\tint s = k[0];\n\tint t = k[1];\n")
 	fmt.Fprintf(&g.b, "\tfor (int i = 0; i < %d; i++) {\n", 1+g.next()%8)
 	for n := 1 + g.next()%8; n > 0; n-- {
 		g.b.WriteString("\t\t")
@@ -97,8 +107,50 @@ func arithProgram(data []byte) (string, int64) {
 		g.expr(2)
 		g.b.WriteString(";\n")
 	}
-	g.b.WriteString("\t}\n\tprintf(\"%d %d %d\\n\", s, t, a[3] + b[5]);\n\treturn (s ^ t) & 255;\n}\n")
+	g.b.WriteString("\t}\n")
+	g.byteLoop()
+	g.b.WriteString("\tprintf(\"%d %d %d %d\\n\", s, t, a[3] + b[5], z + p[2]);\n\treturn (s ^ t) & 255;\n}\n")
 	return g.b.String(), budget
+}
+
+// byteLoop writes a second loop of up to five statements over the char
+// array c, through the pointer p, and the int scalar z: a cast to char
+// stored as a byte, a constant byte store, a byte load, a store of z, and a
+// load of z cast to char. It reads its bytes after every other part of the program and
+// runs after the first loop, so an existing corpus input keeps its first
+// loop, and a budget cut or trap inside it, unchanged.
+func (g *arithGen) byteLoop() {
+	n := g.next() % 6
+	if n == 0 {
+		return
+	}
+	fmt.Fprintf(&g.b, "\tfor (int i = 0; i < %d; i++) {\n", 1+g.next()%8)
+	for ; n > 0; n-- {
+		g.b.WriteString("\t\t")
+		switch g.next() % 5 {
+		case 0:
+			g.b.WriteString("p[")
+			g.index(1)
+			g.b.WriteString("] = (char)(")
+			g.expr(2)
+			g.b.WriteString(");\n")
+		case 1:
+			g.b.WriteString("p[")
+			g.index(1)
+			fmt.Fprintf(&g.b, "] = %s;\n", arithConsts[g.next()%len(arithConsts)])
+		case 2:
+			g.b.WriteString("t = t ^ p[")
+			g.index(1)
+			g.b.WriteString("];\n")
+		case 3:
+			g.b.WriteString("z = ")
+			g.expr(2)
+			g.b.WriteString(";\n")
+		default:
+			g.b.WriteString("s = s - (char)(z);\n")
+		}
+	}
+	g.b.WriteString("\t}\n")
 }
 
 // index writes an in-bounds array index: the loop counter (below 8), a
