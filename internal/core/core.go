@@ -116,11 +116,6 @@ type Config struct {
 	Isolation      vm.IsolationMode
 	DebugDualStore bool
 	TemporalSafety bool
-	// SweepEvery runs the periodic temporal-safety sweep after every
-	// SweepEvery-th allocation (0 disables it): live allocations'
-	// safe-pointer-store entries are validated against their CETS ids and
-	// stale ones dropped. See vm.Config.SweepEvery.
-	SweepEvery int64
 
 	// Runtime parameters.
 	Seed     int64
@@ -221,14 +216,9 @@ func Compile(src string, cfg Config) (*Program, error) {
 // on first use. It is safe for concurrent use; all machines of this program
 // share one result.
 func (p *Program) Predecoded() *vm.Code {
-	opt := vm.PredecodeOptions{NoBlockCompile: p.Cfg.NoBlockCompile}
-	if p.Cfg.AuditSensitive {
-		// The audit checks live in the general load/store paths only:
-		// AuditHooks forces them (and disables block compilation, whose
-		// executors inline memory accesses) so no access can bypass the
-		// oracle.
-		opt.AuditHooks = true
-	}
+	// The audit checks live in the general load/store paths only, which
+	// AuditHooks forces (vm.NewShared refuses to audit code without them).
+	opt := vm.PredecodeOptions{NoBlockCompile: p.Cfg.NoBlockCompile, AuditHooks: p.Cfg.AuditSensitive}
 	if p.pre == nil {
 		// Program built by hand rather than Compile: predecode unshared.
 		return vm.PredecodeWith(p.IR, opt)
@@ -253,7 +243,6 @@ func (p *Program) VMConfig() vm.Config {
 		Isolation:      p.Cfg.Isolation,
 		DebugDualStore: p.Cfg.DebugDualStore,
 		TemporalSafety: p.Cfg.TemporalSafety,
-		SweepEvery:     p.Cfg.SweepEvery,
 		AuditSensitive: p.Cfg.AuditSensitive,
 		Seed:           p.Cfg.Seed,
 		Input:          p.Cfg.Input,

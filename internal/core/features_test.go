@@ -224,46 +224,83 @@ int main(void) {
 	}
 }
 
-func TestTemporalSweepCleansDanglingTargetEntries(t *testing.T) {
-	// The free()-time bulk invalidation drops the entries *inside* the
-	// freed region; entries elsewhere that point *into* it keep validating
-	// spatially and become dangling. That is the hole the periodic
-	// temporal-safety sweep closes: each entry records the CETS id of its
-	// target object, so once the target is freed (and later recycled under
-	// a new id) the sweep sees the mismatch and drops the stale entry.
-	src := `
+// temporalPrelude frees b while a->next still points at it, so the entry
+// at &a->next keeps b's address and id. Each probe calls through a
+// code pointer reached via a freed object; a node's first field is its
+// code pointer, so an object recycled at b's address (c, y) puts h where
+// the stale pointer looks.
+const temporalPrelude = `
 struct node { void (*fn)(void); struct node *next; };
 void f(void) { puts("f"); }
+void h(void) { puts("h"); }
 int main(void) {
 	struct node *a = (struct node *)malloc(sizeof(struct node));
 	struct node *b = (struct node *)malloc(sizeof(struct node));
 	a->fn = f;
 	b->fn = f;
-	a->next = b; // protected store: the entry records b's CETS id
-	free(b);     // invalidates b's slots, NOT the entry at &a->next
-	struct node *c = (struct node *)malloc(sizeof(struct node)); // recycles b's address
-	c->fn = f;
-	return (c != 0) + 1;
-}
+	a->next = b;
+	free(b);
 `
-	r := runT(t, src, Config{Protect: CPI, DEP: true, SweepEvery: 1})
-	if r.Trap != vm.TrapExit || r.ExitCode != 2 {
-		t.Fatalf("trap = %v exit = %d (%v), want clean exit 2", r.Trap, r.ExitCode, r.Err)
+
+// recycleB reallocates b's address as c.
+const recycleB = "\tstruct node *c = (struct node *)malloc(sizeof(struct node));\n\tc->fn = h;\n"
+
+// temporalProbes are the four temporal-reuse attacks of the table.
+var temporalProbes = []struct{ name, src string }{
+	{"recycled target", temporalPrelude + recycleB + "\ta->next->fn();\n\treturn 0;\n}\n"},
+	{"freed target", temporalPrelude + "\ta->next->fn();\n\treturn 0;\n}\n"},
+	{"recycled target, 10 mallocs", temporalPrelude + recycleB +
+		"\tfor (int i = 0; i < 10; i++)\n\t\tmalloc(64);\n\ta->next->fn();\n\treturn 0;\n}\n"},
+	// The stale pointer is a local, held outside the safe pointer store.
+	{"stale local pointer", temporalPrelude + `	struct node *x = (struct node *)malloc(sizeof(struct node));
+	x->fn = f;
+	struct node *stale = x;
+	free(x);
+	struct node *y = (struct node *)malloc(sizeof(struct node));
+	y->fn = h;
+	stale->fn();
+	return 0;
+}
+`},
+}
+
+// temporalColumns are the configurations of the temporal-reuse table.
+var temporalColumns = []struct {
+	name string
+	cfg  Config
+}{
+	{"cps", Config{Protect: CPS, DEP: true}},
+	{"cpi", Config{Protect: CPI, DEP: true}},
+	{"cpi+ids", Config{Protect: CPI, DEP: true, TemporalSafety: true}},
+	{"pac", Config{Protect: PAC, DEP: true}},
+}
+
+// TestTemporalReuseTable pins what each temporal mechanism stops. cps and
+// cpi rely on free()-time invalidation alone, which drops the entries
+// inside the freed object: it stops a call through the freed object's own
+// slot, but not through one that a recycled object has refilled. The CETS
+// id check (cpi+ids) traps every probe, including the stale pointer held
+// in a local. pac invalidates nothing on free, so even the freed object's
+// old signed word authenticates (the gap a per-object tag would close).
+func TestTemporalReuseTable(t *testing.T) {
+	type outcome struct {
+		trap vm.TrapKind
+		out  string
 	}
-	if r.SweepRuns == 0 {
-		t.Fatal("SweepEvery=1 ran no sweeps")
+	exitH, cpiViol := outcome{vm.TrapExit, "h\n"}, outcome{vm.TrapCPIViolation, ""}
+	want := [][]outcome{ // [probe][column]
+		{exitH, exitH, cpiViol, exitH},
+		{{vm.TrapCPSViolation, ""}, cpiViol, cpiViol, {vm.TrapExit, "f\n"}},
+		{exitH, exitH, cpiViol, exitH},
+		{exitH, exitH, cpiViol, exitH},
 	}
-	if r.SweepDropped == 0 {
-		t.Error("sweep dropped no entries: the dangling next-pointer entry survived")
-	}
-	if r.SweepCycles <= 0 {
-		t.Error("sweep cycles not accounted")
-	}
-	// Without the sweep the dangling entry survives the whole run,
-	// confirming the sweep is what cleaned it.
-	r0 := runT(t, src, Config{Protect: CPI, DEP: true})
-	if r0.Trap != vm.TrapExit || r0.SweepRuns != 0 {
-		t.Fatalf("baseline: trap=%v sweeps=%d", r0.Trap, r0.SweepRuns)
+	for pi, p := range temporalProbes {
+		for ci, c := range temporalColumns {
+			r := runT(t, p.src, c.cfg)
+			if got := (outcome{r.Trap, r.Output}); got != want[pi][ci] {
+				t.Errorf("%s under %s: got %+v (%v), want %+v", p.name, c.name, got, r.Err, want[pi][ci])
+			}
+		}
 	}
 }
 

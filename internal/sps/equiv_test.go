@@ -2,15 +2,13 @@ package sps
 
 // Cross-implementation equivalence suite: the three safe-pointer-store
 // organisations differ only in access cost and memory footprint; their
-// observable state — Get, Len, and the ScanRange enumeration — must be
-// identical under any operation sequence. A seeded randomized driver
-// exercises Set/Get/Delete/Reset plus the bulk entry points (CopyRange,
-// DeleteRange, DropPages, ScanRange) against a model map and checks every
-// store after every step.
+// observable state — Get and Len — must be identical under any operation
+// sequence. A seeded random operation sequence exercises Set/Get/Delete/
+// Reset plus the bulk entry points (CopyRange, DeleteRange, DropPages)
+// against a model map and checks every store periodically.
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -79,42 +77,6 @@ func (m modelStore) dropPages(base uint64, words int) int {
 	return removed
 }
 
-// dumpRange enumerates the model's entries with slot address in [lo, hi).
-func (m modelStore) dumpRange(lo, hi uint64) []scanPair {
-	var out []scanPair
-	for _, p := range m.dump() {
-		if p.addr >= lo && p.addr < hi {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// dump enumerates (slot-address, entry) pairs in ascending address order —
-// the order ScanRange guarantees.
-func (m modelStore) dump() []scanPair {
-	out := make([]scanPair, 0, len(m))
-	for s, e := range m {
-		out = append(out, scanPair{s << 3, e})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].addr < out[j].addr })
-	return out
-}
-
-type scanPair struct {
-	addr uint64
-	e    Entry
-}
-
-func scanAll(s Store) []scanPair {
-	var out []scanPair
-	s.ScanRange(0, ^uint64(0), func(addr uint64, e Entry) bool {
-		out = append(out, scanPair{addr, e})
-		return true
-	})
-	return out
-}
-
 // randEntry draws an entry; about 1 in 8 is the zero Entry, exercising the
 // canonical set-zero-clears-slot semantics.
 func randEntry(rng *rand.Rand) Entry {
@@ -131,53 +93,27 @@ func randEntry(rng *rand.Rand) Entry {
 	}
 }
 
-// checkAgainstModel compares one store's full observable state to the model.
+// checkAgainstModel compares one store's full observable state to the
+// model: every model entry is present and equal, and equal Len then rules
+// out any entry the model lacks.
 func checkAgainstModel(t *testing.T, s named, model modelStore, step int) {
 	t.Helper()
 	if s.Len() != len(model) {
 		t.Fatalf("step %d: %s: Len = %d, model has %d", step, s.name, s.Len(), len(model))
 	}
-	got, want := scanAll(s), model.dump()
-	if len(got) != len(want) {
-		t.Fatalf("step %d: %s: Scan yields %d entries, model %d", step, s.name, len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("step %d: %s: Scan[%d] = %+v, want %+v", step, s.name, i, got[i], want[i])
-		}
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].addr <= got[i-1].addr {
-			t.Fatalf("step %d: %s: Scan order not strictly ascending at %d", step, s.name, i)
-		}
-	}
-}
-
-// checkScanRange compares a bounded scan against the model over one window.
-func checkScanRange(t *testing.T, s named, model modelStore, lo, hi uint64, step int) {
-	t.Helper()
-	var got []scanPair
-	s.ScanRange(lo, hi, func(addr uint64, e Entry) bool {
-		got = append(got, scanPair{addr, e})
-		return true
-	})
-	want := model.dumpRange(lo, hi)
-	if len(got) != len(want) {
-		t.Fatalf("step %d: %s: ScanRange(%#x,%#x) yields %d entries, model %d",
-			step, s.name, lo, hi, len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("step %d: %s: ScanRange[%d] = %+v, want %+v", step, s.name, i, got[i], want[i])
+	for slot, want := range model {
+		if e, ok := s.Get(slot << 3); !ok || e != want {
+			t.Fatalf("step %d: %s: Get(%#x) = %+v,%v want %+v", step, s.name, slot<<3, e, ok, want)
 		}
 	}
 }
 
 // checkFootprint asserts each organisation's documented footprint model.
-func checkFootprint(t *testing.T, s named, step int) {
+// The store has already matched the model (checkAgainstModel).
+func checkFootprint(t *testing.T, s named, model modelStore, step int) {
 	t.Helper()
 	fp, live := s.FootprintBytes(), int64(s.Len())
-	switch st := s.Store.(type) {
+	switch s.Store.(type) {
 	case *Hash:
 		// Entries plus key word and ~1.5x table slack — exact by model.
 		if want := live * (EntryBytes + 8) * 3 / 2; fp != want {
@@ -190,7 +126,9 @@ func checkFootprint(t *testing.T, s named, step int) {
 			t.Fatalf("step %d: array footprint %d not block-granular", step, fp)
 		}
 		pages := map[uint64]bool{}
-		st.ScanRange(0, ^uint64(0), func(addr uint64, _ Entry) bool { pages[addr>>12] = true; return true })
+		for slot := range model {
+			pages[slot>>9] = true
+		}
 		if min := int64(len(pages)) * pageWords * EntryBytes; fp < min {
 			t.Fatalf("step %d: array footprint %d below %d needed for %d live pages",
 				step, fp, min, len(pages))
@@ -228,7 +166,7 @@ func FuzzCrossStoreEquivalence(f *testing.F) {
 
 		const steps = 2000
 		for i := 0; i < steps; i++ {
-			switch op := rng.Intn(15); {
+			switch op := rng.Intn(14); {
 			case op < 5: // Set (sometimes the zero Entry)
 				a, e := addr(), randEntry(rng)
 				model.set(a, e)
@@ -280,12 +218,6 @@ func FuzzCrossStoreEquivalence(f *testing.F) {
 							i, units, removed)
 					}
 				}
-			case op < 14: // ScanRange over a random, possibly unaligned window
-				lo := addr() + uint64(rng.Intn(8))
-				hi := lo + uint64(rng.Intn(2*pageWords*8))
-				for _, s := range stores {
-					checkScanRange(t, s, model, lo, hi, i)
-				}
 			default:
 				if rng.Intn(50) == 0 { // rare full clear
 					model = modelStore{}
@@ -297,7 +229,7 @@ func FuzzCrossStoreEquivalence(f *testing.F) {
 			if i%100 == 99 || i == steps-1 {
 				for _, s := range stores {
 					checkAgainstModel(t, s, model, i)
-					checkFootprint(t, s, i)
+					checkFootprint(t, s, model, i)
 				}
 			}
 		}
@@ -326,44 +258,6 @@ func TestSetZeroEntryClears(t *testing.T) {
 		}
 		if s.Len() != 0 {
 			t.Errorf("%s: zero-entry Set on empty slot counted as live", s.name)
-		}
-	}
-}
-
-// TestScanRangeEarlyStopAndBounds: ScanRange stops on false and respects
-// the half-open window, including across shadow-page boundaries.
-func TestScanRangeEarlyStopAndBounds(t *testing.T) {
-	for _, s := range allStores() {
-		// Entries straddling a page boundary (page 0 and page 1).
-		for i := uint64(0); i < 2*pageWords; i += 2 {
-			s.Set(i*8, Entry{Value: i + 1, Kind: KindData, Upper: 64})
-		}
-		var addrs []uint64
-		lo, hi := uint64(pageWords-8)*8, uint64(pageWords+8)*8
-		s.ScanRange(lo, hi, func(a uint64, _ Entry) bool {
-			addrs = append(addrs, a)
-			return true
-		})
-		if len(addrs) != 8 {
-			t.Errorf("%s: ScanRange across pages visited %d entries, want 8", s.name, len(addrs))
-		}
-		for _, a := range addrs {
-			if a < lo || a >= hi {
-				t.Errorf("%s: ScanRange visited %#x outside [%#x,%#x)", s.name, a, lo, hi)
-			}
-		}
-		n := 0
-		s.ScanRange(0, 2*pageWords*8, func(uint64, Entry) bool { n++; return n < 3 })
-		if n != 3 {
-			t.Errorf("%s: early-stop ScanRange visited %d entries, want 3", s.name, n)
-		}
-		// Unaligned lo excludes the slot it truncates into: the entry at 0
-		// must not be visited by a window starting at byte 4 (entries sit
-		// at every other word: 0, 16, 32, ...).
-		got := []uint64(nil)
-		s.ScanRange(4, 64, func(a uint64, _ Entry) bool { got = append(got, a); return true })
-		if len(got) != 3 || got[0] != 16 {
-			t.Errorf("%s: ScanRange(4,64) visited %v, want [16 32 48]", s.name, got)
 		}
 	}
 }

@@ -14,11 +14,7 @@ const pageWords = 512
 // simple table the fastest of the three).
 type Array struct {
 	blocks map[uint64]*[pageWords]Entry
-	// pns is the cached sorted index of shadow page numbers; nil means
-	// invalidated (a block was reserved since it was built). See
-	// cachedSortedKeys.
-	pns  []uint64
-	live int
+	live   int
 	// freeBlks recycles shadow blocks unreserved by DropPages or Reset
 	// (zeroed at harvest), so steady-state reserve/drop cycles — a pooled
 	// machine's malloc/free traffic — allocate no new 16 KiB blocks.
@@ -58,7 +54,6 @@ func (a *Array) slot(addr uint64, alloc bool) *Entry {
 		}
 		blk = a.newBlk()
 		a.blocks[pn] = blk
-		a.pns = nil // key set changed
 	}
 	return &blk[(addr>>3)&(pageWords-1)]
 }
@@ -110,37 +105,7 @@ func (a *Array) Reset() {
 		a.retireBlk(blk)
 	}
 	clear(a.blocks)
-	a.pns = nil
 	a.live = 0
-}
-
-// ScanRange implements Store: binary-search the cached page index for the
-// covered shadow pages, then visit only their in-range slots.
-func (a *Array) ScanRange(lo, hi uint64, f func(addr uint64, e Entry) bool) {
-	if lo >= hi {
-		return
-	}
-	a.pns = cachedSortedKeys(a.pns, a.blocks)
-	pns := a.pns
-	for i := searchU64(pns, lo>>12); i < len(pns) && pns[i] <= (hi-1)>>12; i++ {
-		pn := pns[i]
-		blk := a.blocks[pn]
-		for j := range blk {
-			if blk[j] == (Entry{}) {
-				continue
-			}
-			addr := pn<<12 | uint64(j)<<3
-			if addr < lo {
-				continue
-			}
-			if addr >= hi {
-				return
-			}
-			if !f(addr, blk[j]) {
-				return
-			}
-		}
-	}
 }
 
 // CopyRange implements Store with direct slot access: the word loop walks
@@ -185,7 +150,6 @@ func (a *Array) CopyRange(dst, src uint64, words int) {
 		if dBlk == nil {
 			dBlk = a.newBlk()
 			a.blocks[dPN] = dBlk
-			a.pns = nil // key set changed
 		}
 		s := &dBlk[(do>>3)&(pageWords-1)]
 		if *s == (Entry{}) {
@@ -246,7 +210,6 @@ func (a *Array) DropPages(base uint64, words int) int {
 			}
 			delete(a.blocks, pn)
 			a.retireBlk(blk)
-			a.pns = nil // key set changed
 			continue
 		}
 		lo, hi := sLo, sHi
@@ -269,13 +232,10 @@ func (a *Array) DropPages(base uint64, words int) int {
 // TwoLevel is the two-level lookup table organisation (directory of
 // second-level tables, like the MPX layout the paper plans to adopt, §4).
 // Each second-level table carries a cached sorted index of its keys,
-// invalidated when its key set changes, so repeated ScanRange calls over a
-// stable store do no per-call sorting.
+// invalidated when its key set changes, so repeated DropPages calls over a
+// stable table do no per-call sorting.
 type TwoLevel struct {
-	dir map[uint64]*l2tbl
-	// his is the cached sorted directory key index; nil means invalidated
-	// (a second-level table was created since it was built).
-	his  []uint64
+	dir  map[uint64]*l2tbl
 	live int
 }
 
@@ -327,25 +287,10 @@ func searchU64(sorted []uint64, v uint64) int {
 	return sort.Search(len(sorted), func(i int) bool { return sorted[i] >= v })
 }
 
-// scanSlotRange converts a half-open byte window [lo, hi) to the inclusive
-// range of word slots whose 8-aligned addresses fall inside it: an
-// unaligned lo rounds up (the slot at lo&^7 starts below the window). The
-// increment cannot overflow because lo < hi implies lo is not the maximal
-// address.
-func scanSlotRange(lo, hi uint64) (sLo, sHi uint64) {
-	sLo = lo >> 3
-	if lo&7 != 0 {
-		sLo++
-	}
-	return sLo, (hi - 1) >> 3
-}
-
 // cachedSortedKeys returns cache when still valid (non-nil) and otherwise
 // rebuilds the ascending key index of m. Callers nil their cache whenever
 // the key set changes (inserting a new key or deleting a live one —
-// overwriting an existing key keeps the cache valid). An in-flight ScanRange
-// ranging over a previously returned slice keeps its point-in-time view
-// even if the callback invalidates the cache.
+// overwriting an existing key keeps the cache valid).
 func cachedSortedKeys[V any](cache []uint64, m map[uint64]V) []uint64 {
 	if cache != nil {
 		return cache
@@ -375,7 +320,6 @@ func (t *TwoLevel) Set(addr uint64, e Entry) {
 	if tbl == nil {
 		tbl = &l2tbl{m: map[uint64]Entry{}}
 		t.dir[hi] = tbl
-		t.his = nil // directory key set changed
 	}
 	if _, ok := tbl.m[lo]; !ok {
 		t.live++
@@ -422,37 +366,7 @@ func (t *TwoLevel) FootprintBytes() int64 {
 // useful once cleared, and the directory rebuild re-creates few of them).
 func (t *TwoLevel) Reset() {
 	clear(t.dir)
-	t.his = nil
 	t.live = 0
-}
-
-// ScanRange implements Store: binary-search the directory index for the
-// covered second-level tables, then each table's cached key index for its
-// in-range slots.
-func (t *TwoLevel) ScanRange(lo, hi uint64, f func(addr uint64, e Entry) bool) {
-	if lo >= hi {
-		return
-	}
-	t.his = cachedSortedKeys(t.his, t.dir)
-	sLo, sHi := scanSlotRange(lo, hi) // inclusive slot range
-	for i := searchU64(t.his, sLo>>l2Bits); i < len(t.his) && t.his[i] <= sHi>>l2Bits; i++ {
-		hiKey := t.his[i]
-		tbl := t.dir[hiKey]
-		keys := tbl.sortedKeys()
-		j := 0
-		if hiKey == sLo>>l2Bits {
-			j = searchU64(keys, sLo&((1<<l2Bits)-1))
-		}
-		for ; j < len(keys); j++ {
-			s := hiKey<<l2Bits | keys[j]
-			if s > sHi {
-				return
-			}
-			if !f(s<<3, tbl.m[keys[j]]) {
-				return
-			}
-		}
-	}
 }
 
 // CopyRange implements Store (generic overlap-safe word copy).
@@ -485,7 +399,6 @@ func (t *TwoLevel) DropPages(base uint64, words int) int {
 		if sLo <= hi<<l2Bits && (hi+1)<<l2Bits <= sHi {
 			t.live -= len(tbl.m)
 			delete(t.dir, hi)
-			t.his = nil // directory key set changed
 			continue
 		}
 		loKey, hiKey := uint64(0), uint64(1)<<l2Bits
@@ -512,7 +425,7 @@ func (t *TwoLevel) DropPages(base uint64, words int) int {
 // Hash is the hash-table organisation: most compact, slowest (probing plus
 // worse locality, §4/§5.2: 13.9% CPI memory overhead vs 105% for the array).
 // A cached sorted key index, invalidated whenever the key set changes,
-// keeps ScanRange from collecting and sorting the full key set per call.
+// keeps DropPages from collecting and sorting the full key set per call.
 type Hash struct {
 	m map[uint64]Entry
 	// keys is the ascending slot cache; nil means invalidated.
@@ -562,22 +475,6 @@ func (h *Hash) FootprintBytes() int64 {
 
 // Reset implements Store, keeping the table's buckets for reuse.
 func (h *Hash) Reset() { clear(h.m); h.keys = nil }
-
-// ScanRange implements Store: binary-search the cached key index for the
-// first in-range slot and stop at the first beyond it.
-func (h *Hash) ScanRange(lo, hi uint64, f func(addr uint64, e Entry) bool) {
-	if lo >= hi {
-		return
-	}
-	h.keys = cachedSortedKeys(h.keys, h.m)
-	sLo, sHi := scanSlotRange(lo, hi)
-	for i := searchU64(h.keys, sLo); i < len(h.keys) && h.keys[i] <= sHi; i++ {
-		s := h.keys[i]
-		if !f(s<<3, h.m[s]) {
-			return
-		}
-	}
-}
 
 // CopyRange implements Store (generic overlap-safe word copy).
 func (h *Hash) CopyRange(dst, src uint64, words int) {

@@ -2,9 +2,9 @@ package sps
 
 import "testing"
 
-// Edge-case tests for the bulk range entry points (ScanRange, CopyRange,
-// DeleteRange) across all three store organisations: empty windows,
-// unaligned bounds, and ranges straddling the organisations' internal
+// Edge-case tests for the bulk range entry points (CopyRange, DeleteRange,
+// DropPages) across all three store organisations: empty windows and
+// ranges straddling the organisations' internal
 // boundaries (the array's 4 KiB shadow pages, the two-level store's
 // second-level tables covering 1<<l2Bits slots). The randomized equivalence
 // suite (equiv_test.go) covers the bulk behaviour; these pin the exact
@@ -14,83 +14,9 @@ func entry(v uint64) Entry {
 	return Entry{Value: v, Lower: v, Upper: v + 8, Kind: KindData}
 }
 
-// collect runs ScanRange and returns the visited slot addresses.
-func collect(s Store, lo, hi uint64) []uint64 {
-	var got []uint64
-	s.ScanRange(lo, hi, func(addr uint64, e Entry) bool {
-		got = append(got, addr)
-		return true
-	})
-	return got
-}
-
-func TestScanRangeEmptyWindows(t *testing.T) {
-	for _, s := range allStores() {
-		s.Set(0x1000, entry(1))
-		for _, w := range [][2]uint64{
-			{0x1000, 0x1000}, // lo == hi
-			{0x2000, 0x1000}, // lo > hi
-			{0, 0},
-		} {
-			if got := collect(s, w[0], w[1]); len(got) != 0 {
-				t.Errorf("%s: ScanRange(%#x,%#x) visited %v, want nothing",
-					s.name, w[0], w[1], got)
-			}
-		}
-	}
-}
-
-func TestScanRangeUnalignedBounds(t *testing.T) {
-	for _, s := range allStores() {
-		s.Set(0x1000, entry(1))
-		s.Set(0x1008, entry(2))
-		s.Set(0x1010, entry(3))
-
-		// An unaligned lo rounds up: the slot at lo&^7 starts below the
-		// window, so 0x1001..0x1007 must all exclude slot 0x1000.
-		for off := uint64(1); off < 8; off++ {
-			got := collect(s, 0x1000+off, 0x1018)
-			if len(got) != 2 || got[0] != 0x1008 || got[1] != 0x1010 {
-				t.Fatalf("%s: ScanRange(%#x,0x1018) = %#v, want [0x1008 0x1010]",
-					s.name, 0x1000+off, got)
-			}
-		}
-		// An unaligned hi is exclusive at byte granularity: any hi above the
-		// slot address includes that slot.
-		if got := collect(s, 0x1000, 0x1011); len(got) != 3 {
-			t.Errorf("%s: hi=0x1011 visited %d slots, want 3 (slot 0x1010 starts below hi)",
-				s.name, len(got))
-		}
-		if got := collect(s, 0x1000, 0x1010); len(got) != 2 {
-			t.Errorf("%s: hi=0x1010 visited %d slots, want 2", s.name, len(got))
-		}
-	}
-}
-
 // twoLevelBoundary is the byte address where a new second-level table starts
 // (and, being 4 KiB-aligned, also an array shadow-page boundary).
 const twoLevelBoundary = uint64(1<<l2Bits) * 8
-
-func TestScanRangeStraddlesTwoLevelBoundary(t *testing.T) {
-	for _, s := range allStores() {
-		lo := twoLevelBoundary - 16
-		s.Set(lo, entry(1))
-		s.Set(twoLevelBoundary-8, entry(2))
-		s.Set(twoLevelBoundary, entry(3))
-		s.Set(twoLevelBoundary+8, entry(4))
-
-		got := collect(s, lo, twoLevelBoundary+16)
-		want := []uint64{lo, twoLevelBoundary - 8, twoLevelBoundary, twoLevelBoundary + 8}
-		if len(got) != len(want) {
-			t.Fatalf("%s: straddling scan visited %d slots, want %d", s.name, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("%s: visit %d = %#x, want %#x", s.name, i, got[i], want[i])
-			}
-		}
-	}
-}
 
 func TestDeleteRangeStraddlesBoundaries(t *testing.T) {
 	for _, s := range allStores() {

@@ -65,13 +65,6 @@ type Store interface {
 	FootprintBytes() int64
 	// Reset drops all entries.
 	Reset()
-	// ScanRange visits the live entries whose slot address a satisfies
-	// lo <= a < hi in ascending slot-address order, without walking the
-	// rest of the store, and stops early if f returns false. The visit
-	// order is deterministic and identical across organisations.
-	// free()/munmap-style bulk invalidation and temporal-safety sweeps use
-	// it to stop paying full-store scans.
-	ScanRange(lo, hi uint64, f func(addr uint64, e Entry) bool)
 	// CopyRange copies the entries of the words base src+8i to the words
 	// base dst+8i for i in [0, words): for each word, the destination slot
 	// becomes a copy of the source slot (absent source clears the

@@ -18,13 +18,14 @@ import (
 //     valid code-provenance safe-store entry means a protected code pointer
 //     is being read around the safe store — the classification missed the
 //     load (a kept store with a pruned load, or vice versa, both surface);
-//   - the plain variants of memcpy/memmove/memset/free scan the affected
-//     ranges: touching a live code-provenance entry with an unsafe intrinsic
-//     means the intrinsic argument analysis missed a sensitive region.
+//   - the plain variants of memcpy/memmove/memset/free probe every slot of
+//     the affected ranges: touching a live code-provenance entry with an
+//     unsafe intrinsic means the intrinsic argument analysis missed a
+//     sensitive region.
 //
 // Audit machines must route every access through loadInto/storeFrom
-// (PredecodeOptions.AuditHooks); core.Program.Predecoded does this when the
-// config asks for auditing.
+// (PredecodeOptions.AuditHooks, which NewShared requires under
+// AuditSensitive); New and core.Program.Predecoded predecode that way.
 //
 // Stale-entry hygiene: safe-store entries under recycled stack frames (and
 // stack regions discarded by longjmp) are deleted eagerly in audit mode —
@@ -83,30 +84,24 @@ func (m *Machine) auditStore(addr uint64, onSafe bool, size uint8, flags ir.Prot
 }
 
 // auditRange vets a plain (unsafe-variant) intrinsic touching
-// [base, base+n) on an audit machine: any live code-provenance entry in the
-// range means the intrinsic needed the safe variant. what names the
-// intrinsic for the trap.
+// [base, base+n) on an audit machine: a live code-provenance entry at any
+// 8-aligned slot in the range means the intrinsic needed the safe variant,
+// and the lowest such slot is reported. A slot that starts below base lies
+// outside the range; a range that wraps the address space is empty. what
+// names the intrinsic for the trap. The probes are the oracle's own and
+// charge no cycles.
 func (m *Machine) auditRange(base uint64, n int64, what string) bool {
-	if n <= 0 {
-		return true
-	}
 	st := m.spsStore()
-	if st == nil {
+	if n <= 0 || st == nil {
 		return true
 	}
-	bad := uint64(0)
-	found := false
-	st.ScanRange(base, base+uint64(n), func(addr uint64, e sps.Entry) bool {
-		if e.Valid() && e.Kind == sps.KindCode {
-			bad, found = addr, true
+	end := base + uint64(n)
+	for addr := (base + 7) &^ 7; addr >= base && addr < end; addr += 8 {
+		if e, ok := st.Get(addr); ok && e.Valid() && e.Kind == sps.KindCode {
+			m.trapf(TrapAuditSensitive, addr, ViaNone,
+				"plain %s over protected code pointer at %#x", what, addr)
 			return false
 		}
-		return true
-	})
-	if found {
-		m.trapf(TrapAuditSensitive, bad, ViaNone,
-			"plain %s over protected code pointer at %#x", what, bad)
-		return false
 	}
 	return true
 }

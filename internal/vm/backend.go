@@ -12,11 +12,11 @@ import (
 // newEnforcer, the one enforcer a machine owns and its capabilities:
 // vanilla, safestack and cfi machines hold a nil enforcer and never reach a
 // hook; cps, cpi and softbound get the safe-region enforcer in the matching
-// mode (which also backs the audit oracle and the temporal sweep); pac gets
-// the MAC-authenticate-in-place enforcer (pac.go). The check paths
-// (memops.go, setjmp.go, intrinsics.go, calls.go) gate on m.enf != nil or
-// on the capabilities fixed at construction (enfCaps), and dispatch
-// protected accesses through the hooks.
+// mode (which also backs the audit oracle); pac gets the
+// MAC-authenticate-in-place enforcer (pac.go). The check paths (memops.go,
+// setjmp.go, intrinsics.go, calls.go) gate on m.enf != nil or on the
+// capabilities fixed at construction (enfCaps), and dispatch protected
+// accesses through the hooks.
 
 // enfCaps are the protection capabilities of a machine, fixed at
 // construction by newEnforcer. Vanilla machines hold the zero value.
@@ -134,8 +134,8 @@ func newEnforcer(cfg Config) (enforcer, enfCaps, error) {
 
 // spsStore returns the safe pointer store when the safe-region enforcer is
 // active and nil otherwise. The safe-region-only subsystems — the audit
-// oracle, the temporal sweep, the white-box tests — reach the store through
-// it; backend-generic code must go through the enforcer hooks instead.
+// oracle and the white-box tests — reach the store through it;
+// backend-generic code must go through the enforcer hooks instead.
 func (m *Machine) spsStore() sps.Store {
 	if s, ok := m.enf.(*srEnforcer); ok {
 		return s.sps

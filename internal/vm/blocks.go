@@ -502,14 +502,14 @@ func hSeg(m *Machine, f *frame, in *PIns) {
 // the machine arms that consumer: an enforcer (derefCheck and storeProt on
 // flagged accesses, execICall's code-provenance check) or Fortify
 // (fortifyLimit on intrinsic calls). The audit oracle reads the metadata of
-// every store, flagged or not, so it keeps maintenance on for any program
-// (its code is predecoded with AuditHooks and has no segments anyway). No
-// other configuration reads register metadata: the safe stack's shadow
-// only carries metadata back into registers; CFI checks target addresses,
-// never metadata; pointer mangling transforms the word setjmp stores;
-// TemporalSafety and DebugDualStore read metadata only inside
-// derefCheck/loadProt of flagged accesses; and SetHook callbacks see the
-// exported Machine API, which exposes no register metadata. When tm is
+// every store, flagged or not, but it never reaches this runner: NewShared
+// admits AuditSensitive only on code predecoded with AuditHooks, which has
+// no segments. No other configuration reads register metadata: the safe
+// stack's shadow only carries metadata back into registers; CFI checks
+// target addresses, never metadata; pointer mangling transforms the word
+// setjmp stores; TemporalSafety and DebugDualStore read metadata only
+// inside derefCheck/loadProt of flagged accesses; and SetHook callbacks see
+// the exported Machine API, which exposes no register metadata. When tm is
 // false the inline paths of the segment executors, segCall and segRet skip
 // every metadata read and write, registers and safe-stack shadow alike
 // (when it is true they write what the handlers write: a cast or a Mov
@@ -523,7 +523,7 @@ func (m *Machine) runSegment(f *frame) {
 	safeStack := m.caps.safeStack
 	sfi := m.cfg.Isolation == IsoSFI
 	boundsGEP := m.caps.boundsGEP
-	tm := m.cfg.AuditSensitive || m.code.ReadsMeta && (m.enf != nil || m.cfg.Fortify)
+	tm := m.code.ReadsMeta && (m.enf != nil || m.cfg.Fortify)
 	budget := m.stepBudget
 	steps0 := m.steps
 	steps := steps0

@@ -74,13 +74,6 @@ type CostModel struct {
 	DropBase int64
 	DropUnit int64
 
-	// SweepAlloc and SweepEntry price the periodic temporal-safety sweep:
-	// one charge per live allocation walked, one per safe-pointer-store
-	// entry validated against its owning allocation's id (plus the store
-	// organisation's SPS price per probe and per dropped entry).
-	SweepAlloc int64
-	SweepEntry int64
-
 	// PacSign and PacAuth price one MAC computation of the pac backend: a
 	// sign on a protected store (and setjmp), an authenticate on a
 	// protected load (and longjmp). Modeled on the ~4-cycle latency of an
@@ -129,8 +122,6 @@ func DefaultCosts() CostModel {
 		SafeIntrWord: 2,
 		DropBase:     20,
 		DropUnit:     30,
-		SweepAlloc:   2,
-		SweepEntry:   2,
 		PacSign:      4,
 		PacAuth:      4,
 		SFIMask:      1,

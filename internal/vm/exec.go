@@ -68,9 +68,6 @@ func (m *Machine) finish(t *Trap) *Result {
 		Output:         m.out.String(),
 		DoubleFrees:    m.freeDouble,
 		UntrackedFrees: m.freeUntracked,
-		SweepRuns:      m.sweepRuns,
-		SweepCycles:    m.sweepCycles,
-		SweepDropped:   m.sweepDropped,
 		Mem:            m.memStats,
 		Err:            t,
 	}

@@ -323,7 +323,6 @@ func (m *Machine) malloc(n int64) (uint64, bool) {
 	}
 	n = (n + 15) &^ 15
 	m.nextID++
-	m.sweepTick()
 	// Exact-size free-list reuse: realistic allocator behaviour that makes
 	// use-after-free attacks possible in the unprotected configuration.
 	if lst := m.freeLst[n]; len(lst) > 0 {

@@ -11,6 +11,7 @@ package vm
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 
 	"repro/internal/backend"
@@ -75,16 +76,12 @@ type Config struct {
 	// TemporalSafety enables CETS-style temporal id checks (the §4
 	// "can be easily extended" extension; off by default, like Levee).
 	TemporalSafety bool
-	// SweepEvery runs the periodic temporal-safety sweep after every
-	// SweepEvery-th allocation: live allocations' safe-pointer-store
-	// entries are validated against their CETS ids and stale ones dropped
-	// (see sweep.go). 0 disables the sweep (the default, like Levee).
-	SweepEvery int64
 	// AuditSensitive turns the run into a dynamic soundness oracle for the
 	// static sensitivity classification (see audit.go): every uninstrumented
 	// word-sized memory operation is checked against code-pointer provenance
-	// and the run traps with TrapAuditSensitive on a miss. Requires the
-	// predecoder's AuditHooks routing (core.Program.Predecoded sets it up).
+	// and the run traps with TrapAuditSensitive on a miss. NewShared
+	// requires code predecoded with AuditHooks (New and
+	// core.Program.Predecoded set it up).
 	AuditSensitive bool
 
 	// Protect is the one protection selector (see backend.go). It fixes
@@ -308,14 +305,9 @@ type Machine struct {
 	allocPool []*allocation
 
 	// Heap-misuse counters (double frees / untracked-address frees seen at
-	// free sites under the protected configurations) and temporal-sweep
-	// accounting, surfaced in Result.
-	freeDouble     int64
-	freeUntracked  int64
-	sweepCountdown int64
-	sweepRuns      int64
-	sweepCycles    int64
-	sweepDropped   int64
+	// free sites under the protected configurations), surfaced in Result.
+	freeDouble    int64
+	freeUntracked int64
 
 	// hooks are driver callbacks invoked when a function is entered; the
 	// attack harness uses them to model the §2 attacker acting at a chosen
@@ -354,15 +346,16 @@ type Machine struct {
 }
 
 // New prepares a machine for the given instrumented program, predecoding it
-// first. Callers running the same program on many machines should predecode
-// once and use NewShared.
+// first (with AuditHooks under Config.AuditSensitive). Callers running the
+// same program on many machines should predecode once and use NewShared.
 func New(p *ir.Program, cfg Config) (*Machine, error) {
-	return NewShared(p, Predecode(p), cfg)
+	return NewShared(p, PredecodeWith(p, PredecodeOptions{AuditHooks: cfg.AuditSensitive}), cfg)
 }
 
 // NewShared prepares a machine around an already-predecoded program. The
-// Code must have been produced by Predecode from the same ir.Program; it is
-// read-only and may be shared by any number of concurrent machines.
+// Code must have been produced by Predecode from the same ir.Program (with
+// AuditHooks under Config.AuditSensitive); it is read-only and may be
+// shared by any number of concurrent machines.
 func NewShared(p *ir.Program, code *Code, cfg Config) (*Machine, error) {
 	if cfg.Cost == (CostModel{}) {
 		cfg.Cost = DefaultCosts()
@@ -373,25 +366,27 @@ func NewShared(p *ir.Program, code *Code, cfg Config) (*Machine, error) {
 	if cfg.MaxCallDepth == 0 {
 		cfg.MaxCallDepth = 4096
 	}
+	if cfg.AuditSensitive && !code.AuditHooks {
+		return nil, errors.New("vm: AuditSensitive needs code predecoded with AuditHooks (without them, plain accesses skip the audit checks)")
+	}
 	enf, caps, err := newEnforcer(cfg)
 	if err != nil {
 		return nil, err
 	}
 	m := &Machine{
-		cfg:            cfg,
-		prog:           p,
-		code:           code,
-		mem:            mem.New(),
-		safe:           mem.New(),
-		enf:            enf,
-		caps:           caps,
-		allocs:         map[uint64]*allocation{},
-		freeLst:        map[int64][]uint64{},
-		rng:            uint64(cfg.Seed)*0x9E3779B97F4A7C15 + 0x7263_6970,
-		spsDirty:       true,
-		sweepCountdown: cfg.SweepEvery,
-		randState:      uint64(cfg.Seed)*6364136223846793005 + 1,
-		stepBudget:     cfg.MaxSteps,
+		cfg:        cfg,
+		prog:       p,
+		code:       code,
+		mem:        mem.New(),
+		safe:       mem.New(),
+		enf:        enf,
+		caps:       caps,
+		allocs:     map[uint64]*allocation{},
+		freeLst:    map[int64][]uint64{},
+		rng:        uint64(cfg.Seed)*0x9E3779B97F4A7C15 + 0x7263_6970,
+		spsDirty:   true,
+		randState:  uint64(cfg.Seed)*6364136223846793005 + 1,
+		stepBudget: cfg.MaxSteps,
 	}
 	if err := m.load(); err != nil {
 		return nil, err

@@ -76,6 +76,11 @@ type Code struct {
 	// fortifyLimit). Without one, the segment executors skip metadata
 	// maintenance (see runSegment).
 	ReadsMeta bool
+
+	// AuditHooks records PredecodeOptions.AuditHooks. Only such code runs
+	// the audit oracle's checks on every access, so NewShared rejects
+	// Config.AuditSensitive without it.
+	AuditHooks bool
 }
 
 // FuncCode is one function flattened to a pc-indexed instruction stream.
@@ -209,7 +214,7 @@ func Predecode(p *ir.Program) *Code {
 
 // PredecodeWith lowers a program with explicit options.
 func PredecodeWith(p *ir.Program, opt PredecodeOptions) *Code {
-	c := &Code{Funcs: make([]FuncCode, len(p.Funcs))}
+	c := &Code{Funcs: make([]FuncCode, len(p.Funcs)), AuditHooks: opt.AuditHooks}
 	var retOrd, jmpOrd int32
 	for fi, fn := range p.Funcs {
 		fc := &c.Funcs[fi]

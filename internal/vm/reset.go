@@ -59,12 +59,8 @@ var resetRules = map[string]string{
 	"freeLst":   "per-size lists truncated in place (backing arrays kept)",
 	"allocPool": "kept: it IS the cross-reset recycling pool",
 
-	"freeDouble":     "zeroed",
-	"freeUntracked":  "zeroed",
-	"sweepCountdown": "restored to cfg.SweepEvery",
-	"sweepRuns":      "zeroed",
-	"sweepCycles":    "zeroed",
-	"sweepDropped":   "zeroed",
+	"freeDouble":    "zeroed",
+	"freeUntracked": "zeroed",
 
 	"hooks": "nil, as constructed (SetHook re-registers per run)",
 
@@ -123,8 +119,6 @@ func (m *Machine) Reset() error {
 	}
 	m.heapLive = 0
 	m.freeDouble, m.freeUntracked = 0, 0
-	m.sweepCountdown = m.cfg.SweepEvery
-	m.sweepRuns, m.sweepCycles, m.sweepDropped = 0, 0, 0
 
 	// Address spaces and the enforcement backend's metadata, cleared in
 	// place with their backing storage recycled.

@@ -62,7 +62,7 @@ func TestResetEquivalentToFresh(t *testing.T) {
 	for _, cfg := range []Config{
 		{DEP: true},
 		{Protect: backend.CPS, DEP: true, ASLR: true, PIE: true, Seed: 7},
-		{Protect: backend.CPI, DEP: true, TemporalSafety: true, SweepEvery: 2},
+		{Protect: backend.CPI, DEP: true, TemporalSafety: true},
 		{Protect: backend.SoftBound, DEP: true},
 		{Protect: backend.SafeStack, DEP: true},
 		{Protect: backend.CFI, DEP: true},

@@ -139,14 +139,6 @@ type Result struct {
 	DoubleFrees    int64
 	UntrackedFrees int64
 
-	// Temporal-safety sweep accounting (Config.SweepEvery): number of
-	// sweep passes, the cycles they charged (included in Cycles, reported
-	// separately so overhead tables can attribute them), and the stale
-	// entries dropped.
-	SweepRuns    int64
-	SweepCycles  int64
-	SweepDropped int64
-
 	// pac backend accounting: MAC sign/authenticate operations performed,
 	// authentication failures observed, and the modeled probability that a
 	// single forged MAC authenticates (2^-PacBits). All zero under other

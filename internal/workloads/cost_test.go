@@ -15,7 +15,7 @@ import (
 
 // costConfigs are the configurations the homogeneity oracle covers: every
 // protection, the two other safe pointer store organisations, the temporal
-// sweep, SFI isolation and the dual-store debug mode.
+// id checks, SFI isolation and the dual-store debug mode.
 var costConfigs = []struct {
 	name string
 	cfg  core.Config
@@ -29,7 +29,7 @@ var costConfigs = []struct {
 	{"pac", core.Config{Protect: core.PAC}},
 	{"cpi-twolevel", core.Config{Protect: core.CPI, SPS: "twolevel"}},
 	{"cpi-hash", core.Config{Protect: core.CPI, SPS: "hash"}},
-	{"cpi-sweep", core.Config{Protect: core.CPI, TemporalSafety: true, SweepEvery: 8}},
+	{"cpi-temporal", core.Config{Protect: core.CPI, TemporalSafety: true}},
 	{"cpi-sfi", core.Config{Protect: core.CPI, Isolation: vm.IsoSFI}},
 	{"cpi-dualstore", core.Config{Protect: core.CPI, DebugDualStore: true}},
 }

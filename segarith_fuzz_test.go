@@ -2,10 +2,14 @@ package repro
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/vm"
 )
 
 // FuzzSegmentArith turns fuzz bytes into a short mini-C program of integer
@@ -39,6 +43,59 @@ func FuzzSegmentArith(f *testing.F) {
 			compareBlockResults(t, cfgName(cfg)+"\n"+src, blocks, noblocks)
 		}
 	})
+}
+
+// TestSegmentArithCorpusOutcomes pins the outcome each committed
+// FuzzSegmentArith entry is named for, so an edit to arithProgram cannot
+// silently turn a budget cut or a division by zero into something else:
+// budget-* runs into its step budget (Steps is budget+1), divzero-* divides
+// by zero and exit-* exits, under vanilla and cpi alike.
+func TestSegmentArithCorpusOutcomes(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzSegmentArith", "*"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no corpus entries (%v)", err)
+	}
+	for _, path := range paths {
+		name := filepath.Base(path)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit := strings.TrimSpace(strings.TrimPrefix(string(raw), "go test fuzz v1\n"))
+		data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		src, budget := arithProgram([]byte(data))
+		for _, cfg := range []core.Config{{DEP: true}, {Protect: core.CPI, DEP: true}} {
+			prog, err := core.Compile(src, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			vcfg := prog.VMConfig()
+			vcfg.MaxSteps = budget
+			m, err := vm.NewShared(prog.IR, prog.Predecoded(), vcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := m.Run("main")
+			prefix, _, _ := strings.Cut(name, "-")
+			var good bool
+			switch prefix {
+			case "budget":
+				good = budget > 0 && r.Trap == vm.TrapMaxSteps && r.Steps == budget+1
+			case "divzero":
+				good = r.Trap == vm.TrapDivZero
+			case "exit":
+				good = r.Trap == vm.TrapExit
+			default:
+				t.Fatalf("%s: unknown outcome prefix %q", name, prefix)
+			}
+			if !good {
+				t.Errorf("%s under %s: trap %v after %d steps (budget %d)", name, cfgName(cfg), r.Trap, r.Steps, budget)
+			}
+		}
+	}
 }
 
 // arithGen decodes fuzz bytes; an exhausted input reads as zeros, so every

@@ -19,8 +19,9 @@ import (
 )
 
 // servingConfigs is the protection matrix of the serving suite. The cpi
-// row also turns on ASLR/PIE and the temporal sweep: reset must reproduce
-// the slides, canary and sweep cadence, not merely the clean layout. The
+// row also turns on ASLR/PIE and the temporal id checks: reset must
+// reproduce the slides, canary and allocation ids, not merely the clean
+// layout. The
 // pac row exercises the non-safe-region backend seam: reset must redraw
 // the same MAC key, or every signed pointer from the previous run would
 // still authenticate (or a replayed run would diverge).
@@ -35,7 +36,7 @@ func servingConfigs() []struct {
 		{"vanilla", core.Config{DEP: true}},
 		{"cps", core.Config{Protect: core.CPS, DEP: true}},
 		{"cpi", core.Config{Protect: core.CPI, DEP: true,
-			ASLR: true, PIE: true, Seed: 42, TemporalSafety: true, SweepEvery: 64}},
+			ASLR: true, PIE: true, Seed: 42, TemporalSafety: true}},
 		{"pac", core.Config{Protect: core.PAC, DEP: true, ASLR: true, Seed: 42}},
 	}
 }
