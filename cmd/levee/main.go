@@ -38,7 +38,7 @@ func main() {
 	spsOrg := flag.String("sps", "array", "safe pointer store organisation: array|twolevel|hash")
 	isolation := flag.String("isolation", "segment", "safe region isolation: segment|infohide|sfi")
 	debugDual := flag.Bool("debug-dual-store", false, "store protected pointers in both regions and compare")
-	temporal := flag.Bool("temporal", false, "enable temporal safety checks (CETS-style extension)")
+	temporal := flag.Bool("temporal", false, "enable temporal safety checks (CETS-style extension; -fcpi or -fsoftbound only)")
 	seed := flag.Int64("seed", 1, "layout/canary randomization seed")
 	input := flag.String("input", "", "attacker-controlled input for read_input()")
 	stats := flag.Bool("stats", false, "print instrumentation statistics")

@@ -115,7 +115,7 @@ type Config struct {
 	SPS            string // "array" (default), "twolevel", "hash"
 	Isolation      vm.IsolationMode
 	DebugDualStore bool
-	TemporalSafety bool
+	TemporalSafety bool // cpi and softbound only; see vm.Config
 
 	// Runtime parameters.
 	Seed     int64

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -170,6 +171,48 @@ func TestWriters(t *testing.T) {
 	for _, frag := range []string{"Table 1", "Figure 3", "Table 2", "FNUStack", "Average (C only)"} {
 		if !strings.Contains(buf.String(), frag) {
 			t.Errorf("writer output missing %q", frag)
+		}
+	}
+}
+
+// TestStoreAblationsPinned pins the two safe-pointer-store ablations to
+// four decimals: the organisation ablation exactly as `specbench -spsorg`
+// computes it, and every memory row `sysbench -mem` prints. The orderings
+// above only bound the shape; these figures catch any change to what the
+// three organisations store, release or charge.
+func TestStoreAblationsPinned(t *testing.T) {
+	opt := Options{Jobs: 2}
+	orgs, err := SPSOrgOverheadsOpt(workloads.Spec()[:6], opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for org, want := range map[string]string{
+		"array": "3.8557", "twolevel": "6.0522", "hash": "9.8581",
+	} {
+		if got := fmt.Sprintf("%.4f", orgs[org]); got != want {
+			t.Errorf("spsorg %s = %s%%, want %s%%", org, got, want)
+		}
+	}
+
+	rows, err := MemoryOverheadsOpt(workloads.Spec(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"safestack/- 0.0976 0.6253 6.3063",
+		"cps/hash 0.0000 9.6979 167.1975",
+		"cps/array 0.0000 194.7031 1651.6129",
+		"cpi/hash 0.0000 71.7468 383.1522",
+		"cpi/array 0.0000 382.3757 3303.2258",
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("%d memory rows, want %d", len(rows), len(want))
+	}
+	for i, r := range rows {
+		got := fmt.Sprintf("%s/%s %.4f %.4f %.4f",
+			r.Config, r.Org, r.MedianPct, r.MeanPct, r.MaxPct)
+		if got != want[i] {
+			t.Errorf("memory row %d = %q, want %q", i, got, want[i])
 		}
 	}
 }

@@ -193,14 +193,14 @@ func FuzzCrossStoreEquivalence(f *testing.F) {
 				words := rng.Intn(3 * pageWords / 2) // spans page boundaries
 				model.copyRange(dst, src, words)
 				for _, s := range stores {
-					s.CopyRange(dst, src, words)
+					CopyRange(s, dst, src, words)
 				}
 			case op < 12: // DeleteRange
 				base := addr()
 				words := rng.Intn(pageWords)
 				model.deleteRange(base, words)
 				for _, s := range stores {
-					s.DeleteRange(base, words)
+					DeleteRange(s, base, words)
 				}
 			case op < 13: // DropPages (page-granular bulk invalidation)
 				base := addr()

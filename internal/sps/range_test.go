@@ -2,7 +2,7 @@ package sps
 
 import "testing"
 
-// Edge-case tests for the bulk range entry points (CopyRange, DeleteRange,
+// Edge-case tests for the range operations (CopyRange, DeleteRange,
 // DropPages) across all three store organisations: empty windows and
 // ranges straddling the organisations' internal
 // boundaries (the array's 4 KiB shadow pages, the two-level store's
@@ -27,7 +27,7 @@ func TestDeleteRangeStraddlesBoundaries(t *testing.T) {
 		s.Set(twoLevelBoundary, entry(3))
 		s.Set(twoLevelBoundary+8, entry(4))
 
-		s.DeleteRange(twoLevelBoundary-8, 2) // deletes -8 and +0
+		DeleteRange(s, twoLevelBoundary-8, 2) // deletes -8 and +0
 		if s.Len() != 2 {
 			t.Fatalf("%s: Len=%d after straddling DeleteRange, want 2", s.name, s.Len())
 		}
@@ -45,8 +45,8 @@ func TestDeleteRangeStraddlesBoundaries(t *testing.T) {
 		}
 
 		// Zero-length and negative-length deletes are no-ops.
-		s.DeleteRange(twoLevelBoundary-16, 0)
-		s.DeleteRange(twoLevelBoundary-16, -1)
+		DeleteRange(s, twoLevelBoundary-16, 0)
+		DeleteRange(s, twoLevelBoundary-16, -1)
 		if s.Len() != 2 {
 			t.Errorf("%s: empty DeleteRange changed Len to %d", s.name, s.Len())
 		}
@@ -110,7 +110,7 @@ func TestDropPagesUnreservesArrayBlocks(t *testing.T) {
 			a.Set(0x2000+i*8, entry(i+1)) // one shadow page at pn 2
 		}
 	}
-	del.DeleteRange(0x2000, pageWords)
+	DeleteRange(del, 0x2000, pageWords)
 	if fp := del.FootprintBytes(); fp != pageWords*EntryBytes {
 		t.Errorf("DeleteRange footprint %d, want the emptied block still resident (%d)",
 			fp, pageWords*EntryBytes)
@@ -177,7 +177,7 @@ func TestCopyRangeStraddlesBoundaries(t *testing.T) {
 		dst := uint64(0x40_0000)
 		s.Set(dst, entry(99)) // must be cleared by the absent source slot
 
-		s.CopyRange(dst-8, twoLevelBoundary-8, 3)
+		CopyRange(s, dst-8, twoLevelBoundary-8, 3)
 		if e, ok := s.Get(dst - 8); !ok || e.Value != 1 {
 			t.Errorf("%s: copied slot below boundary = %+v ok=%v", s.name, e, ok)
 		}
@@ -190,8 +190,8 @@ func TestCopyRangeStraddlesBoundaries(t *testing.T) {
 
 		// Self-copy and empty copies are no-ops.
 		before := s.Len()
-		s.CopyRange(twoLevelBoundary-8, twoLevelBoundary-8, 2)
-		s.CopyRange(dst, twoLevelBoundary-8, 0)
+		CopyRange(s, twoLevelBoundary-8, twoLevelBoundary-8, 2)
+		CopyRange(s, dst, twoLevelBoundary-8, 0)
 		if s.Len() != before {
 			t.Errorf("%s: no-op CopyRange changed Len", s.name)
 		}

@@ -10,6 +10,12 @@
 // memory footprint, which the memory overhead experiment (§5.2) consumes,
 // and in access cost, which the VM's CostModel prices per organisation
 // (SPSArray, SPSTwoLevel, SPSHash) rather than the store itself.
+//
+// The bulk copy and delete of the safe memcpy/memset (CopyRange,
+// DeleteRange) are package functions written once over a store's Get, Set
+// and Delete. DropPages, the free()-time invalidation, is the one range
+// operation each organisation implements itself, because what it releases
+// and what it is charged for differ per organisation.
 package sps
 
 // Entry is the protected copy of one sensitive pointer.
@@ -49,7 +55,9 @@ const EntryBytes = 32
 // it): addresses are identified by their 8-byte slot, and the zero Entry is
 // the canonical "absent" state — the direct-mapped array physically cannot
 // distinguish a zero entry from an empty slot, so Set(addr, Entry{}) is
-// equivalent to Delete(addr) in every organisation.
+// equivalent to Delete(addr) in every organisation. Bulk copy and delete
+// are the functions CopyRange and DeleteRange over these methods;
+// DropPages is the one range operation an organisation implements itself.
 type Store interface {
 	// Set records the protected copy for the sensitive pointer stored at
 	// regular-region address addr. Setting the zero Entry clears the slot.
@@ -65,19 +73,8 @@ type Store interface {
 	FootprintBytes() int64
 	// Reset drops all entries.
 	Reset()
-	// CopyRange copies the entries of the words base src+8i to the words
-	// base dst+8i for i in [0, words): for each word, the destination slot
-	// becomes a copy of the source slot (absent source clears the
-	// destination). It is overlap-safe — equivalent to snapshotting all
-	// source slots first — and is the bulk entry point of the safe-variant
-	// memcpy (§3.2.2), replacing words per-word Get+Set/Delete round trips
-	// through the generic interface.
-	CopyRange(dst, src uint64, words int)
-	// DeleteRange removes the entries of the words base+8i for i in
-	// [0, words) (the safe-variant memset bulk path).
-	DeleteRange(base uint64, words int)
 	// DropPages is the free()/munmap-style bulk invalidation: observably it
-	// is DeleteRange(base, words), but each organisation additionally
+	// is DeleteRange(s, base, words), but each organisation additionally
 	// releases the backing storage the cleared window occupied (the array
 	// unreserves whole shadow pages, the two-level store drops fully covered
 	// second-level tables, the hash falls back to a ranged delete). The
@@ -86,4 +83,37 @@ type Store interface {
 	// hash) removed entries — which is what the page-granular cost model
 	// charges instead of a per-word charge over the whole window.
 	DropPages(base uint64, words int) int
+}
+
+// CopyRange copies the entries of the words src+8i to the words dst+8i for
+// i in [0, words): each destination slot becomes a copy of its source slot,
+// and an absent source clears the destination. It is the bulk path of the
+// safe memcpy (§3.2.2) and is overlap-safe: the word slots are slot(dst)+i
+// and slot(src)+i, so iterating downward when slot(dst) > slot(src) (and
+// upward otherwise) reads every source slot before any copy can overwrite
+// it, which is equivalent to snapshotting all source slots first.
+func CopyRange(s Store, dst, src uint64, words int) {
+	if words <= 0 || dst>>3 == src>>3 {
+		return
+	}
+	i, step := 0, 1
+	if dst>>3 > src>>3 {
+		i, step = words-1, -1
+	}
+	for k := 0; k < words; k, i = k+1, i+step {
+		off := uint64(i) * 8
+		if e, ok := s.Get(src + off); ok {
+			s.Set(dst+off, e)
+		} else {
+			s.Delete(dst + off)
+		}
+	}
+}
+
+// DeleteRange removes the entries of the words base+8i for i in [0, words)
+// (the bulk path of the safe memset).
+func DeleteRange(s Store, base uint64, words int) {
+	for i := 0; i < words; i++ {
+		s.Delete(base + uint64(i)*8)
+	}
 }

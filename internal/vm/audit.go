@@ -114,6 +114,6 @@ func (m *Machine) auditDropStack(base uint64, bytes int64) {
 		return
 	}
 	if st := m.spsStore(); st != nil {
-		st.DeleteRange(base, int(bytes/8))
+		sps.DeleteRange(st, base, int(bytes/8))
 	}
 }

@@ -89,7 +89,12 @@ type enforcer interface {
 // protections without a pointer-integrity enforcer get a nil one. It is
 // also the one place Config.SPS is read: cps, cpi and softbound get a safe
 // pointer store of that organisation, charged at its CostModel price.
+// TemporalSafety is refused outside cpi and softbound: the id check runs
+// in the dereference check, which no other protection has.
 func newEnforcer(cfg Config) (enforcer, enfCaps, error) {
+	if cfg.TemporalSafety && cfg.Protect != backend.CPI && cfg.Protect != backend.SoftBound {
+		return nil, enfCaps{}, fmt.Errorf("vm: TemporalSafety needs dereference checks, which %v does not have (use cpi or softbound)", cfg.Protect)
+	}
 	var caps enfCaps
 	switch cfg.Protect {
 	case backend.Vanilla:
@@ -258,11 +263,9 @@ func (s *srEnforcer) copyRange(m *Machine, dst, src uint64, words int) {
 	// store), on top of the per-word bookkeeping.
 	m.cycles += int64(words) * (m.cfg.Cost.SafeIntrWord + 2*s.price)
 	m.spsDirty = true
-	// The store-level bulk move is overlap-safe (snapshot-equivalent),
-	// matching the memmove-safe byte copy the caller already performed,
-	// and large protected copies stop going word-by-word through the
-	// generic Get/Set.
-	s.sps.CopyRange(dst, src, words)
+	// The store-level copy is overlap-safe (snapshot-equivalent),
+	// matching the memmove-safe byte copy the caller already performed.
+	sps.CopyRange(s.sps, dst, src, words)
 }
 
 func (s *srEnforcer) clearRange(m *Machine, base uint64, words int) {
@@ -270,7 +273,7 @@ func (s *srEnforcer) clearRange(m *Machine, base uint64, words int) {
 	// is a safe-store write and is charged as one.
 	m.cycles += int64(words) * (m.cfg.Cost.SafeIntrWord + s.price)
 	m.spsDirty = true
-	s.sps.DeleteRange(base, words)
+	sps.DeleteRange(s.sps, base, words)
 }
 
 func (s *srEnforcer) dropRange(m *Machine, base uint64, words int) {

@@ -1222,7 +1222,7 @@ func (m *Machine) segCall(f *frame, op *segOp, tm bool, cyc int64) int64 {
 	n := len(m.frames)
 	var f2 *frame
 	var info *frameInfo
-	if n < m.cfg.MaxCallDepth && n < cap(m.frames) {
+	if n < maxCallDepth && n < cap(m.frames) {
 		if c2 := m.frames[:cap(m.frames)][n]; c2 != nil {
 			if c2.fidx == callee {
 				if !c2.code.NeedsRegClear {

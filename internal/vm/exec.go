@@ -166,7 +166,7 @@ func (m *Machine) initFrame(f *frame, fi int) *frame {
 // frame), retPC the caller pc to resume at (-1 for the entry frame). The
 // frame layout itself was computed once per function at load (frameInfo).
 func (m *Machine) pushFrame(fi int, caller *frame, args []PVal, retAddr uint64, retPC, dst int) {
-	if len(m.frames) >= m.cfg.MaxCallDepth {
+	if len(m.frames) >= maxCallDepth {
 		m.trapf(TrapStackOverflow, 0, ViaNone, "call depth %d", len(m.frames))
 		return
 	}

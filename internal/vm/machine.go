@@ -75,6 +75,8 @@ type Config struct {
 	DebugDualStore bool
 	// TemporalSafety enables CETS-style temporal id checks (the §4
 	// "can be easily extended" extension; off by default, like Levee).
+	// The check runs in the dereference check, so only cpi and softbound
+	// accept it; NewShared refuses it under any other protection.
 	TemporalSafety bool
 	// AuditSensitive turns the run into a dynamic soundness oracle for the
 	// static sensitivity classification (see audit.go): every uninstrumented
@@ -109,9 +111,11 @@ type Config struct {
 	Input []byte
 	// MaxSteps bounds execution (0 = default 200M).
 	MaxSteps int64
-	// MaxCallDepth bounds recursion (0 = default 4096).
-	MaxCallDepth int
 }
+
+// maxCallDepth bounds recursion: a call that would nest deeper traps with
+// TrapStackOverflow.
+const maxCallDepth = 4096
 
 // Memory layout constants (pre-ASLR bases). Bases are chosen so that code
 // and data addresses have no NUL bytes in their low four bytes: like
@@ -362,9 +366,6 @@ func NewShared(p *ir.Program, code *Code, cfg Config) (*Machine, error) {
 	}
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = 200_000_000
-	}
-	if cfg.MaxCallDepth == 0 {
-		cfg.MaxCallDepth = 4096
 	}
 	if cfg.AuditSensitive && !code.AuditHooks {
 		return nil, errors.New("vm: AuditSensitive needs code predecoded with AuditHooks (without them, plain accesses skip the audit checks)")

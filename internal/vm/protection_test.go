@@ -281,3 +281,25 @@ func TestUnknownSPSOrganisation(t *testing.T) {
 		}
 	}
 }
+
+// TestTemporalSafetyNeedsDereferenceChecks: the temporal id check runs in
+// the dereference check, so TemporalSafety is a construction error naming
+// the option and the protection wherever there is none, and is accepted
+// under cpi and softbound.
+func TestTemporalSafetyNeedsDereferenceChecks(t *testing.T) {
+	p := compile(t, `int main(void) { return 0; }`)
+	code := Predecode(p)
+	for _, prot := range []backend.Protection{backend.Vanilla, backend.SafeStack,
+		backend.CFI, backend.CPS, backend.PAC} {
+		m, err := NewShared(p, code, Config{Protect: prot, TemporalSafety: true})
+		if m != nil || err == nil || !strings.Contains(err.Error(), "TemporalSafety") ||
+			!strings.Contains(err.Error(), prot.String()) {
+			t.Errorf("%v: NewShared with TemporalSafety = %v, %v; want an error naming both", prot, m, err)
+		}
+	}
+	for _, prot := range []backend.Protection{backend.CPI, backend.SoftBound} {
+		if _, err := NewShared(p, code, Config{Protect: prot, TemporalSafety: true}); err != nil {
+			t.Errorf("%v: NewShared with TemporalSafety: %v", prot, err)
+		}
+	}
+}

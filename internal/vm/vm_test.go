@@ -356,12 +356,24 @@ int main(void) {
 	}
 }
 
+// TestStackOverflowTraps: unbounded recursion traps at the fixed call
+// depth, both through the block executors' call and the per-instruction
+// pushFrame.
 func TestStackOverflowTraps(t *testing.T) {
-	r := run(t, `
+	p := compile(t, `
 int inf(int n) { return inf(n + 1); }
-int main(void) { return inf(0); }`, Config{})
-	if r.Trap != TrapStackOverflow {
-		t.Fatalf("trap = %v", r.Trap)
+int main(void) { return inf(0); }`)
+	for _, noBlocks := range []bool{false, true} {
+		code := PredecodeWith(p, PredecodeOptions{NoBlockCompile: noBlocks})
+		m, err := NewShared(p, code, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := m.Run("main")
+		if r.Trap != TrapStackOverflow || r.Err == nil || r.Err.Msg != "call depth 4096" {
+			t.Errorf("NoBlockCompile=%v: trap = %v (%v), want stack overflow at call depth 4096",
+				noBlocks, r.Trap, r.Err)
+		}
 	}
 }
 

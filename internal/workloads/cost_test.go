@@ -145,3 +145,74 @@ func TestCycleLedgerSumsToCycles(t *testing.T) {
 		}
 	}
 }
+
+// safeIntrSrc copies a global table of code pointers with memcpy, calls
+// through the copy, clears the original with memset and calls through it.
+// The table is 4 × 2 words, so the safe memcpy covers 8 words and the safe
+// memset 8 more.
+const safeIntrSrc = `
+struct ent { int tag; int (*fn)(int); };
+struct ent tab[4];
+struct ent cp[4];
+int twice(int x) { return 2 * x; }
+int inc(int x) { return x + 1; }
+int main(void) {
+	for (int i = 0; i < 4; i++) {
+		tab[i].tag = i;
+		if (i % 2) tab[i].fn = inc; else tab[i].fn = twice;
+	}
+	memcpy(cp, tab, sizeof(tab));
+	printf("%d %d\n", cp[3].tag, cp[3].fn(20));
+	memset(tab, 0, sizeof(tab));
+	printf("%d\n", tab[1].fn(1));
+	return 0;
+}
+`
+
+// TestSafeIntrinsicCycles pins the safe memcpy/memset path, which no
+// workload runs: output, trap and exact Cycles per protection and store
+// organisation. Under cps and cpi every covered word pays SafeIntrWord
+// once, so raising that price by 1 raises Cycles by the 8 words copied
+// plus the 8 cleared.
+func TestSafeIntrinsicCycles(t *testing.T) {
+	const copiedPlusCleared = 16
+	type cell struct {
+		trap   vm.TrapKind
+		out    string
+		cycles int64
+	}
+	cps, cpi, pac := vm.TrapCPSViolation, vm.TrapCPIViolation, vm.TrapPacViolation
+	want := map[string]cell{
+		"cps/array":    {cps, "3 21\n", 279},
+		"cps/twolevel": {cps, "3 21\n", 369},
+		"cps/hash":     {cps, "3 21\n", 519},
+		"cpi/array":    {cpi, "3 21\n", 291},
+		"cpi/twolevel": {cpi, "3 21\n", 381},
+		"cpi/hash":     {cpi, "3 21\n", 531},
+		"pac/array":    {pac, "3 21\n", 203},
+		"pac/twolevel": {pac, "3 21\n", 203},
+		"pac/hash":     {pac, "3 21\n", 203},
+	}
+	for _, prot := range []core.Protection{core.CPS, core.CPI, core.PAC} {
+		for _, org := range []string{"array", "twolevel", "hash"} {
+			name := prot.String() + "/" + org
+			prog, err := core.Compile(safeIntrSrc, core.Config{Protect: prot, DEP: true, SPS: org})
+			if err != nil {
+				t.Fatalf("%s: compile: %v", name, err)
+			}
+			r := withCost(t, prog, vm.DefaultCosts())
+			got := cell{r.Trap, r.Output, r.Cycles}
+			if got != want[name] {
+				t.Errorf("%s: got %+v (%v), want %+v", name, got, r.Err, want[name])
+			}
+			if prot == core.PAC {
+				continue
+			}
+			bumped := vm.DefaultCosts()
+			bumped.SafeIntrWord++
+			if d := withCost(t, prog, bumped).Cycles - r.Cycles; d != copiedPlusCleared {
+				t.Errorf("%s: SafeIntrWord+1 raised Cycles by %d, want %d", name, d, copiedPlusCleared)
+			}
+		}
+	}
+}
