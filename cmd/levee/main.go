@@ -1,6 +1,6 @@
 // Command levee is the compiler driver of the reproduction, mirroring the
-// paper's usage: pass -fcpi, -fcps or -fstack-protector-safe to protect a
-// program, then run it on the simulated machine.
+// paper's usage: pass -fcpi, -fcps, -fstack-protector-safe or -fpac to
+// protect a program, then run it on the simulated machine.
 //
 // Usage:
 //
@@ -30,6 +30,7 @@ func main() {
 	fsafestack := flag.Bool("fstack-protector-safe", false, "enable the safe stack only")
 	fsoftbound := flag.Bool("fsoftbound", false, "enable full memory safety (SoftBound baseline)")
 	fcfi := flag.Bool("fcfi", false, "enable coarse-grained CFI (baseline)")
+	fpac := flag.Bool("fpac", false, "sign code pointers in place with a keyed MAC (includes safe stack)")
 	cookies := flag.Bool("cookies", false, "enable stack cookies")
 	dep := flag.Bool("dep", true, "non-executable data (DEP/NX)")
 	aslr := flag.Bool("aslr", false, "randomize stack/heap (add -pie for full ASLR)")
@@ -63,6 +64,7 @@ func main() {
 		{"-fstack-protector-safe", *fsafestack, core.SafeStack},
 		{"-fsoftbound", *fsoftbound, core.SoftBound},
 		{"-fcfi", *fcfi, core.CFI},
+		{"-fpac", *fpac, core.PAC},
 	} {
 		if pf.on {
 			protect = pf.p

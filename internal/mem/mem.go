@@ -5,8 +5,10 @@
 package mem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // PageSize is the size of one page in bytes.
@@ -82,17 +84,27 @@ const cacheWays = 64
 // Memory is a sparse paged address space. The zero value is an empty address
 // space ready to use.
 //
+// Permissions live in a range table: a sorted list of disjoint runs of
+// consecutive pages, each with one permission, where runs that abut with
+// equal permissions are merged. A machine's layout (code, rodata, globals,
+// heap and two stacks — about 2,600 pages) is a handful of runs, so loading
+// or resetting one costs a few slice writes rather than one map insert per
+// page.
+//
 // Page data is materialized lazily: Map records permissions only, and the
-// 4 KiB data block is allocated on first touch. A machine maps ~10 MiB of
-// stacks and segments but touches a small fraction of it, so lazy
-// materialization cuts per-machine construction from megabytes of zeroed
-// pages to a handful — which is what keeps the parallel harness fan-out
-// (hundreds of machines) off the garbage collector's back. An untouched
-// page reads as zeroes, exactly as if it had been materialized eagerly.
+// 4 KiB data block is allocated on first touch, taking its permission from
+// the range table. A machine maps ~10 MiB of stacks and segments but
+// touches a small fraction of it, so lazy materialization cuts per-machine
+// construction from megabytes of zeroed pages to a handful — which is what
+// keeps the parallel harness fan-out (hundreds of machines) off the garbage
+// collector's back. An untouched page reads as zeroes, exactly as if it had
+// been materialized eagerly.
 type Memory struct {
-	// perms is the authoritative permission map of every mapped page.
-	perms map[uint64]Perm
-	// pages holds the materialized (touched) pages.
+	// spans is the authoritative permission table of every mapped page:
+	// sorted by page number, disjoint, and coalesced.
+	spans []span
+	// pages holds the materialized (touched) pages. A materialized page's
+	// perm always equals the perm of the span that covers it.
 	pages map[uint64]*page
 
 	// cache is a direct-mapped translation cache of cacheWays entries in
@@ -115,6 +127,13 @@ type Memory struct {
 	scratch []byte
 }
 
+// span is one entry of the range table: pages first..last (inclusive page
+// numbers) mapped with perm.
+type span struct {
+	first, last uint64
+	perm        Perm
+}
+
 // pageFreeCap bounds the recycled-page pool: a machine's touched working
 // set is a few hundred pages, and retaining more than this (4 MiB of
 // backing arrays) would just pin a pathological run's footprint forever.
@@ -122,7 +141,30 @@ const pageFreeCap = 1024
 
 // New returns an empty address space.
 func New() *Memory {
-	return &Memory{perms: map[uint64]Perm{}, pages: map[uint64]*page{}}
+	return &Memory{pages: map[uint64]*page{}}
+}
+
+// spanAt returns the index of the first span that ends at or after page pn,
+// or len(m.spans) if none does.
+func (m *Memory) spanAt(pn uint64) int {
+	lo, hi := 0, len(m.spans)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if m.spans[h].last < pn {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo
+}
+
+// spanPerm looks page pn up in the range table.
+func (m *Memory) spanPerm(pn uint64) (Perm, bool) {
+	if i := m.spanAt(pn); i < len(m.spans) && m.spans[i].first <= pn {
+		return m.spans[i].perm, true
+	}
+	return 0, false
 }
 
 // page returns the page backing addr, materializing a mapped-but-untouched
@@ -135,7 +177,7 @@ func (m *Memory) page(addr uint64) *page {
 	}
 	pg := m.pages[pn]
 	if pg == nil {
-		perm, ok := m.perms[pn]
+		perm, ok := m.spanPerm(pn)
 		if !ok {
 			return nil
 		}
@@ -153,29 +195,81 @@ func (m *Memory) page(addr uint64) *page {
 }
 
 // Map maps [addr, addr+size) with the given permissions, rounding to page
-// boundaries. Remapping an existing page updates its permissions and keeps
-// its contents.
+// boundaries; a window whose end wraps past the top of the address space
+// maps nothing. Remapping an existing page updates its permissions and
+// keeps its contents. The window overwrites its pages in the range table:
+// the spans it overlaps are split at its edges, and it merges with the
+// spans on either side that carry the same permission. The cost is linear
+// in the number of spans and of materialized pages, never in the pages of
+// the window.
 func (m *Memory) Map(addr, size uint64, perm Perm) {
-	if m.perms == nil {
-		m.perms = map[uint64]Perm{}
-		m.pages = map[uint64]*page{}
-	}
 	first := addr >> pageShift
 	last := (addr + size - 1) >> pageShift
-	for pn := first; pn <= last; pn++ {
-		m.perms[pn] = perm
-		if pg, ok := m.pages[pn]; ok {
-			pg.perm = perm
+	if last < first {
+		return
+	}
+	if m.pages == nil {
+		m.pages = map[uint64]*page{}
+	}
+	i := m.spanAt(first)
+	if i < len(m.spans) && m.spans[i].first <= first && last <= m.spans[i].last && m.spans[i].perm == perm {
+		return // already mapped so, as malloc finds most of the heap
+	}
+	// Spans [i, j) overlap the window or abut it.
+	if i > 0 && m.spans[i-1].last+1 == first {
+		i--
+	}
+	j := i
+	for j < len(m.spans) && m.spans[j].first <= last+1 {
+		j++
+	}
+	// The replacement: what survives of the first and last of those spans
+	// around the window, merged with it where the permissions agree.
+	var buf [3]span
+	repl := buf[:0]
+	if i < j && m.spans[i].first < first {
+		repl = append(repl, span{m.spans[i].first, first - 1, m.spans[i].perm})
+	}
+	repl = append(repl, span{first, last, perm})
+	if i < j && m.spans[j-1].last > last {
+		repl = append(repl, span{last + 1, m.spans[j-1].last, m.spans[j-1].perm})
+	}
+	merged := repl[:1]
+	for _, s := range repl[1:] {
+		if p := &merged[len(merged)-1]; p.perm == s.perm {
+			p.last = s.last
+		} else {
+			merged = append(merged, s)
+		}
+	}
+	m.spans = slices.Replace(m.spans, i, j, merged...)
+
+	// Materialized pages in the window take the new permission: walk the
+	// window or the materialized set, whichever is smaller.
+	if last-first < uint64(len(m.pages)) {
+		for pn := first; pn <= last; pn++ {
+			if pg := m.pages[pn]; pg != nil {
+				pg.perm = perm
+			}
+		}
+	} else {
+		for pn, pg := range m.pages {
+			if first <= pn && pn <= last {
+				pg.perm = perm
+			}
 		}
 	}
 }
 
+// Ranges reports how many spans the permission range table holds.
+func (m *Memory) Ranges() int { return len(m.spans) }
+
 // Reset returns the address space to empty — every mapping dropped, every
 // page's contents discarded — while recycling the materialized page frames
-// (zeroed here, at harvest time) and the map buckets, so a pooled machine's
-// reload repopulates both without allocating. Semantically identical to
-// *m = *New(): an address mapped only before Reset faults exactly as it
-// would in a fresh Memory.
+// (zeroed here, at harvest time), the map buckets and the range table's
+// backing array, so a pooled machine's reload repopulates all three without
+// allocating. Semantically identical to *m = *New(): an address mapped only
+// before Reset faults exactly as it would in a fresh Memory.
 func (m *Memory) Reset() {
 	for _, pg := range m.pages {
 		pg.data = [PageSize]byte{}
@@ -185,13 +279,13 @@ func (m *Memory) Reset() {
 		}
 	}
 	clear(m.pages)
-	clear(m.perms)
+	m.spans = m.spans[:0]
 	clear(m.cache[:])
 }
 
 // Mapped reports whether addr is on a mapped page.
 func (m *Memory) Mapped(addr uint64) bool {
-	_, ok := m.perms[addr>>pageShift]
+	_, ok := m.spanPerm(addr >> pageShift)
 	return ok
 }
 
@@ -495,18 +589,27 @@ func (m *Memory) ForceWriteString(addr uint64, s string) error {
 	return nil
 }
 
-// CString reads a NUL-terminated string at addr (bounded at max bytes).
-func (m *Memory) CString(addr uint64, max int) (string, error) {
-	var out []byte
-	for i := 0; i < max; i++ {
-		v, err := m.Load(addr+uint64(i), 1)
-		if err != nil {
-			return "", err
+// AppendCString appends the NUL-terminated string at addr (bounded at max
+// bytes, the NUL excluded) to dst. It scans a page at a time; a fault names
+// the first unmapped or unreadable byte it reaches, as a byte-by-byte Load
+// walk would.
+func (m *Memory) AppendCString(dst []byte, addr uint64, max int) ([]byte, error) {
+	for i := 0; i < max; {
+		a := addr + uint64(i)
+		pg := m.page(a)
+		if pg == nil {
+			return dst, &Fault{Addr: a, Kind: FaultUnmapped}
 		}
-		if v == 0 {
-			break
+		if pg.perm&R == 0 {
+			return dst, &Fault{Addr: a, Kind: FaultNoRead}
 		}
-		out = append(out, byte(v))
+		off := a & offMask
+		chunk := pg.data[off:min(PageSize, off+uint64(max-i))]
+		if n := bytes.IndexByte(chunk, 0); n >= 0 {
+			return append(dst, chunk[:n]...), nil
+		}
+		dst = append(dst, chunk...)
+		i += len(chunk)
 	}
-	return string(out), nil
+	return dst, nil
 }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -78,9 +79,44 @@ func TestCString(t *testing.T) {
 	m := New()
 	m.Map(0x1000, 0x1000, R|W)
 	m.WriteBytes(0x1000, []byte("hello\x00world"))
-	s, err := m.CString(0x1000, 64)
-	if err != nil || s != "hello" {
-		t.Fatalf("CString = %q, %v", s, err)
+	s, err := m.AppendCString([]byte("> "), 0x1000, 64)
+	if err != nil || string(s) != "> hello" {
+		t.Fatalf("AppendCString = %q, %v", s, err)
+	}
+	if s, err := m.AppendCString(nil, 0x1000, 3); err != nil || string(s) != "hel" {
+		t.Fatalf("AppendCString bounded at 3 = %q, %v", s, err)
+	}
+}
+
+// TestCStringFaults: a string that runs off its page into an unmapped or
+// unreadable one faults at the first byte of that page, and one that ends
+// (or hits its bound) before it never faults.
+func TestCStringFaults(t *testing.T) {
+	m := New()
+	m.Map(0x1000, 0x1000, R|W)
+	m.Map(0x3000, 0x1000, W)
+	m.Fill(0x1000, 'a', 0x1000)
+	m.Fill(0x3000, 'b', 0x1000)
+	for _, c := range []struct {
+		addr uint64
+		max  int
+		want uint64
+		kind FaultKind
+	}{
+		{0x1ffe, 64, 0x2000, FaultUnmapped},
+		{0x3010, 64, 0x3010, FaultNoRead},
+		{0x1ffe, 2, 0, 0},
+	} {
+		s, err := m.AppendCString(nil, c.addr, c.max)
+		if c.want == 0 {
+			if err != nil || string(s) != "aa" {
+				t.Errorf("AppendCString(%#x, %d) = %q, %v; want \"aa\"", c.addr, c.max, s, err)
+			}
+			continue
+		}
+		if f, ok := err.(*Fault); !ok || f.Addr != c.want || f.Kind != c.kind {
+			t.Errorf("AppendCString(%#x, %d) = %v; want %v at %#x", c.addr, c.max, err, faultNames[c.kind], c.want)
+		}
 	}
 }
 
@@ -321,5 +357,88 @@ func TestResetFlushesCache(t *testing.T) {
 	}
 	if v, ok := m.TryLoadWord(base); !ok || v != 0 {
 		t.Errorf("TryLoadWord on the remapped page = %d, %v; want 0, true", v, ok)
+	}
+}
+
+// The range-table tests below pin the permission table's shape: Map splits
+// the spans a window overlaps and merges abutting spans of equal
+// permission, so the table stays as small as the layout it describes.
+
+// TestMapSplitsRange: remapping the middle of a span leaves three spans,
+// and each part faults (or not) by its own permission.
+func TestMapSplitsRange(t *testing.T) {
+	m := New()
+	m.Map(0x10000, 8*PageSize, R|W)
+	m.Map(0x12000, 2*PageSize, R)
+	want := []span{{0x10, 0x11, R | W}, {0x12, 0x13, R}, {0x14, 0x17, R | W}}
+	if !slices.Equal(m.spans, want) {
+		t.Fatalf("spans = %v, want %v", m.spans, want)
+	}
+	for _, c := range []struct {
+		addr uint64
+		ok   bool
+	}{{0x11ff8, true}, {0x12000, false}, {0x13ff8, false}, {0x14000, true}, {0x17ff8, true}} {
+		if err := m.Store(c.addr, 8, 1); (err == nil) != c.ok {
+			t.Errorf("Store(%#x) = %v, want ok=%v", c.addr, err, c.ok)
+		}
+	}
+	// Remapping the middle back merges all three.
+	m.Map(0x12000, 2*PageSize, R|W)
+	if want := []span{{0x10, 0x17, R | W}}; !slices.Equal(m.spans, want) {
+		t.Errorf("spans after restoring = %v, want %v", m.spans, want)
+	}
+}
+
+// TestMapCoalesces: adjacent and overlapping maps of one permission make
+// one span, whatever their order; a different permission stays apart, and
+// an unmapped gap is never bridged.
+func TestMapCoalesces(t *testing.T) {
+	m := New()
+	m.Map(0x3000, PageSize, R|W)
+	m.Map(0x1000, PageSize, R|W)
+	m.Map(0x2000, PageSize, R|W)
+	m.Map(0x2800, 2*PageSize, R|W) // overlaps 0x2000 and 0x3000, reaches 0x4000
+	m.Map(0x5000, PageSize, R)
+	m.Map(0x7000, PageSize, R|W)
+	want := []span{{1, 4, R | W}, {5, 5, R}, {7, 7, R | W}}
+	if !slices.Equal(m.spans, want) {
+		t.Fatalf("spans = %v, want %v", m.spans, want)
+	}
+	if m.Mapped(0x6000) {
+		t.Error("the gap at 0x6000 is mapped")
+	}
+	m.Map(0x6000, PageSize, R|W)
+	m.Map(0x5000, PageSize, R|W)
+	if want := []span{{1, 7, R | W}}; !slices.Equal(m.spans, want) {
+		t.Errorf("spans after filling the gap = %v, want %v", m.spans, want)
+	}
+	// A window wrapping past the top of the address space maps nothing.
+	m.Map(^uint64(0)-PageSize+1, 2*PageSize, R)
+	if want := []span{{1, 7, R | W}}; !slices.Equal(m.spans, want) {
+		t.Errorf("spans after a wrapping window = %v, want %v", m.spans, want)
+	}
+}
+
+// TestRemapKeepsBytes: a materialized page remapped inside a larger window
+// keeps its bytes and takes the window's permission, and so does a page
+// of the split remainder only where the window covers it.
+func TestRemapKeepsBytes(t *testing.T) {
+	m := New()
+	m.Map(0x10000, 4*PageSize, R|W)
+	for i := uint64(0); i < 4; i++ {
+		if err := m.Store(0x10000+i*PageSize, 8, 0x100+i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Map(0x11000, 2*PageSize, R)
+	for i := uint64(0); i < 4; i++ {
+		a := 0x10000 + i*PageSize
+		if v, err := m.Load(a, 8); err != nil || v != 0x100+i {
+			t.Errorf("Load(%#x) after remap = %#x, %v; want %#x", a, v, err, 0x100+i)
+		}
+		err := m.Store(a, 8, 0)
+		if readOnly := i == 1 || i == 2; readOnly != (err != nil) {
+			t.Errorf("Store(%#x) after remap = %v, want read-only=%v", a, err, readOnly)
+		}
 	}
 }

@@ -271,12 +271,11 @@ func fallbackShape(in *PIns) bool {
 	return false
 }
 
-// TestFallbackShapesInline compiles every workload source as core.Compile
-// does under vanilla, cps, cpi and pac and requires that no segment op
-// whose instruction has a fallbackShape stays skGeneric, except the op a
-// trace cut at segMaxOps ends in. It guards makeSegOp against silently
-// sending a shape back to its handler.
-func TestFallbackShapesInline(t *testing.T) {
+// benchedProtections are the four backends the benchmark runs.
+var benchedProtections = []backend.Protection{backend.Vanilla, backend.CPS, backend.CPI, backend.PAC}
+
+// workloadSources maps every bundled workload and web page to its source.
+func workloadSources() map[string]string {
 	srcs := map[string]string{}
 	for _, set := range [][]workloads.Workload{workloads.Micro(), workloads.Spec(), workloads.Phoronix()} {
 		for _, w := range set {
@@ -286,15 +285,31 @@ func TestFallbackShapesInline(t *testing.T) {
 	for _, pg := range append(workloads.WebStack(), workloads.WebServe()...) {
 		srcs[pg.Name] = pg.Src
 	}
+	return srcs
+}
+
+// compileProtected compiles src as core.Compile does under prot.
+func compileProtected(t *testing.T, src string, prot backend.Protection) *ir.Program {
+	t.Helper()
+	p := compileWith(t, src, irgen.Options{PromoteRegisters: true})
+	if bk := prot.Backend(); bk != nil {
+		pt := analysis.SolvePointsTo(p)
+		instrument.SafeStack(p)
+		instrument.WithBackend(p, bk, instrument.Opts{PointsTo: pt})
+	}
+	return p
+}
+
+// TestFallbackShapesInline compiles every workload source as core.Compile
+// does under vanilla, cps, cpi and pac and requires that no segment op
+// whose instruction has a fallbackShape stays skGeneric, except the op a
+// trace cut at segMaxOps ends in. It guards makeSegOp against silently
+// sending a shape back to its handler.
+func TestFallbackShapesInline(t *testing.T) {
 	inline := map[uint8]int{}
-	for name, src := range srcs {
-		for _, prot := range []backend.Protection{backend.Vanilla, backend.CPS, backend.CPI, backend.PAC} {
-			p := compileWith(t, src, irgen.Options{PromoteRegisters: true})
-			if bk := prot.Backend(); bk != nil {
-				pt := analysis.SolvePointsTo(p)
-				instrument.SafeStack(p)
-				instrument.WithBackend(p, bk, instrument.Opts{PointsTo: pt})
-			}
+	for name, src := range workloadSources() {
+		for _, prot := range benchedProtections {
+			p := compileProtected(t, src, prot)
 			c := PredecodeWith(p, PredecodeOptions{})
 			for fi := range c.Funcs {
 				for _, op := range c.Funcs[fi].SegOps {

@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"fmt"
 	"strconv"
 
 	"repro/internal/ir"
@@ -157,17 +156,18 @@ func (m *Machine) execIntrinsic(f *frame, pin *PIns) {
 		if !ok {
 			return
 		}
-		m.out.WriteString(s)
+		m.out.Write(s)
 		m.cycles += int64(len(s)) / 8 * cost.IntrByte
 		setDst(uint64(len(s)), invalidMeta)
 		done()
 
 	case builtins.Puts:
-		s, ok := m.cstr(arg(0))
+		s, ok := m.appendCStr(m.strBuf[:0], arg(0))
 		if !ok {
 			return
 		}
-		m.out.WriteString(s)
+		m.strBuf = s
+		m.out.Write(s)
 		m.out.WriteByte('\n')
 		setDst(uint64(len(s)+1), invalidMeta)
 		done()
@@ -190,7 +190,7 @@ func (m *Machine) execIntrinsic(f *frame, pin *PIns) {
 		}
 		if max >= 0 && int64(len(s)) >= max {
 			if max == 0 {
-				s = ""
+				s = s[:0]
 			} else {
 				s = s[:max-1]
 			}
@@ -200,7 +200,7 @@ func (m *Machine) execIntrinsic(f *frame, pin *PIns) {
 			return
 		}
 		// sprintf writes unbounded into dst: a classic overflow vector.
-		if err := m.mem.WriteBytes(arg(0), append([]byte(s), 0)); err != nil {
+		if err := m.mem.WriteBytes(arg(0), append(s, 0)); err != nil {
 			m.memFault(err)
 			return
 		}
@@ -581,23 +581,36 @@ func (m *Machine) strcmp(a, b uint64, max int64) (int64, bool) {
 	}
 }
 
-func (m *Machine) cstr(addr uint64) (string, bool) {
-	s, err := m.mem.CString(addr, 1<<20)
+// appendCStr appends the C string at addr to dst; a fault traps.
+func (m *Machine) appendCStr(dst []byte, addr uint64) ([]byte, bool) {
+	b, err := m.mem.AppendCString(dst, addr, 1<<20)
 	if err != nil {
 		m.memFault(err)
-		return "", false
+		return nil, false
 	}
-	return s, true
+	return b, true
 }
 
-// format implements the printf family for %d %s %c %x %p %%.
-func (m *Machine) format(f *frame, pin *PIns, fmtIdx int) (string, bool) {
-	fv, _ := m.evalP(f, &pin.Args[fmtIdx])
-	fs, ok := m.cstr(fv)
+// cstr reads the C string at addr through the machine's string buffer.
+func (m *Machine) cstr(addr uint64) (string, bool) {
+	b, ok := m.appendCStr(m.strBuf[:0], addr)
 	if !ok {
 		return "", false
 	}
-	var out []byte
+	m.strBuf = b
+	return string(b), true
+}
+
+// format implements the printf family for %d %s %c %x %p %%. The result
+// lives in the machine's format buffer and is valid until the next call.
+func (m *Machine) format(f *frame, pin *PIns, fmtIdx int) ([]byte, bool) {
+	fv, _ := m.evalP(f, &pin.Args[fmtIdx])
+	fs, ok := m.appendCStr(m.strBuf[:0], fv)
+	if !ok {
+		return nil, false
+	}
+	m.strBuf = fs
+	out := m.fmtBuf[:0]
 	argi := fmtIdx + 1
 	nextArg := func() uint64 {
 		if argi < len(pin.Args) {
@@ -623,28 +636,27 @@ func (m *Machine) format(f *frame, pin *PIns, fmtIdx int) (string, bool) {
 		}
 		switch fs[i] {
 		case 'd', 'i':
-			out = append(out, []byte(strconv.FormatInt(int64(nextArg()), 10))...)
+			out = strconv.AppendInt(out, int64(nextArg()), 10)
 		case 'u':
-			out = append(out, []byte(strconv.FormatUint(nextArg(), 10))...)
+			out = strconv.AppendUint(out, nextArg(), 10)
 		case 'x':
-			out = append(out, []byte(strconv.FormatUint(nextArg(), 16))...)
+			out = strconv.AppendUint(out, nextArg(), 16)
 		case 'p':
-			out = append(out, []byte(fmt.Sprintf("%#x", nextArg()))...)
+			out = strconv.AppendUint(append(out, "0x"...), nextArg(), 16)
 		case 'c':
 			out = append(out, byte(nextArg()))
 		case 's':
-			s, ok := m.cstr(nextArg())
-			if !ok {
-				return "", false
+			if out, ok = m.appendCStr(out, nextArg()); !ok {
+				return nil, false
 			}
-			out = append(out, []byte(s)...)
 		case '%':
 			out = append(out, '%')
 		default:
 			out = append(out, '%', fs[i])
 		}
 	}
-	return string(out), true
+	m.fmtBuf = out
+	return out, true
 }
 
 // sscanf supports %d and %s (unbounded %s: another overflow vector).

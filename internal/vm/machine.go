@@ -347,6 +347,11 @@ type Machine struct {
 	stepBudget int64
 
 	caps enfCaps // the enforcer's capabilities, fixed at construction
+
+	// Scratch for the string intrinsics: C strings read from memory and
+	// the printf family's output, reused across calls.
+	strBuf []byte
+	fmtBuf []byte
 }
 
 // New prepares a machine for the given instrumented program, predecoding it

@@ -76,6 +76,9 @@ var resetRules = map[string]string{
 	"trap":       "nil",
 	"randState":  "reseeded from cfg.Seed exactly as NewShared",
 	"stepBudget": "restored to cfg.MaxSteps",
+
+	"strBuf": "kept: scratch, dead between intrinsic calls",
+	"fmtBuf": "kept: scratch, dead between intrinsic calls",
 }
 
 // Reset returns the machine to the state NewShared(prog, code, cfg) would

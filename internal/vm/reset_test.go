@@ -98,3 +98,30 @@ func TestResetEquivalentToFresh(t *testing.T) {
 		}
 	}
 }
+
+// TestLayoutRanges: every bundled workload's machine, under each of the
+// four benchmarked protections, holds its layout as a handful of permission
+// ranges — code, rodata, globals, heap and stack in the regular region, the
+// safe stack in the safe one — after NewShared and again after Reset. A
+// loader or malloc that went back to one permission entry per page would
+// hold thousands.
+func TestLayoutRanges(t *testing.T) {
+	for name, src := range workloadSources() {
+		for _, prot := range benchedProtections {
+			m, err := New(compileProtected(t, src, prot), Config{Protect: prot, DEP: true})
+			if err != nil {
+				t.Fatalf("%s/%v: %v", name, prot, err)
+			}
+			for _, when := range []string{"NewShared", "Reset"} {
+				if when == "Reset" {
+					if err := m.Reset(); err != nil {
+						t.Fatalf("%s/%v: Reset: %v", name, prot, err)
+					}
+				}
+				if n, s := m.mem.Ranges(), m.safe.Ranges(); n > 5 || s > 1 {
+					t.Errorf("%s/%v after %s: %d regular and %d safe ranges, want at most 5 and 1", name, prot, when, n, s)
+				}
+			}
+		}
+	}
+}
