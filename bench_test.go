@@ -285,7 +285,7 @@ func BenchmarkParallelSuite(b *testing.B) {
 		jobs := bc.jobs
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				opt := harness.Options{Jobs: jobs, Cache: harness.NewCompileCache()}
+				opt := harness.Options{Jobs: jobs}
 				if _, err := harness.RunSuiteOpt(set, harness.SpecConfigs(), opt); err != nil {
 					b.Fatal(err)
 				}

@@ -35,9 +35,7 @@ func main() {
 	jobs := flag.Int("j", harness.DefaultJobs(), "parallel workers (1 = serial; results are identical)")
 	flag.Parse()
 
-	// One compile cache across every table: a (workload, config) pair
-	// appearing in several tables is compiled once.
-	opt := harness.Options{Jobs: *jobs, Cache: harness.NewCompileCache()}
+	opt := harness.Options{Jobs: *jobs}
 
 	if *t2 || *all {
 		if err := harness.WriteTable2Opt(os.Stdout, workloads.Spec(), opt); err != nil {

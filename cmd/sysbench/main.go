@@ -28,7 +28,7 @@ func main() {
 	jobs := flag.Int("j", harness.DefaultJobs(), "parallel workers (1 = serial; results are identical)")
 	flag.Parse()
 
-	opt := harness.Options{Jobs: *jobs, Cache: harness.NewCompileCache()}
+	opt := harness.Options{Jobs: *jobs}
 
 	if *mem || *all {
 		rows, err := harness.MemoryOverheadsOpt(workloads.Spec(), opt)

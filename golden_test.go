@@ -143,7 +143,7 @@ func TestGoldenCycleTables(t *testing.T) {
 					t.Fatal(err)
 				}
 				// Two machines of one program additionally share one
-				// predecoded Code, the harness CompileCache configuration.
+				// predecoded Code.
 				ra1, err := progA.Run()
 				if err != nil {
 					t.Fatal(err)
@@ -245,9 +245,9 @@ func TestGoldenRIPEOutcomes(t *testing.T) {
 }
 
 // TestGoldenSharedPredecodeParallel runs the golden workloads through the
-// parallel harness with a shared CompileCache (the configuration every
-// bench command uses) and checks the same golden cycles come out: the
-// schedule and the predecode sharing cannot influence any measurement.
+// parallel harness at four workers (the way every bench command runs them)
+// and checks the same golden cycles come out: the schedule cannot influence
+// any measurement.
 func TestGoldenSharedPredecodeParallel(t *testing.T) {
 	spec, _ := workloads.ByName(workloads.Spec(), "403.gcc")
 	fib, _ := workloads.ByName(workloads.Micro(), "micro.fib")
@@ -259,9 +259,7 @@ func TestGoldenSharedPredecodeParallel(t *testing.T) {
 		{Name: "cpi", Cfg: core.Config{Protect: core.CPI, DEP: true}},
 		{Name: "cpi-nopromote", Cfg: core.Config{Protect: core.CPI, DEP: true, NoPromote: true}},
 	}
-	results, err := harness.RunSuiteOpt(set, cfgs, harness.Options{
-		Jobs: 4, Cache: harness.NewCompileCache(),
-	})
+	results, err := harness.RunSuiteOpt(set, cfgs, harness.Options{Jobs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,8 +142,7 @@ type Program struct {
 
 	// pre lazily holds the predecoded form of IR (vm.Predecode), built once
 	// and shared by every machine of this program — including value copies
-	// of Program (RunWithInput) and the parallel harness fan-out, whose
-	// CompileCache shares the *Program itself.
+	// of Program (RunWithInput).
 	pre *predecodeCell
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
@@ -13,8 +12,7 @@ import (
 )
 
 // Options configures how a sweep over the workload×configuration matrix is
-// executed. The zero value runs serially without a cache and is
-// observationally identical to the pre-parallel harness.
+// executed. The zero value runs serially.
 //
 // The VM is a deterministic cycle-accurate simulator and machines share no
 // state, so the schedule cannot influence any measurement: a sweep at any
@@ -24,82 +22,10 @@ type Options struct {
 	// Jobs is the number of worker goroutines fanning out the matrix
 	// cells; values below 1 mean serial execution.
 	Jobs int
-	// Cache, when non-nil, memoizes compilation per (source, config), so a
-	// workload appearing in several tables of one sweep is parsed, lowered
-	// and instrumented once per configuration instead of once per cell.
-	Cache *CompileCache
 }
 
 // DefaultJobs is the -j default of the bench commands: one worker per CPU.
 func DefaultJobs() int { return runtime.NumCPU() }
-
-// compile goes through the cache when one is configured.
-func (o Options) compile(src string, cfg core.Config) (*core.Program, error) {
-	if o.Cache != nil {
-		return o.Cache.Compile(src, cfg)
-	}
-	return core.Compile(src, cfg)
-}
-
-// CompileCache memoizes core.Compile by (source, configuration). It is safe
-// for concurrent use; concurrent requests for the same key compile once and
-// share the result (compiled programs are immutable after instrumentation,
-// and every run gets a fresh vm.Machine). It is unbounded: a full
-// evaluation sweep (all workloads × all configurations, every table) uses
-// well under a hundred distinct keys, and the processes that own a cache
-// are short-lived.
-type CompileCache struct {
-	mu sync.Mutex
-	m  map[cacheKey]*cacheEntry
-
-	hits   atomic.Int64
-	misses atomic.Int64
-}
-
-type cacheKey struct {
-	src string
-	cfg string
-}
-
-type cacheEntry struct {
-	once sync.Once
-	prog *core.Program
-	err  error
-}
-
-// NewCompileCache returns an empty cache.
-func NewCompileCache() *CompileCache {
-	return &CompileCache{m: map[cacheKey]*cacheEntry{}}
-}
-
-// ConfigKey renders a configuration as a deterministic cache-key string.
-// core.Config contains only values with stable %v formatting (scalars,
-// slices, a flat cost-model struct), so two configs share a key iff they
-// compile identically.
-func ConfigKey(cfg core.Config) string { return fmt.Sprintf("%+v", cfg) }
-
-// Compile returns the cached program for (src, cfg), compiling on first use.
-func (c *CompileCache) Compile(src string, cfg core.Config) (*core.Program, error) {
-	key := cacheKey{src: src, cfg: ConfigKey(cfg)}
-	c.mu.Lock()
-	e := c.m[key]
-	if e == nil {
-		e = &cacheEntry{}
-		c.m[key] = e
-		c.misses.Add(1)
-	} else {
-		c.hits.Add(1)
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.prog, e.err = core.Compile(src, cfg) })
-	return e.prog, e.err
-}
-
-// Stats reports cache effectiveness: hits is the number of Compile calls
-// served from the cache, misses the number of actual compilations.
-func (c *CompileCache) Stats() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
-}
 
 // ForEach runs f(i) for every i in [0, n), fanned out to jobs worker
 // goroutines (serial when jobs <= 1). Each index is executed exactly once
@@ -148,8 +74,8 @@ type cellOut struct {
 }
 
 // runCell compiles and executes one matrix cell on a fresh machine.
-func runCell(src string, cfg core.Config, opt Options) cellOut {
-	prog, err := opt.compile(src, cfg)
+func runCell(src string, cfg core.Config) cellOut {
+	prog, err := core.Compile(src, cfg)
 	if err != nil {
 		return cellOut{err: fmt.Errorf("compile: %w", err)}
 	}
@@ -179,7 +105,7 @@ func RunSuiteOpt(set []workloads.Workload, cfgs []NamedConfig, opt Options) ([]*
 
 	ForEach(len(set)*len(cfgs), opt.Jobs, func(i int) {
 		wi, ci := i/len(cfgs), i%len(cfgs)
-		cells[wi][ci] = runCell(set[wi].Src, cfgs[ci].Cfg, opt)
+		cells[wi][ci] = runCell(set[wi].Src, cfgs[ci].Cfg)
 	})
 
 	// Deterministic assembly: scan in matrix order, reporting the first

@@ -33,7 +33,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunSuiteOpt(set, cfgs, Options{Jobs: 8, Cache: NewCompileCache()})
+	parallel, err := RunSuiteOpt(set, cfgs, Options{Jobs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 // and memory sweeps, which route through the same cell runner.
 func TestParallelAblationsMatchSerial(t *testing.T) {
 	set := fastSet()[:2]
-	par := Options{Jobs: 8, Cache: NewCompileCache()}
+	par := Options{Jobs: 8}
 
 	sRows, err := MemoryOverheadsOpt(set, Options{})
 	if err != nil {
@@ -117,61 +117,9 @@ func TestParallelErrorDeterministic(t *testing.T) {
 	}
 }
 
-// TestCompileCache: the same (source, config) pair compiles once and the
-// cached program is shared; different configs stay distinct.
-func TestCompileCache(t *testing.T) {
-	c := NewCompileCache()
-	w := fastSet()[0]
-	vanilla := core.Config{DEP: true}
-	cpi := core.Config{Protect: core.CPI, DEP: true}
-
-	p1, err := c.Compile(w.Src, vanilla)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := c.Compile(w.Src, vanilla)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1 != p2 {
-		t.Error("same (src, cfg) must return the cached program")
-	}
-	p3, err := c.Compile(w.Src, cpi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p3 == p1 {
-		t.Error("different configs must not share a compilation")
-	}
-	if hits, misses := c.Stats(); hits != 1 || misses != 2 {
-		t.Errorf("cache stats = %d hits, %d misses; want 1, 2", hits, misses)
-	}
-
-	// Concurrent requests for one fresh key: exactly one compilation.
-	c2 := NewCompileCache()
-	var wg sync.WaitGroup
-	progs := make([]*core.Program, 16)
-	for i := range progs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			progs[i], _ = c2.Compile(w.Src, cpi)
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < len(progs); i++ {
-		if progs[i] != progs[0] {
-			t.Fatal("concurrent compiles of one key must share the program")
-		}
-	}
-	if _, misses := c2.Stats(); misses != 1 {
-		t.Errorf("concurrent compiles caused %d compilations; want 1", misses)
-	}
-}
-
 // TestConcurrentMachinesSharedProgram is the race-hardening regression: at
 // least two machines executing concurrently on the SAME compiled program
-// (as the parallel harness does through the compile cache) must neither
+// (as a program run several times from several goroutines is) must neither
 // race nor diverge. Run with -race to get the full guarantee.
 func TestConcurrentMachinesSharedProgram(t *testing.T) {
 	w := fastSet()[0]
@@ -205,31 +153,5 @@ func TestConcurrentMachinesSharedProgram(t *testing.T) {
 				t.Errorf("%s: machine %d diverged from machine 0", nc.Name, i)
 			}
 		}
-	}
-}
-
-// TestRunSuiteWithCacheMatchesUncached: memoized compilation must not
-// change any measurement.
-func TestRunSuiteWithCacheMatchesUncached(t *testing.T) {
-	set := fastSet()[:2]
-	plain, err := RunSuiteOpt(set, SpecConfigs(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := NewCompileCache()
-	// Two sweeps over one cache: the second is served entirely from it.
-	if _, err := RunSuiteOpt(set, SpecConfigs(), Options{Jobs: 4, Cache: cache}); err != nil {
-		t.Fatal(err)
-	}
-	cached, err := RunSuiteOpt(set, SpecConfigs(), Options{Jobs: 4, Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain, cached) {
-		t.Error("cached sweep differs from uncached sweep")
-	}
-	hits, misses := cache.Stats()
-	if want := int64(len(set) * len(SpecConfigs())); misses != want || hits != want {
-		t.Errorf("cache stats = %d hits, %d misses; want %d, %d", hits, misses, want, want)
 	}
 }

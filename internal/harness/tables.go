@@ -65,7 +65,7 @@ func WriteTable2Opt(w io.Writer, set []workloads.Workload, opt Options) error {
 	progs := make([]*core.Program, len(set)*len(cfgs))
 	errs := make([]error, len(progs))
 	ForEach(len(progs), opt.Jobs, func(i int) {
-		progs[i], errs[i] = opt.compile(set[i/len(cfgs)].Src, cfgs[i%len(cfgs)])
+		progs[i], errs[i] = core.Compile(set[i/len(cfgs)].Src, cfgs[i%len(cfgs)])
 	})
 	for _, err := range errs {
 		if err != nil {

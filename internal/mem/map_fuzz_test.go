@@ -1,14 +1,15 @@
 package mem
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 )
 
 // refMemory is the reference model for FuzzMemMap: one permission entry
-// per mapped page and one entry per written byte, with loads and stores
-// walked a byte at a time. Its Map is the per-page loop the range table
-// replaced.
+// per mapped page and one entry per written byte, with loads, stores and
+// range accesses walked a byte at a time. Its Map is the per-page loop the
+// range table replaced.
 type refMemory struct {
 	perms map[uint64]Perm
 	bytes map[uint64]byte
@@ -32,13 +33,14 @@ func (r *refMemory) Reset() {
 	clear(r.bytes)
 }
 
-// access checks one byte against need, the permission the access requires.
+// access checks one byte against need, the permission the access requires
+// (0: mapped is enough).
 func (r *refMemory) access(a uint64, need Perm, kind FaultKind) error {
 	perm, ok := r.perms[a>>pageShift]
 	if !ok {
 		return &Fault{Addr: a, Kind: FaultUnmapped}
 	}
-	if perm&need == 0 {
+	if perm&need != need {
 		return &Fault{Addr: a, Kind: kind}
 	}
 	return nil
@@ -65,6 +67,52 @@ func (r *refMemory) Store(addr uint64, size int, v uint64) error {
 		r.bytes[a] = byte(v >> (8 * uint(i)))
 	}
 	return nil
+}
+
+func (r *refMemory) ReadBytes(addr uint64, n int) ([]byte, error) {
+	var out []byte
+	for i := 0; i < n; i++ {
+		a := addr + uint64(i)
+		if err := r.access(a, R, FaultNoRead); err != nil {
+			return nil, err
+		}
+		out = append(out, r.bytes[a])
+	}
+	return out, nil
+}
+
+// write stores b at addr into pages that carry need, byte by byte.
+func (r *refMemory) write(addr uint64, b []byte, need Perm) error {
+	for i, c := range b {
+		a := addr + uint64(i)
+		if err := r.access(a, need, FaultNoWrite); err != nil {
+			return err
+		}
+		r.bytes[a] = c
+	}
+	return nil
+}
+
+func (r *refMemory) Move(dst, src uint64, n int) error {
+	b, err := r.ReadBytes(src, n)
+	if err != nil {
+		return err
+	}
+	return r.write(dst, b, W)
+}
+
+func (r *refMemory) AppendCString(dst []byte, addr uint64, max int) ([]byte, error) {
+	for i := 0; i < max; i++ {
+		a := addr + uint64(i)
+		if err := r.access(a, R, FaultNoRead); err != nil {
+			return dst, err
+		}
+		if r.bytes[a] == 0 {
+			break
+		}
+		dst = append(dst, r.bytes[a])
+	}
+	return dst, nil
 }
 
 // sameFault reports whether two access results agree: both nil, or both
@@ -116,24 +164,43 @@ func (o *fuzzOps) addr() uint64 {
 	}
 }
 
-// FuzzMemMap drives a random sequence of Map, Reset, load and store
-// operations against Memory and the per-page reference model, and after
-// each step requires equal Mapped, CheckExec, Load and Store results —
-// values and fault kinds and addresses — at the edges of the last window
-// and at the addresses the sequence touched. Windows include sub-page and
-// multi-page ones, remaps of materialized pages, zero sizes and windows
-// that wrap past the top of the address space.
+// window picks the length of a range access: up to four pages and a bit,
+// so windows straddle pages and cross unmapped or read-only middles; zero
+// comes up too.
+func (o *fuzzOps) window() int {
+	return int(o.next()&3)<<pageShift | int(o.next())
+}
+
+// FuzzMemMap drives a random sequence of Map, Reset, load, store and range
+// operations (ReadBytes, WriteBytes, Move, Fill, AppendCString and
+// ForceWriteString) against Memory and the per-page reference model. Each
+// range operation must return the reference's bytes and fault (kind and
+// address), and after each step Mapped, CheckExec, Load and Store must
+// agree at the edges of the last window and at the addresses the sequence
+// touched. Windows include sub-page and multi-page ones, remaps of
+// materialized pages, zero sizes and windows that wrap past the top of the
+// address space.
 func FuzzMemMap(f *testing.F) {
 	f.Add([]byte{0, 2, 0, 4, 3, 2, 1, 0, 3, 1, 0, 1, 1, 2, 1, 0, 1, 0, 5, 1})
 	f.Add([]byte{0, 0x81, 0, 3, 3, 0, 5, 0, 0, 4, 0, 6, 2, 0x87, 1, 0, 1, 4, 3, 0, 7})
 	f.Add([]byte{0, 1, 2, 9, 3, 2, 4, 1, 0, 3, 4, 0, 4, 2, 2, 2, 1, 5, 4, 1, 0, 5, 1})
+	// Pages 1-4 read-write with page 2 read-only, then range operations
+	// across its edges and into the unmapped page 0.
+	f.Add([]byte{0, 1, 0, 4, 0, 3, 0, 2, 0, 1, 0, 1,
+		5, 1, 1, 2, 0x10, 2, 9, 5, 1, 0, 3, 0, 0, 1, 5, 0, 0, 1, 0, 0, 0,
+		5, 1, 2, 0, 0, 1, 3, 5, 3, 0, 1, 0, 5, 3, 5, 1, 0, 2, 0, 4, 0,
+		5, 2, 0, 0, 5, 3, 0x41, 5, 1, 3, 1, 0, 1, 0x20})
+	// Pages 1-4 read-write: a patterned write, a fill of a non-zero byte
+	// that ends mid-page, and an odd-length move of the pattern.
+	f.Add([]byte{0, 1, 0, 4, 0, 3, 5, 1, 0, 1, 0x20, 2, 9,
+		5, 3, 0, 0, 0x41, 4, 0x5a, 5, 2, 0, 0, 0x33, 5, 0x20, 1, 0x10})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := fuzzOps{data}
 		var m Memory // the zero Memory is a usable empty address space
 		ref := &refMemory{perms: map[uint64]Perm{}, bytes: map[uint64]byte{}}
 		var probes []uint64
 		for step := 0; len(ops.b) > 0 && step < 200; step++ {
-			switch op := ops.next() % 6; op {
+			switch op := ops.next() % 7; op {
 			case 0, 1: // Map
 				addr := ops.addr()
 				size := uint64(ops.next()%12)<<pageShift + uint64(ops.next()%3)*PageSize/2
@@ -166,6 +233,10 @@ func FuzzMemMap(f *testing.F) {
 			case 4:
 				m.Reset()
 				ref.Reset()
+			case 5: // a range operation over a window
+				addr, n := ops.addr(), ops.window()
+				checkRange(t, step, &m, ref, &ops, addr, n)
+				probes = append(probes, addr, addr+uint64(n)-1, addr+uint64(n))
 			default: // no-op: probe only
 			}
 			checkSpans(t, step, m.spans)
@@ -194,6 +265,67 @@ func FuzzMemMap(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkRange runs one range operation, chosen by the next fuzz byte, over
+// [addr, addr+n) on both models and requires equal results. After a write
+// it also requires the window to read back equal.
+func checkRange(t *testing.T, step int, m *Memory, ref *refMemory, ops *fuzzOps, addr uint64, n int) {
+	t.Helper()
+	sel, seed := ops.next(), ops.next()
+	src := make([]byte, n)
+	for i := range src {
+		src[i] = seed + byte(i)*7 // a zero every 256 bytes ends C strings
+	}
+	var name string
+	var got, want error
+	switch sel % 6 {
+	case 0:
+		name = "ReadBytes"
+		g, gerr := m.ReadBytes(addr, n)
+		w, werr := ref.ReadBytes(addr, n)
+		if !bytes.Equal(g, w) {
+			t.Fatalf("step %d: ReadBytes(%#x, %d) read %x, want %x", step, addr, n, g, w)
+		}
+		got, want = gerr, werr
+	case 1:
+		name = "AppendCString"
+		g, gerr := m.AppendCString([]byte("> "), addr, n)
+		w, werr := ref.AppendCString([]byte("> "), addr, n)
+		if !bytes.Equal(g, w) {
+			t.Fatalf("step %d: AppendCString(%#x, %d) = %q, want %q", step, addr, n, g, w)
+		}
+		got, want = gerr, werr
+	case 2:
+		name = "WriteBytes"
+		got, want = m.WriteBytes(addr, src), ref.write(addr, src, W)
+	case 3:
+		name = "ForceWriteString"
+		got, want = m.ForceWriteString(addr, string(src)), ref.write(addr, src, 0)
+	case 4:
+		name = "Fill"
+		for i := range src {
+			src[i] = seed
+		}
+		got, want = m.Fill(addr, seed, int64(n)), ref.write(addr, src, W)
+	default:
+		// Move to another window start, or to one that overlaps the source
+		// within a page either way.
+		name = "Move"
+		from := ops.addr()
+		if seed&1 != 0 {
+			from = addr + uint64(int8(seed))
+		}
+		got, want = m.Move(addr, from, n), ref.Move(addr, from, n)
+	}
+	if !sameFault(got, want) {
+		t.Fatalf("step %d: %s(%#x, %d) = %v, want %v", step, name, addr, n, got, want)
+	}
+	g, gerr := m.ReadBytes(addr, n)
+	w, werr := ref.ReadBytes(addr, n)
+	if !bytes.Equal(g, w) || !sameFault(gerr, werr) {
+		t.Fatalf("step %d: after %s, window %#x+%d reads %x, %v; want %x, %v", step, name, addr, n, g, gerr, w, werr)
+	}
 }
 
 // checkSpans requires the range table to be sorted, disjoint and

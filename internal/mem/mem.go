@@ -291,12 +291,54 @@ func (m *Memory) Mapped(addr uint64) bool {
 
 // CheckExec verifies addr lies on an executable page.
 func (m *Memory) CheckExec(addr uint64) error {
+	_, err := m.Chunk(addr, X)
+	return err
+}
+
+// denied names the fault of an access to a mapped page that lacks the
+// permission it needs.
+var denied = [...]FaultKind{R: FaultNoRead, W: FaultNoWrite, X: FaultNoExec}
+
+// Chunk is the one page walk under every access that is not a translation
+// cache hit: it returns the bytes from addr to the end of addr's page, or
+// the fault at addr when the page is unmapped or lacks need (one of R, W
+// or X; 0 asks only that the page be mapped, as the loader's writes do).
+// The slice aliases the page, so it is valid until the next Reset and may
+// be written only when need is W or 0. A range access walks its window a
+// chunk at a time, so its first fault is the one a byte-at-a-time walk
+// would meet.
+func (m *Memory) Chunk(addr uint64, need Perm) ([]byte, error) {
 	pg := m.page(addr)
 	if pg == nil {
-		return &Fault{Addr: addr, Kind: FaultUnmapped}
+		return nil, &Fault{Addr: addr, Kind: FaultUnmapped}
 	}
-	if pg.perm&X == 0 {
-		return &Fault{Addr: addr, Kind: FaultNoExec}
+	if pg.perm&need != need {
+		return nil, &Fault{Addr: addr, Kind: denied[need]}
+	}
+	return pg.data[addr&offMask:], nil
+}
+
+// read fills p from the readable bytes at addr.
+func (m *Memory) read(p []byte, addr uint64) error {
+	for i := 0; i < len(p); {
+		c, err := m.Chunk(addr+uint64(i), R)
+		if err != nil {
+			return err
+		}
+		i += copy(p[i:], c)
+	}
+	return nil
+}
+
+// write copies src to addr, a page chunk at a time, into pages that carry
+// need.
+func (m *Memory) write(addr uint64, src []byte, need Perm) error {
+	for i := 0; i < len(src); {
+		c, err := m.Chunk(addr+uint64(i), need)
+		if err != nil {
+			return err
+		}
+		i += copy(c, src[i:])
 	}
 	return nil
 }
@@ -378,99 +420,63 @@ func (m *Memory) StoreWord(addr, v uint64) error {
 
 // Load reads size bytes (1 or 8, little-endian) at addr.
 func (m *Memory) Load(addr uint64, size int) (uint64, error) {
-	if size == 1 {
-		pg := m.page(addr)
-		if pg == nil {
-			return 0, &Fault{Addr: addr, Kind: FaultUnmapped}
-		}
-		if pg.perm&R == 0 {
-			return 0, &Fault{Addr: addr, Kind: FaultNoRead}
-		}
-		return uint64(pg.data[addr&offMask]), nil
+	c, err := m.Chunk(addr, R)
+	if err != nil {
+		return 0, err
 	}
-	if size == 8 && addr&offMask <= PageSize-8 {
-		// Whole word on one page: a single translation. The first failing
-		// byte is the first byte, so faults are identical to the byte walk.
-		pg := m.page(addr)
-		if pg == nil {
-			return 0, &Fault{Addr: addr, Kind: FaultUnmapped}
-		}
-		if pg.perm&R == 0 {
-			return 0, &Fault{Addr: addr, Kind: FaultNoRead}
-		}
-		return binary.LittleEndian.Uint64(pg.data[addr&offMask:]), nil
+	switch {
+	case size == 1:
+		return uint64(c[0]), nil
+	case size == 8 && len(c) >= 8:
+		return binary.LittleEndian.Uint64(c), nil
 	}
-	var v uint64
-	for i := 0; i < size; i++ {
-		pg := m.page(addr + uint64(i))
-		if pg == nil {
-			return 0, &Fault{Addr: addr + uint64(i), Kind: FaultUnmapped}
-		}
-		if pg.perm&R == 0 {
-			return 0, &Fault{Addr: addr + uint64(i), Kind: FaultNoRead}
-		}
-		v |= uint64(pg.data[(addr+uint64(i))&offMask]) << (8 * uint(i))
+	// A word that straddles into the next page.
+	var w [8]byte
+	if err := m.read(w[:size], addr); err != nil {
+		return 0, err
 	}
-	return v, nil
+	return binary.LittleEndian.Uint64(w[:]), nil
 }
 
 // Store writes size bytes (1 or 8, little-endian) at addr.
 func (m *Memory) Store(addr uint64, size int, v uint64) error {
-	if size == 1 {
-		pg := m.page(addr)
-		if pg == nil {
-			return &Fault{Addr: addr, Kind: FaultUnmapped}
-		}
-		if pg.perm&W == 0 {
-			return &Fault{Addr: addr, Kind: FaultNoWrite}
-		}
-		pg.data[addr&offMask] = byte(v)
-		return nil
-	}
-	if size == 8 && addr&offMask <= PageSize-8 {
-		pg := m.page(addr)
-		if pg == nil {
-			return &Fault{Addr: addr, Kind: FaultUnmapped}
-		}
-		if pg.perm&W == 0 {
-			return &Fault{Addr: addr, Kind: FaultNoWrite}
-		}
-		binary.LittleEndian.PutUint64(pg.data[addr&offMask:], v)
-		return nil
-	}
-	for i := 0; i < size; i++ {
-		pg := m.page(addr + uint64(i))
-		if pg == nil {
-			return &Fault{Addr: addr + uint64(i), Kind: FaultUnmapped}
-		}
-		if pg.perm&W == 0 {
-			return &Fault{Addr: addr + uint64(i), Kind: FaultNoWrite}
-		}
-		pg.data[(addr+uint64(i))&offMask] = byte(v >> (8 * uint(i)))
-	}
-	return nil
+	return m.store(addr, size, v, W)
 }
 
-// ReadBytes copies n bytes starting at addr into a new slice. The copy is
-// page-chunked: one translation and one copy per covered page.
+// ForceStore is Store ignoring page write permissions (loader use only).
+func (m *Memory) ForceStore(addr uint64, size int, v uint64) error {
+	return m.store(addr, size, v, 0)
+}
+
+// store writes size bytes of v at addr into pages that carry need.
+func (m *Memory) store(addr uint64, size int, v uint64, need Perm) error {
+	c, err := m.Chunk(addr, need)
+	if err != nil {
+		return err
+	}
+	switch {
+	case size == 1:
+		c[0] = byte(v)
+		return nil
+	case size == 8 && len(c) >= 8:
+		binary.LittleEndian.PutUint64(c, v)
+		return nil
+	}
+	var w [8]byte
+	binary.LittleEndian.PutUint64(w[:], v)
+	return m.write(addr, w[:size], need)
+}
+
+// ReadBytes copies n bytes starting at addr into a new slice, a page chunk
+// at a time; the slice grows only over bytes already found readable.
 func (m *Memory) ReadBytes(addr uint64, n int) ([]byte, error) {
-	out := make([]byte, n)
-	for i := 0; i < n; {
-		a := addr + uint64(i)
-		pg := m.page(a)
-		if pg == nil {
-			return nil, &Fault{Addr: a, Kind: FaultUnmapped}
+	out := make([]byte, 0, min(max(n, 0), PageSize))
+	for len(out) < n {
+		c, err := m.Chunk(addr+uint64(len(out)), R)
+		if err != nil {
+			return nil, err
 		}
-		if pg.perm&R == 0 {
-			return nil, &Fault{Addr: a, Kind: FaultNoRead}
-		}
-		off := a & offMask
-		chunk := int(PageSize - off)
-		if chunk > n-i {
-			chunk = n - i
-		}
-		copy(out[i:i+chunk], pg.data[off:off+uint64(chunk)])
-		i += chunk
+		out = append(out, c[:min(len(c), n-len(out))]...)
 	}
 	return out, nil
 }
@@ -479,97 +485,44 @@ func (m *Memory) ReadBytes(addr uint64, n int) ([]byte, error) {
 // the source range is read in full before any destination byte is written,
 // so overlapping ranges behave as if staged through a temporary buffer —
 // because they are, through an internal scratch buffer reused across calls.
-// Faults are detected on the read side before the destination is touched.
+// Faults are detected on the read side before the destination is touched,
+// and the scratch grows only over source bytes already found readable, so a
+// hostile n costs no more host memory than the mapped pages it reaches.
 func (m *Memory) Move(dst, src uint64, n int) error {
-	if n <= 0 {
-		return nil
-	}
-	if cap(m.scratch) < n {
-		m.scratch = make([]byte, n)
-	}
-	buf := m.scratch[:n]
-	for i := 0; i < n; {
-		a := src + uint64(i)
-		pg := m.page(a)
-		if pg == nil {
-			return &Fault{Addr: a, Kind: FaultUnmapped}
+	buf := m.scratch[:0]
+	for len(buf) < n {
+		c, err := m.Chunk(src+uint64(len(buf)), R)
+		if err != nil {
+			return err
 		}
-		if pg.perm&R == 0 {
-			return &Fault{Addr: a, Kind: FaultNoRead}
-		}
-		off := a & offMask
-		chunk := int(PageSize - off)
-		if chunk > n-i {
-			chunk = n - i
-		}
-		copy(buf[i:i+chunk], pg.data[off:off+uint64(chunk)])
-		i += chunk
+		buf = append(buf, c[:min(len(c), n-len(buf))]...)
 	}
+	m.scratch = buf
 	return m.WriteBytes(dst, buf)
 }
 
-// WriteBytes writes b starting at addr, page-chunked like ReadBytes.
+// WriteBytes writes b starting at addr, a page chunk at a time.
 func (m *Memory) WriteBytes(addr uint64, b []byte) error {
-	for i := 0; i < len(b); {
-		a := addr + uint64(i)
-		pg := m.page(a)
-		if pg == nil {
-			return &Fault{Addr: a, Kind: FaultUnmapped}
-		}
-		if pg.perm&W == 0 {
-			return &Fault{Addr: a, Kind: FaultNoWrite}
-		}
-		off := a & offMask
-		chunk := int(PageSize - off)
-		if chunk > len(b)-i {
-			chunk = len(b) - i
-		}
-		copy(pg.data[off:off+uint64(chunk)], b[i:i+chunk])
-		i += chunk
-	}
-	return nil
+	return m.write(addr, b, W)
 }
 
-// Fill writes n copies of c starting at addr, page-chunked like WriteBytes
-// but without a source buffer: the memset/zero fast path fills each page's
-// backing array in place, so a large fill allocates nothing.
+// Fill writes n copies of c starting at addr, filling each page's backing
+// array in place, so a large fill allocates nothing.
 func (m *Memory) Fill(addr uint64, c byte, n int64) error {
 	for i := int64(0); i < n; {
-		a := addr + uint64(i)
-		pg := m.page(a)
-		if pg == nil {
-			return &Fault{Addr: a, Kind: FaultUnmapped}
+		d, err := m.Chunk(addr+uint64(i), W)
+		if err != nil {
+			return err
 		}
-		if pg.perm&W == 0 {
-			return &Fault{Addr: a, Kind: FaultNoWrite}
-		}
-		off := a & offMask
-		chunk := int64(PageSize - off)
-		if chunk > n-i {
-			chunk = n - i
-		}
-		dst := pg.data[off : off+uint64(chunk)]
+		d = d[:min(int64(len(d)), n-i)]
 		if c == 0 {
-			clear(dst)
+			clear(d)
 		} else {
-			for j := range dst {
-				dst[j] = c
+			for j := range d {
+				d[j] = c
 			}
 		}
-		i += chunk
-	}
-	return nil
-}
-
-// ForceStore writes size bytes (little-endian) ignoring page write
-// permissions (loader use only).
-func (m *Memory) ForceStore(addr uint64, size int, v uint64) error {
-	for i := 0; i < size; i++ {
-		pg := m.page(addr + uint64(i))
-		if pg == nil {
-			return &Fault{Addr: addr + uint64(i), Kind: FaultUnmapped}
-		}
-		pg.data[(addr+uint64(i))&offMask] = byte(v >> (8 * uint(i)))
+		i += int64(len(d))
 	}
 	return nil
 }
@@ -579,37 +532,30 @@ func (m *Memory) ForceStore(addr uint64, size int, v uint64) error {
 // execution. A string source avoids a []byte conversion allocation — the
 // loader writes every string literal on each machine load/reset.
 func (m *Memory) ForceWriteString(addr uint64, s string) error {
-	for i := 0; i < len(s); i++ {
-		pg := m.page(addr + uint64(i))
-		if pg == nil {
-			return &Fault{Addr: addr + uint64(i), Kind: FaultUnmapped}
+	for i := 0; i < len(s); {
+		c, err := m.Chunk(addr+uint64(i), 0)
+		if err != nil {
+			return err
 		}
-		pg.data[(addr+uint64(i))&offMask] = s[i]
+		i += copy(c, s[i:])
 	}
 	return nil
 }
 
 // AppendCString appends the NUL-terminated string at addr (bounded at max
-// bytes, the NUL excluded) to dst. It scans a page at a time; a fault names
-// the first unmapped or unreadable byte it reaches, as a byte-by-byte Load
-// walk would.
+// bytes, the NUL excluded) to dst, a page chunk at a time.
 func (m *Memory) AppendCString(dst []byte, addr uint64, max int) ([]byte, error) {
 	for i := 0; i < max; {
-		a := addr + uint64(i)
-		pg := m.page(a)
-		if pg == nil {
-			return dst, &Fault{Addr: a, Kind: FaultUnmapped}
+		c, err := m.Chunk(addr+uint64(i), R)
+		if err != nil {
+			return dst, err
 		}
-		if pg.perm&R == 0 {
-			return dst, &Fault{Addr: a, Kind: FaultNoRead}
+		c = c[:min(len(c), max-i)]
+		if n := bytes.IndexByte(c, 0); n >= 0 {
+			return append(dst, c[:n]...), nil
 		}
-		off := a & offMask
-		chunk := pg.data[off:min(PageSize, off+uint64(max-i))]
-		if n := bytes.IndexByte(chunk, 0); n >= 0 {
-			return append(dst, chunk[:n]...), nil
-		}
-		dst = append(dst, chunk...)
-		i += len(chunk)
+		dst = append(dst, c...)
+		i += len(c)
 	}
 	return dst, nil
 }

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"bytes"
 	"strconv"
 
 	"repro/internal/ir"
@@ -47,7 +48,7 @@ func (m *Machine) execIntrinsic(f *frame, pin *PIns) {
 			done()
 			return
 		}
-		if in.Intr == builtins.Calloc {
+		if in.Intr == builtins.Calloc && n > 0 {
 			m.zero(addr, n)
 			m.cycles += n / 8 * cost.IntrByte
 		}
@@ -87,7 +88,7 @@ func (m *Machine) execIntrinsic(f *frame, pin *PIns) {
 		done()
 
 	case builtins.Memcmp:
-		a, b, n := arg(0), arg(1), int64(arg(2))
+		a, b, n := arg(0), arg(1), max(int64(arg(2)), 0)
 		r, ok := m.memcmp(a, b, n)
 		if !ok {
 			return
@@ -135,7 +136,7 @@ func (m *Machine) execIntrinsic(f *frame, pin *PIns) {
 		if in.Intr == builtins.Strncmp {
 			max = int64(arg(2))
 		}
-		r, ok := m.strcmp(arg(0), arg(1), max)
+		r, ok := m.compare(arg(0), arg(1), max, true)
 		if !ok {
 			return
 		}
@@ -257,9 +258,10 @@ func (m *Machine) execIntrinsic(f *frame, pin *PIns) {
 		m.longjmp(arg(0), arg(1))
 
 	case builtins.ReadInput:
-		buf, n := arg(0), int64(arg(1))
+		// n is C's size_t: a negative one is huge, never a short buffer.
+		buf, n := arg(0), arg(1)
 		data := m.cfg.Input
-		if int64(len(data)) > n {
+		if uint64(len(data)) > n {
 			data = data[:n]
 		}
 		if err := m.mem.WriteBytes(buf, data); err != nil {
@@ -418,9 +420,6 @@ func (m *Machine) free(addr uint64, safeVariant bool) {
 // zero clears freshly allocated memory (calloc) through the page-chunked
 // fill fast path — no scratch buffer allocation, whatever the size.
 func (m *Machine) zero(addr uint64, n int64) {
-	if n <= 0 {
-		return
-	}
 	if err := m.mem.Fill(addr, 0, n); err != nil {
 		m.memFault(err)
 	}
@@ -469,23 +468,21 @@ func (m *Machine) memset(dst uint64, c byte, n int64, safeVariant bool) bool {
 	return true
 }
 
+// memcmp compares n >= 0 bytes. It checks that all of a, then all of b, is
+// readable before it compares, so the fault it reports is the one a copy
+// of both ranges would meet.
 func (m *Machine) memcmp(a, b uint64, n int64) (int64, bool) {
-	ba, err := m.mem.ReadBytes(a, int(n))
-	if err != nil {
-		m.memFault(err)
-		return 0, false
-	}
-	bb, err := m.mem.ReadBytes(b, int(n))
-	if err != nil {
-		m.memFault(err)
-		return 0, false
-	}
-	for i := int64(0); i < n; i++ {
-		if ba[i] != bb[i] {
-			return int64(ba[i]) - int64(bb[i]), true
+	for _, p := range [2]uint64{a, b} {
+		for i := int64(0); i < n; {
+			c, err := m.mem.Chunk(p+uint64(i), mem.R)
+			if err != nil {
+				m.memFault(err)
+				return 0, false
+			}
+			i += int64(len(c))
 		}
 	}
-	return 0, true
+	return m.compare(a, b, n, false)
 }
 
 // strcpyChk is strcpy with an optional FORTIFY destination limit.
@@ -504,12 +501,15 @@ func (m *Machine) strcpyChk(dst, src uint64, max, lim int64, name string) bool {
 			return false
 		}
 	}
-	return m.strcpy(dst, src, max, true)
+	return m.strcpy(dst, src, max)
 }
 
 // strcpy copies src to dst up to NUL (or max bytes when max >= 0). It is
-// deliberately unbounded when max < 0 — the classic overflow.
-func (m *Machine) strcpy(dst, src uint64, max int64, nulTerm bool) bool {
+// deliberately unbounded when max < 0 — the classic overflow — and walks a
+// byte at a time on purpose: when dst lies inside src's string, the walk
+// re-reads bytes it has just written, which is the runaway copy an
+// overflow attack meets.
+func (m *Machine) strcpy(dst, src uint64, max int64) bool {
 	var i int64
 	for {
 		if max >= 0 && i >= max {
@@ -536,49 +536,60 @@ func (m *Machine) strcpy(dst, src uint64, max int64, nulTerm bool) bool {
 	}
 }
 
+// strlenMax bounds strlen's scan: a string with no NUL in its first
+// strlenMax+1 bytes traps as unterminated.
+const strlenMax = 1 << 20
+
+// strlen scans the C string at s a page chunk at a time.
 func (m *Machine) strlen(s uint64) (int64, bool) {
-	var n int64
-	for {
-		c, err := m.mem.Load(s+uint64(n), 1)
+	for n := int64(0); n <= strlenMax; {
+		c, err := m.mem.Chunk(s+uint64(n), mem.R)
 		if err != nil {
 			m.memFault(err)
 			return 0, false
 		}
-		if c == 0 {
-			return n, true
+		c = c[:min(int64(len(c)), strlenMax+1-n)]
+		if i := bytes.IndexByte(c, 0); i >= 0 {
+			return n + int64(i), true
 		}
-		n++
-		if n > 1<<20 {
-			m.trapf(TrapSegFault, s, ViaNone, "unterminated string")
-			return 0, false
-		}
+		n += int64(len(c))
 	}
+	m.trapf(TrapSegFault, s, ViaNone, "unterminated string")
+	return 0, false
 }
 
-func (m *Machine) strcmp(a, b uint64, max int64) (int64, bool) {
-	var i int64
-	for {
-		if max >= 0 && i >= max {
-			return 0, true
-		}
-		ca, err := m.mem.Load(a+uint64(i), 1)
+// compare walks a and b in lockstep for at most max bytes (no bound when
+// max < 0), stopping at the first difference or, for C strings, at a NUL
+// in both. Each step takes one chunk of each, cut to the smaller page
+// remainder, and checks a's page before b's, so a fault names the byte a
+// byte-at-a-time walk would stop at.
+func (m *Machine) compare(a, b uint64, max int64, cstr bool) (int64, bool) {
+	for i := int64(0); max < 0 || i < max; {
+		ca, err := m.mem.Chunk(a+uint64(i), mem.R)
 		if err != nil {
 			m.memFault(err)
 			return 0, false
 		}
-		cb, err := m.mem.Load(b+uint64(i), 1)
+		cb, err := m.mem.Chunk(b+uint64(i), mem.R)
 		if err != nil {
 			m.memFault(err)
 			return 0, false
 		}
-		if ca != cb {
-			return int64(ca) - int64(cb), true
+		n := min(len(ca), len(cb))
+		if max >= 0 {
+			n = int(min(int64(n), max-i))
 		}
-		if ca == 0 {
-			return 0, true
+		for j, x := range ca[:n] {
+			if y := cb[j]; x != y {
+				return int64(x) - int64(y), true
+			}
+			if cstr && x == 0 {
+				return 0, true
+			}
 		}
-		i++
+		i += int64(n)
 	}
+	return 0, true
 }
 
 // appendCStr appends the C string at addr to dst; a fault traps.

@@ -377,3 +377,58 @@ func TestFreeListCapped(t *testing.T) {
 		t.Errorf("reused %#x, want LIFO head %#x", a, want)
 	}
 }
+
+// TestIntrinsicLengthsNeverPanic calls each length-taking intrinsic with
+// lengths a C program can pass but no buffer satisfies: -1 (SIZE_MAX as
+// size_t), 2^40 and 2^62. Under vanilla, cpi and pac, on a fresh machine and
+// through Pool.Serve, every run must end in an exit or a program trap;
+// none may panic the VM (TrapInternal) or exhaust the host's memory by
+// sizing a host buffer from the length.
+func TestIntrinsicLengthsNeverPanic(t *testing.T) {
+	calls := [][2]string{
+		{"memcpy", `memcpy(b, a, L);`},
+		{"memmove", `memmove(b, a, L);`},
+		{"memset", `memset(b, 65, L);`},
+		{"memcmp", `r = memcmp(a, b, L);`},
+		{"strncpy", `strncpy(b, "hello", L);`},
+		{"strncat", `strncat(b, "hello", L);`},
+		{"strncmp", `r = strncmp("abc", "abd", L);`},
+		{"snprintf", `r = snprintf(b, L, "%d", 42);`},
+		{"read_input", `r = read_input(b, L);`},
+		{"calloc", `r = calloc(L, 8) == 0;`},
+		{"malloc", `r = malloc(L) == 0;`},
+	}
+	for _, prot := range []backend.Protection{backend.Vanilla, backend.CPI, backend.PAC} {
+		for _, c := range calls {
+			name, call := c[0], c[1]
+			for _, n := range []string{"-1", "1099511627776", "4611686018427387904"} {
+				src := `
+int main(void) {
+	char a[64];
+	char b[64];
+	int r = 0;
+	a[0] = 0;
+	b[0] = 0;
+	` + strings.ReplaceAll(call, "L", n) + `
+	return r;
+}`
+				p := compileProtected(t, src, prot)
+				cfg := Config{Protect: prot, DEP: true, Input: []byte("hello")}
+				m, err := New(p, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh := m.Run("main")
+				served, err := NewPool(p, Predecode(p), cfg).Serve("main")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range []*Result{fresh, served} {
+					if r.Trap == TrapInternal || r.Trap == TrapNone {
+						t.Errorf("%v %s(%s): %v (%v)", prot, name, n, r.Trap, r.Err)
+					}
+				}
+			}
+		}
+	}
+}

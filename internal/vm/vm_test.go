@@ -11,13 +11,13 @@ import (
 
 // compile builds an uninstrumented (vanilla) program with the
 // spill-everything lowering.
-func compile(t *testing.T, src string) *ir.Program {
+func compile(t testing.TB, src string) *ir.Program {
 	t.Helper()
 	return compileWith(t, src, irgen.Options{})
 }
 
 // compileWith builds an uninstrumented (vanilla) program per opts.
-func compileWith(t *testing.T, src string, opts irgen.Options) *ir.Program {
+func compileWith(t testing.TB, src string, opts irgen.Options) *ir.Program {
 	t.Helper()
 	f, err := parser.Parse(src)
 	if err != nil {
