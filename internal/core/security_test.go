@@ -500,6 +500,35 @@ func TestSafeRegionGuessing(t *testing.T) {
 
 // --- honest programs remain correct under all protections ----------------
 
+// TestCallocOverflowReturnsNull: calloc takes size_t operands, so a
+// product past MaxInt64 (or a negative operand) is NULL with no
+// allocation, under every protection; and under SoftBound a block from a
+// calloc that fits still bounds its pointer.
+func TestCallocOverflowReturnsNull(t *testing.T) {
+	const src = `
+int main(void) {
+	if (calloc(4611686018427387904, 2) != 0) return 1;
+	if (calloc(-1, 8) != 0) return 2;
+	char *p = calloc(1, 16);
+	p[15] = 1;
+	return 0;
+}`
+	for _, prot := range []Protection{Vanilla, CPI, SoftBound} {
+		if r := runT(t, src, Config{Protect: prot}); r.Trap != vm.TrapExit || r.ExitCode != 0 {
+			t.Errorf("%v: trap %v exit %d (%v), want exit 0", prot, r.Trap, r.ExitCode, r.Err)
+		}
+	}
+	r := runT(t, `
+int main(void) {
+	char *p = calloc(1, 16);
+	p[4096] = 1;
+	return 0;
+}`, Config{Protect: SoftBound})
+	if r.Trap != vm.TrapSBViolation {
+		t.Errorf("softbound: p[4096] after calloc(1, 16): trap %v, want %v", r.Trap, vm.TrapSBViolation)
+	}
+}
+
 func TestProtectionsPreserveSemantics(t *testing.T) {
 	src := `
 struct vt { int (*op)(int); };

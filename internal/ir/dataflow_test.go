@@ -1,7 +1,7 @@
 package ir_test
 
-// The word-at-a-time dataflows (MustDefinedIn, LiveIn) against the []bool
-// round-robin forms they replaced, kept here unchanged as the reference:
+// The word-at-a-time must-defined dataflow (MustDefinedIn) against the
+// []bool round-robin form it replaced, kept here unchanged as the reference:
 // bit for bit on every function of every bundled source, and on random
 // block graphs whose domain sizes straddle word boundaries.
 
@@ -81,57 +81,6 @@ func refParamSet(f *ir.Func) []bool {
 	return set
 }
 
-// refLivenessIn is the reference backward register liveness dataflow.
-func refLivenessIn(fn *ir.Func) [][]bool {
-	nb, nr := len(fn.Blocks), fn.NumRegs
-	liveIn := make([][]bool, nb)
-	for i := range liveIn {
-		liveIn[i] = make([]bool, nr)
-	}
-	for {
-		changed := false
-		for bi := nb - 1; bi >= 0; bi-- {
-			b := fn.Blocks[bi]
-			live := make([]bool, nr)
-			term := &b.Ins[len(b.Ins)-1]
-			switch term.Op {
-			case ir.OpBr:
-				copy(live, liveIn[term.Blk0])
-			case ir.OpCondBr:
-				copy(live, liveIn[term.Blk0])
-				for r, l := range liveIn[term.Blk1] {
-					live[r] = live[r] || l
-				}
-			}
-			use := func(v ir.Value) {
-				if v.Kind == ir.ValReg && v.Reg >= 0 && v.Reg < nr {
-					live[v.Reg] = true
-				}
-			}
-			for ii := len(b.Ins) - 1; ii >= 0; ii-- {
-				in := &b.Ins[ii]
-				if d := in.Dst; d >= 0 && d < nr {
-					live[d] = false
-				}
-				use(in.A)
-				use(in.B)
-				for _, a := range in.Args {
-					use(a)
-				}
-			}
-			for r := range live {
-				if live[r] && !liveIn[bi][r] {
-					liveIn[bi][r] = true
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			return liveIn
-		}
-	}
-}
-
 // frameStores and refFrameStores are the promotion pass's frame-slot
 // blockDefs callback in both forms: a block defines the slots it stores to.
 func frameStores(b *ir.Block, gen ir.Bits) {
@@ -165,9 +114,9 @@ func sameSets(got []ir.Bits, want [][]bool, n int) error {
 	return nil
 }
 
-// checkDataflows compares the register domain (entry = parameters), the
-// frame-slot domain (promotion's store callback) and liveness of every
-// function of p against the reference.
+// checkDataflows compares the register domain (entry = parameters) and
+// the frame-slot domain (promotion's store callback) of every function of
+// p against the reference.
 func checkDataflows(t *testing.T, where string, p *ir.Program) {
 	t.Helper()
 	for _, f := range p.Funcs {
@@ -182,9 +131,6 @@ func checkDataflows(t *testing.T, where string, p *ir.Program) {
 		if err := sameSets(f.MustDefinedIn(ns, nil, frameStores),
 			refMustDefinedIn(f, ns, nil, refFrameStores), ns); err != nil {
 			t.Fatalf("%s %s: frame-slot must-defined: %v", where, f.Name, err)
-		}
-		if err := sameSets(f.LiveIn(), refLivenessIn(f), nr); err != nil {
-			t.Fatalf("%s %s: liveness: %v", where, f.Name, err)
 		}
 	}
 }
@@ -240,7 +186,7 @@ func TestDataflowMatchesReferenceOnCorpus(t *testing.T) {
 	}
 }
 
-// TestDataflowAllocs pins the dataflows' allocations on the largest
+// TestDataflowAllocs pins the dataflow's allocations on the largest
 // function of 403.gcc under cpi: one backing array plus one slice of set
 // headers per call, however many blocks and passes.
 func TestDataflowAllocs(t *testing.T) {
@@ -262,9 +208,6 @@ func TestDataflowAllocs(t *testing.T) {
 	entry := f.ParamSet()
 	if got := testing.AllocsPerRun(20, func() { f.MustDefinedIn(f.NumRegs, entry, ir.RegDefs) }); got != 2 {
 		t.Errorf("MustDefinedIn: %v allocs per call, want 2", got)
-	}
-	if got := testing.AllocsPerRun(20, func() { f.LiveIn() }); got != 2 {
-		t.Errorf("LiveIn: %v allocs per call, want 2", got)
 	}
 }
 
@@ -333,9 +276,6 @@ func FuzzDataflow(f *testing.F) {
 		if err := sameSets(fn.MustDefinedIn(n, fn.ParamSet(), ir.RegDefs),
 			refMustDefinedIn(fn, n, refParamSet(fn), refRegDefs), n); err != nil {
 			t.Fatalf("must-defined (%d blocks, %d registers): %v", len(fn.Blocks), n, err)
-		}
-		if err := sameSets(fn.LiveIn(), refLivenessIn(fn), n); err != nil {
-			t.Fatalf("liveness (%d blocks, %d registers): %v", len(fn.Blocks), n, err)
 		}
 	})
 }

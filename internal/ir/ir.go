@@ -229,6 +229,63 @@ const (
 	ANe
 )
 
+// Eval applies the operator to two register words with C-on-two's-
+// complement semantics: arithmetic wraps, division truncates (MinInt64 / -1
+// is MinInt64), shift counts are taken mod 64, >> is arithmetic, and the
+// ordered comparisons are signed. It returns false on a zero divisor and
+// on an unknown operator. Constant folding and the VM's handler both call
+// it, so a folded expression computes what the executed one would.
+func (op ALU) Eval(a, b uint64) (uint64, bool) {
+	sa, sb := int64(a), int64(b)
+	var c bool
+	switch op {
+	case AAdd:
+		return a + b, true
+	case ASub:
+		return a - b, true
+	case AMul:
+		return uint64(sa * sb), true
+	case ADiv:
+		if b == 0 {
+			return 0, false
+		}
+		return uint64(sa / sb), true
+	case ARem:
+		if b == 0 {
+			return 0, false
+		}
+		return uint64(sa % sb), true
+	case AAnd:
+		return a & b, true
+	case AOr:
+		return a | b, true
+	case AXor:
+		return a ^ b, true
+	case AShl:
+		return a << (b & 63), true
+	case AShr:
+		return uint64(sa >> (b & 63)), true
+	case ALt:
+		c = sa < sb
+	case AGt:
+		c = sa > sb
+	case ALe:
+		c = sa <= sb
+	case AGe:
+		c = sa >= sb
+	case AEq:
+		c = a == b
+	case ANe:
+		c = a != b
+	default:
+		return 0, false
+	}
+	if c {
+		return 1, true
+	}
+	return 0, true
+}
+
 // ValKind says how a Value is interpreted.
 type ValKind uint8
 
@@ -403,8 +460,7 @@ func (s Bits) Has(i int) bool { return s[i>>6]&(1<<(uint(i)&63)) != 0 }
 // Add puts item i in the set.
 func (s Bits) Add(i int) { s[i>>6] |= 1 << (uint(i) & 63) }
 
-// succs returns a block's control-flow successors: the one terminator walk
-// both dataflows share.
+// succs returns a block's control-flow successors.
 func (b *Block) succs() ([2]int, int) {
 	term := &b.Ins[len(b.Ins)-1]
 	switch term.Op {
@@ -448,51 +504,6 @@ func (f *Func) MustDefinedIn(n int, entry Bits, blockDefs func(b *Block, gen Bit
 					if v := in[s][k] & (in[bi][k] | g); v != in[s][k] {
 						in[s][k], changed = v, true
 					}
-				}
-			}
-		}
-	}
-	return in
-}
-
-// LiveIn computes per-block register live-in sets, the backward liveness
-// dataflow: IN[b] = use[b] ∪ (∪ IN[succ] − def[b]), where use[b] holds the
-// registers b reads before writing them and def[b] those it writes.
-func (f *Func) LiveIn() []Bits {
-	nb, n := len(f.Blocks), f.NumRegs
-	w := (n + 63) >> 6
-	words := make([]uint64, 3*nb*w)
-	in, use, def := splitBits(words[:nb*w], nb, w), words[nb*w:2*nb*w], words[2*nb*w:]
-	for bi, b := range f.Blocks {
-		u, d := Bits(use[bi*w:(bi+1)*w]), Bits(def[bi*w:(bi+1)*w])
-		read := func(v Value) {
-			if v.Kind == ValReg && v.Reg >= 0 && v.Reg < n && !d.Has(v.Reg) {
-				u.Add(v.Reg)
-			}
-		}
-		for ii := range b.Ins {
-			ins := &b.Ins[ii]
-			read(ins.A)
-			read(ins.B)
-			for _, a := range ins.Args {
-				read(a)
-			}
-			if r := ins.Dst; r >= 0 && r < n {
-				d.Add(r)
-			}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for bi := nb - 1; bi >= 0; bi-- {
-			succs, ns := f.Blocks[bi].succs()
-			for k := 0; k < w; k++ {
-				var out uint64
-				for _, s := range succs[:ns] {
-					out |= in[s][k]
-				}
-				if v := in[bi][k] | use[bi*w+k] | out&^def[bi*w+k]; v != in[bi][k] {
-					in[bi][k], changed = v, true
 				}
 			}
 		}

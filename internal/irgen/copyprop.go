@@ -6,53 +6,45 @@ package irgen
 // block boundary through a register mov — a variable read in one block and
 // used in another, an assignment `b = a` consumed by both arms of a
 // branch — still pays a mov per boundary. This pass removes that traffic
-// with three dominator-aware transformations over the whole CFG:
+// by available-copy substitution over the whole CFG: a forward dataflow
+// computes, for every block entry, the set of copy pairs (d, s) such that
+// registers d and s are guaranteed to hold the same value (and, because
+// the VM's mov handler copies register metadata together with the value,
+// the same metadata) on every path from entry. The lattice is the map
+// d→s; a register mov generates its pair, any write to either side kills
+// it, and the meet at a join is set intersection. Uses of d rewrite to s
+// wherever a pair is available, and the movs whose destinations lose
+// their last use are left to the caller's dead-mov elision.
 //
-//  1. available-copy substitution — a forward dataflow computes, for every
-//     block entry, the set of copy pairs (d, s) such that registers d and s
-//     are guaranteed to hold the same value (and, because the VM's mov
-//     handler copies register metadata together with the value, the same
-//     metadata) on every path from entry. The lattice is the map d→s;
-//     a register mov generates its pair, any write to either side kills
-//     it, and the meet at a join is set intersection. Uses of d rewrite to
-//     s wherever a pair is available. For a single-assignment source the
-//     pass additionally checks that the source's unique definition
-//     dominates the use block — the dataflow already implies it, but the
-//     dominator check keeps the rewrite locally auditable and guards the
-//     VM's must-defined register-clear elision;
-//  2. redundant-mov elimination — a mov whose (dst, src) pair is already
-//     available is a no-op (dst provably holds the value and metadata it
-//     is about to be assigned) and is deleted;
-//  3. mov sinking — a mov that feeds only one arm of a two-way branch is
-//     pushed off the other arm: if the mov sits immediately before the
-//     terminator, its destination is live into exactly one successor, and
-//     that successor has the branch block as its only predecessor, the mov
-//     moves to the successor's head and the untaken path stops paying for
-//     it. A mov whose destination is live into neither successor is
-//     path-dead and is deleted outright — stronger than the use-count
-//     elision, which only removes registers never read anywhere.
+// For a single-assignment source the pass additionally checks that the
+// source's unique definition dominates the use block. The dataflow
+// already implies it, but the dominator check keeps the rewrite locally
+// auditable and is what ties a substitution to the VM's must-defined
+// register-clear elision: ir.Verify checks def-before-use only for
+// promoted registers.
 //
-// setjmp is the same barrier it is for the local pass: the available-copy
-// transfer function clears its state at a setjmp call (a longjmp resumes
-// there with the frame's registers as the intervening code left them, so
-// no pair captured before the call survives it), and functions that call
-// setjmp skip sinking and liveness deletion entirely — a longjmp edge
-// re-enters the CFG mid-function, and the static liveness this file
-// computes does not model that.
+// The block-local pass runs first although, on the bundled workloads,
+// this one reaches the same code without it: the transfer function's kill
+// walks the whole available-copy map on every definition, and the local
+// pass and its dead-mov elision leave that map small. setjmp is the same
+// barrier it is for the local pass: the transfer function clears its
+// state at a setjmp call, since a longjmp resumes there with the frame's
+// registers as the intervening code left them, so no pair captured before
+// the call survives it.
 //
 // Every rewrite preserves the dynamic behavior of the program instruction
-// for instruction except for the movs it deletes or sinks, which is
-// exactly the point: the dynamic step stream gets shorter, so the golden
-// step/cycle tables are re-recorded deliberately in the same change that
-// touches this pass.
+// for instruction except for the movs that die, which is exactly the
+// point: the dynamic step stream gets shorter, so the golden step/cycle
+// tables are re-recorded deliberately in the same change that touches
+// this pass.
 
 import (
 	"repro/internal/ir"
 )
 
-// crossBlockCopyProp runs the available-copies dataflow and rewrites uses,
-// then deletes movs made redundant by the propagation. Returns true if the
-// function changed (so the caller can re-run dead-mov elision).
+// crossBlockCopyProp runs the available-copies dataflow and rewrites uses.
+// Returns true if the function changed (so the caller can re-run dead-mov
+// elision).
 func crossBlockCopyProp(fn *ir.Func) bool {
 	if len(fn.Blocks) < 2 {
 		return false // the block-local pass already saw everything
@@ -69,20 +61,11 @@ func crossBlockCopyProp(fn *ir.Func) bool {
 	for _, bi := range rpo {
 		st := meetPreds(out, preds[bi], bi)
 		b := fn.Blocks[bi]
-		kept := b.Ins[:0]
 		for ii := range b.Ins {
 			in := &b.Ins[ii]
 			changed = substUses(in, st, idom, defBlock, bi) || changed
-			if in.Op == ir.OpMov && in.A.Kind == ir.ValReg {
-				if s, ok := st[in.Dst]; (ok && s == in.A.Reg) || in.Dst == in.A.Reg {
-					changed = true
-					continue // redundant: dst already holds this value
-				}
-			}
 			copyTransfer(in, st)
-			kept = append(kept, *in)
 		}
-		b.Ins = kept
 	}
 	return changed
 }
@@ -208,80 +191,6 @@ func copySetEq(a, b map[int]int) bool {
 		}
 	}
 	return true
-}
-
-// sinkMovs pushes movs that feed only one arm of a conditional branch into
-// that arm, and deletes movs live into neither arm. Functions that call
-// setjmp are skipped: a longjmp re-enters the CFG at the setjmp site, which
-// static liveness does not model.
-func sinkMovs(fn *ir.Func) bool {
-	if len(fn.Blocks) < 2 || callsSetjmp(fn) {
-		return false
-	}
-	preds := predLists(fn)
-	changed := false
-	for {
-		liveIn := fn.LiveIn()
-		moved := false
-		for bi, b := range fn.Blocks {
-			for len(b.Ins) >= 2 {
-				term := b.Ins[len(b.Ins)-1]
-				if term.Op != ir.OpCondBr || term.Blk0 == term.Blk1 {
-					break
-				}
-				mv := b.Ins[len(b.Ins)-2]
-				if mv.Op != ir.OpMov || mv.Dst < 0 {
-					break
-				}
-				if term.A.Kind == ir.ValReg && term.A.Reg == mv.Dst {
-					break // the mov feeds the branch condition
-				}
-				l0 := liveIn[term.Blk0].Has(mv.Dst)
-				l1 := liveIn[term.Blk1].Has(mv.Dst)
-				if !l0 && !l1 { // path-dead: no successor reads it
-					b.Ins = append(b.Ins[:len(b.Ins)-2], term)
-					moved, changed = true, true
-					// Deleting only removed a use inside this block, so the
-					// successors' live-in sets are still exact: keep going.
-					continue
-				}
-				target := -1
-				// The entry block (0) never qualifies: sinking into it would
-				// execute the mov on function entry.
-				if l0 && !l1 && len(preds[term.Blk0]) == 1 &&
-					term.Blk0 != bi && term.Blk0 != 0 {
-					target = term.Blk0
-				} else if l1 && !l0 && len(preds[term.Blk1]) == 1 &&
-					term.Blk1 != bi && term.Blk1 != 0 {
-					target = term.Blk1
-				}
-				if target < 0 {
-					break
-				}
-				tb := fn.Blocks[target]
-				tb.Ins = append([]ir.Instr{mv}, tb.Ins...)
-				b.Ins = append(b.Ins[:len(b.Ins)-2], term)
-				moved, changed = true, true
-				// The target's live-in set is now stale (it gained the mov's
-				// source): recompute liveness before any further decision.
-				break
-			}
-		}
-		if !moved {
-			return changed
-		}
-	}
-}
-
-func callsSetjmp(fn *ir.Func) bool {
-	for _, b := range fn.Blocks {
-		for ii := range b.Ins {
-			if isSetjmpBarrier(&b.Ins[ii]) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // ---- CFG scaffolding ----

@@ -59,11 +59,11 @@ int main(void) { return f(3, 1) * 100 + f(3, 0); }
 	}
 }
 
-func TestCopyPropSinksMovOffColdArm(t *testing.T) {
-	// The assignment to s before the branch is read only when the loop
-	// continues; the exit arm returns something else. The mov must not
-	// execute on the exit path: it either sinks into the body block or is
-	// propagated away entirely.
+func TestCopyPropLoopCarriedVariable(t *testing.T) {
+	// s is reassigned in the loop body and dead on the exit arm, which
+	// returns something else; i is read on both arms. The loop's copies
+	// cross the back edge, so the header's available-copy set must drop
+	// every pair the body kills.
 	p := lowerPromoted(t, `
 int g(int x) { return x; }
 int f(int n) {

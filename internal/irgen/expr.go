@@ -293,63 +293,13 @@ func (g *gen) binaryExpr(x *ast.Binary) ir.Value {
 	a := g.expr(x.X)
 	b := g.expr(x.Y)
 	if a.Kind == ir.ValConst && b.Kind == ir.ValConst {
-		if v, ok := foldALU(aluOf[x.Op], a.Imm, b.Imm); ok {
-			return ir.Const(v)
+		if v, ok := aluOf[x.Op].Eval(uint64(a.Imm), uint64(b.Imm)); ok {
+			return ir.Const(int64(v))
 		}
 	}
 	dst := g.newReg()
 	g.emit(ir.Instr{Op: ir.OpBin, ALU: aluOf[x.Op], Dst: dst, A: a, B: b})
 	return ir.Reg(dst)
-}
-
-func foldALU(op ir.ALU, a, b int64) (int64, bool) {
-	boolv := func(c bool) int64 {
-		if c {
-			return 1
-		}
-		return 0
-	}
-	switch op {
-	case ir.AAdd:
-		return a + b, true
-	case ir.ASub:
-		return a - b, true
-	case ir.AMul:
-		return a * b, true
-	case ir.ADiv:
-		if b == 0 {
-			return 0, false
-		}
-		return a / b, true
-	case ir.ARem:
-		if b == 0 {
-			return 0, false
-		}
-		return a % b, true
-	case ir.AAnd:
-		return a & b, true
-	case ir.AOr:
-		return a | b, true
-	case ir.AXor:
-		return a ^ b, true
-	case ir.AShl:
-		return a << uint(b&63), true
-	case ir.AShr:
-		return a >> uint(b&63), true
-	case ir.ALt:
-		return boolv(a < b), true
-	case ir.AGt:
-		return boolv(a > b), true
-	case ir.ALe:
-		return boolv(a <= b), true
-	case ir.AGe:
-		return boolv(a >= b), true
-	case ir.AEq:
-		return boolv(a == b), true
-	case ir.ANe:
-		return boolv(a != b), true
-	}
-	return 0, false
 }
 
 // shortCircuit lowers && and || through a compiler temporary.
@@ -489,10 +439,13 @@ func (g *gen) castExpr(x *ast.Cast) ir.Value {
 	if to.IsVoid() {
 		return ir.Const(0)
 	}
-	// int-to-int casts (and char truncation) happen at store/load width;
-	// a register-level cast is still emitted when pointer-ness changes so
-	// the metadata rules of Appendix A apply.
+	// A constant int-to-int cast folds, truncating to char as the VM's
+	// char cast does; other casts are emitted so the metadata rules of
+	// Appendix A apply.
 	if v.Kind == ir.ValConst && from.IsInteger() && to.IsInteger() {
+		if to.Kind == ctypes.KindChar {
+			v.Imm &= 0xff
+		}
 		return v
 	}
 	dst := g.newReg()

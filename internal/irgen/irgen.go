@@ -156,7 +156,7 @@ func (g *gen) globalInit(t *ctypes.Type, e ast.Expr, off int64) ([]ir.InitItem, 
 	if size != 1 && size != 8 {
 		return nil, fmt.Errorf("irgen: global scalar of size %d", size)
 	}
-	if v, ok := constFold(e); ok {
+	if v, ok := ast.IntConst(e); ok {
 		return []ir.InitItem{{Offset: off, Size: size, Val: v}}, nil
 	}
 	if it, ok := g.addrInit(e); ok {
@@ -200,71 +200,6 @@ func (g *gen) addrInit(e ast.Expr) (ir.InitItem, bool) {
 		return g.addrInit(x.X)
 	}
 	return ir.InitItem{}, false
-}
-
-// constFold evaluates constant integer expressions.
-func constFold(e ast.Expr) (int64, bool) {
-	switch x := e.(type) {
-	case *ast.IntLit:
-		return x.Val, true
-	case *ast.Unary:
-		v, ok := constFold(x.X)
-		if !ok {
-			return 0, false
-		}
-		switch x.Op {
-		case ast.UNeg:
-			return -v, true
-		case ast.UBitNot:
-			return ^v, true
-		case ast.UNot:
-			if v == 0 {
-				return 1, true
-			}
-			return 0, true
-		}
-	case *ast.Binary:
-		a, ok1 := constFold(x.X)
-		b, ok2 := constFold(x.Y)
-		if !ok1 || !ok2 {
-			return 0, false
-		}
-		switch x.Op {
-		case ast.Add:
-			return a + b, true
-		case ast.Sub:
-			return a - b, true
-		case ast.Mul:
-			return a * b, true
-		case ast.Div:
-			if b != 0 {
-				return a / b, true
-			}
-		case ast.Rem:
-			if b != 0 {
-				return a % b, true
-			}
-		case ast.Shl:
-			return a << uint(b&63), true
-		case ast.Shr:
-			return a >> uint(b&63), true
-		case ast.And:
-			return a & b, true
-		case ast.Or:
-			return a | b, true
-		case ast.Xor:
-			return a ^ b, true
-		}
-	case *ast.SizeofType:
-		if x.T != nil {
-			return x.T.Size(), true
-		}
-	case *ast.Cast:
-		if x.To.IsInteger() {
-			return constFold(x.X)
-		}
-	}
-	return 0, false
 }
 
 // ---- Function lowering ----

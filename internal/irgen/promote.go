@@ -33,9 +33,16 @@ package irgen
 //     register, which turns the entry spill into a deleted self-move;
 //  4. cleanup — block-local copy propagation, a fold of `def t; mov r, t`
 //     into `def r`, and dead-move elimination shrink the mov traffic so an
-//     assignment usually costs a single instruction and a read costs none.
-//     setjmp calls are a propagation barrier: a temporary captured before
-//     the call must not alias a variable mutated before the longjmp;
+//     assignment usually costs a single instruction and a read costs none;
+//     cross-block copy propagation (copyprop.go) then forwards the copies
+//     that cross block boundaries, and a second dead-move elision drops
+//     the movs it leaves without a use. On the bundled workloads the
+//     cross-block pass reaches the same code without the local
+//     propagation and the first elision; they run first because they keep
+//     its available-copy maps small, and its kill walks the whole map on
+//     every definition. setjmp calls are a propagation barrier: a
+//     temporary captured before the call must not alias a variable
+//     mutated before the longjmp;
 //  5. frame compaction — promoted slots leave ir.Func.Frame and the
 //     surviving objects are re-laid out.
 //
@@ -95,13 +102,9 @@ func promoteFunc(fn *ir.Func) {
 	propagateCopies(fn)
 	foldMovIntoDef(fn)
 	elideDeadMovs(fn)
-	// Cross-block cleanup (copyprop.go): propagate copies through the CFG,
-	// drop movs the propagation made redundant, then sink branch-feeding
-	// movs off the arms that never read them.
+	// Cross-block cleanup (copyprop.go): propagate copies through the CFG
+	// and drop the movs left without a use.
 	if crossBlockCopyProp(fn) {
-		elideDeadMovs(fn)
-	}
-	if sinkMovs(fn) {
 		elideDeadMovs(fn)
 	}
 	compactFrame(fn, cand)

@@ -397,75 +397,9 @@ func (p *parser) typeName() *ctypes.Type {
 // sizes and case labels).
 func (p *parser) constExpr() int64 {
 	e := p.condExpr()
-	v, ok := foldConst(e)
+	v, ok := ast.IntConst(e)
 	if !ok {
 		p.errf(e.Position(), "expected constant expression")
 	}
 	return v
-}
-
-// foldConst folds integer constant expressions.
-func foldConst(e ast.Expr) (int64, bool) {
-	switch x := e.(type) {
-	case *ast.IntLit:
-		return x.Val, true
-	case *ast.Unary:
-		v, ok := foldConst(x.X)
-		if !ok {
-			return 0, false
-		}
-		switch x.Op {
-		case ast.UNeg:
-			return -v, true
-		case ast.UBitNot:
-			return ^v, true
-		case ast.UNot:
-			if v == 0 {
-				return 1, true
-			}
-			return 0, true
-		}
-		return 0, false
-	case *ast.Binary:
-		a, ok1 := foldConst(x.X)
-		b, ok2 := foldConst(x.Y)
-		if !ok1 || !ok2 {
-			return 0, false
-		}
-		switch x.Op {
-		case ast.Add:
-			return a + b, true
-		case ast.Sub:
-			return a - b, true
-		case ast.Mul:
-			return a * b, true
-		case ast.Div:
-			if b == 0 {
-				return 0, false
-			}
-			return a / b, true
-		case ast.Rem:
-			if b == 0 {
-				return 0, false
-			}
-			return a % b, true
-		case ast.Shl:
-			return a << uint(b&63), true
-		case ast.Shr:
-			return a >> uint(b&63), true
-		case ast.And:
-			return a & b, true
-		case ast.Or:
-			return a | b, true
-		case ast.Xor:
-			return a ^ b, true
-		}
-		return 0, false
-	case *ast.SizeofType:
-		if x.T != nil {
-			return x.T.Size(), true
-		}
-		return 0, false
-	}
-	return 0, false
 }

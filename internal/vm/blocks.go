@@ -555,7 +555,7 @@ activation:
 				}
 				switch op.kind {
 				case skBinRR, skBinRC, skBinCR:
-					// The whole ALU inline, with aluEval's semantics.
+					// The whole ALU inline, with ir.ALU.Eval's semantics.
 					var a, b uint64
 					switch op.kind {
 					case skBinRC:

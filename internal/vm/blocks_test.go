@@ -402,7 +402,7 @@ func aluProgram(op ir.ALU, shape uint8, a, b int64) *ir.Program {
 }
 
 // TestSegmentALUEdgeCases pins the segment executor's inline ALU to the
-// handlers' aluEval and to C-on-two's-complement semantics at the edges:
+// handlers' ir.ALU.Eval and to C-on-two's-complement semantics at the edges:
 // the overflowing MinInt64 / -1 and MinInt64 % -1, truncating division of
 // negative operands, shift counts taken mod 64 (0, 63, 64, 65, negative),
 // arithmetic right shift, and the zero-divisor trap. Every case runs under

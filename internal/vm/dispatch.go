@@ -79,8 +79,8 @@ func hBadOp(m *Machine, f *frame, in *PIns) {
 func hBin(m *Machine, f *frame, in *PIns) {
 	a, _ := m.evalP(f, &in.A)
 	b, _ := m.evalP(f, &in.B)
-	v, err := aluEval(in.ALU, a, b)
-	if err != nil {
+	v, ok := in.ALU.Eval(a, b)
+	if !ok {
 		m.divZeroTrap()
 		return
 	}

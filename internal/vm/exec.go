@@ -337,56 +337,3 @@ func (m *Machine) addrSpaceP(f *frame, v *PVal) (addr uint64, meta Meta, safe bo
 	addr, meta = m.evalP(f, v)
 	return addr, meta, false
 }
-
-func aluEval(op ir.ALU, ua, ub uint64) (uint64, error) {
-	a, b := int64(ua), int64(ub)
-	boolv := func(c bool) uint64 {
-		if c {
-			return 1
-		}
-		return 0
-	}
-	switch op {
-	case ir.AAdd:
-		return ua + ub, nil
-	case ir.ASub:
-		return ua - ub, nil
-	case ir.AMul:
-		return uint64(a * b), nil
-	case ir.ADiv:
-		if b == 0 {
-			return 0, errDiv
-		}
-		return uint64(a / b), nil
-	case ir.ARem:
-		if b == 0 {
-			return 0, errDiv
-		}
-		return uint64(a % b), nil
-	case ir.AAnd:
-		return ua & ub, nil
-	case ir.AOr:
-		return ua | ub, nil
-	case ir.AXor:
-		return ua ^ ub, nil
-	case ir.AShl:
-		return ua << (ub & 63), nil
-	case ir.AShr:
-		return uint64(a >> (ub & 63)), nil
-	case ir.ALt:
-		return boolv(a < b), nil
-	case ir.AGt:
-		return boolv(a > b), nil
-	case ir.ALe:
-		return boolv(a <= b), nil
-	case ir.AGe:
-		return boolv(a >= b), nil
-	case ir.AEq:
-		return boolv(ua == ub), nil
-	case ir.ANe:
-		return boolv(ua != ub), nil
-	}
-	return 0, errDiv
-}
-
-var errDiv = fmt.Errorf("division by zero")

@@ -2,6 +2,8 @@ package vm
 
 import (
 	"bytes"
+	"math"
+	"math/bits"
 	"strconv"
 
 	"repro/internal/ir"
@@ -38,11 +40,17 @@ func (m *Machine) execIntrinsic(f *frame, pin *PIns) {
 
 	switch in.Intr {
 	case builtins.Malloc, builtins.Calloc:
-		n := int64(arg(0))
+		n, ok := int64(arg(0)), true
 		if in.Intr == builtins.Calloc {
-			n = int64(arg(0)) * int64(arg(1))
+			// The size_t product. Past MaxInt64, or on overflow, calloc
+			// returns NULL, as C's does, and allocates nothing.
+			hi, lo := bits.Mul64(arg(0), arg(1))
+			n, ok = int64(lo), hi == 0 && lo <= math.MaxInt64
 		}
-		addr, ok := m.malloc(n)
+		var addr uint64
+		if ok {
+			addr, ok = m.malloc(n)
+		}
 		if !ok {
 			setDst(0, invalidMeta)
 			done()

@@ -431,6 +431,32 @@ int main(void) {
 }`, 44)
 }
 
+// TestConstCharCastTruncates pins constant char casts to the VM's char
+// cast: a folded (char)300 is 44 in a global initializer and in a local
+// initializer, as the executed cast of a variable is, and the parser folds
+// it the same way in an array size and a case label.
+func TestConstCharCastTruncates(t *testing.T) {
+	r := mustExit(t, `
+int h = (char)300;
+int main(void) {
+	int l = (char)300;
+	int x = 300;
+	printf("%d %d %d\n", h, l, (char)x);
+	return 0;
+}`, 0)
+	if r.Output != "44 44 44\n" {
+		t.Errorf("output %q, want \"44 44 44\\n\"", r.Output)
+	}
+	mustExit(t, `
+int main(void) {
+	char a[(char)258];
+	switch (44) {
+	case (char)300: return sizeof(a);
+	}
+	return 0;
+}`, 2)
+}
+
 func TestPointerDifference(t *testing.T) {
 	mustExit(t, `
 int main(void) {
