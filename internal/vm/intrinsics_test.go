@@ -432,3 +432,52 @@ int main(void) {
 		}
 	}
 }
+
+// TestOversizedAllocReturnsNull: a malloc or calloc the simulated heap
+// cannot fit returns NULL, charges no Alloc cycles and leaves the heap
+// usable, so a program that checks for NULL goes on; on a fresh machine
+// and through Pool.Serve, under vanilla, cpi and pac.
+func TestOversizedAllocReturnsNull(t *testing.T) {
+	const src = `
+int main(void) {
+	char *p = malloc(N);
+	int null = p == 0;
+	if (calloc(1073741824, 1024) != 0) return 1;
+	char *q = malloc(16);
+	q[15] = 7;
+	puts("done");
+	return null * 10 + q[15];
+}`
+	for _, prot := range []backend.Protection{backend.Vanilla, backend.CPI, backend.PAC} {
+		cycles := map[string]int64{}
+		for _, n := range []string{"1099511627776", "16"} {
+			p := compileProtected(t, strings.ReplaceAll(src, "N", n), prot)
+			cfg := Config{Protect: prot, DEP: true}
+			m, err := New(p, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := m.Run("main")
+			served, err := NewPool(p, Predecode(p), cfg).Serve("main")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range []*Result{fresh, served} {
+				want := int64(17)
+				if n == "16" {
+					want = 7
+				}
+				if r.Trap != TrapExit || r.ExitCode != want || r.Output != "done\n" {
+					t.Errorf("%v malloc(%s): trap %v exit %d output %q (%v), want exit %d after \"done\"",
+						prot, n, r.Trap, r.ExitCode, r.Output, r.Err, want)
+				}
+			}
+			cycles[n] = fresh.Cycles
+		}
+		// Both runs take the same path; malloc(16) pays one Alloc more.
+		if d := cycles["16"] - cycles["1099511627776"]; d != DefaultCosts().Alloc {
+			t.Errorf("%v: malloc(16) costs %d cycles more than an oversized malloc; want Alloc = %d",
+				prot, d, DefaultCosts().Alloc)
+		}
+	}
+}

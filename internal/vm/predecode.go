@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"slices"
+
 	"repro/internal/ctypes"
 	"repro/internal/ir"
 )
@@ -26,6 +28,9 @@ import (
 //     compiled straight-line segment that runs as one dispatch (see
 //     blocks.go); segments charge each constituent's own cost and step, so
 //     they are invisible to the cycle/step tables;
+//   - metadata liveness: each function's registers whose metadata some
+//     instruction can read (FuncCode.MetaLive), the only ones whose
+//     metadata the segments write;
 //   - call-site numbering: every static call site (return sites, setjmp
 //     sites) gets its ordinal, so the machine resolves site addresses with
 //     an O(1) slice index instead of scanning the site map per call.
@@ -74,7 +79,8 @@ type Code struct {
 	// storeProt), an indirect call (the code-provenance check under the
 	// transfer-protecting enforcers) or an intrinsic call (argMeta,
 	// fortifyLimit). Without one, the segment executors skip metadata
-	// maintenance (see runSegment).
+	// maintenance altogether; with one, they maintain it only for the
+	// registers in each function's MetaLive (see runSegment).
 	ReadsMeta bool
 
 	// AuditHooks records PredecodeOptions.AuditHooks. Only such code runs
@@ -102,6 +108,11 @@ type FuncCode struct {
 	// segment runner streams one dense array per function.
 	Segs   []segRef
 	SegOps []segOp
+	// MetaLive holds the registers whose metadata some instruction of the
+	// function can read (see metaLiveness). Computed with block
+	// compilation, for the segment executors, which write metadata only
+	// into these registers; nil when block compilation did not run.
+	MetaLive ir.Bits
 }
 
 // PIns is one predecoded instruction. Hot fields are resolved copies of the
@@ -313,9 +324,16 @@ func PredecodeWith(p *ir.Program, opt PredecodeOptions) *Code {
 	// inline direct-call continuations, so the trace compiler reads callee
 	// instruction streams across function boundaries — and after the data
 	// layout, which global-address GEPs fold in at compile time.
+	// Every function's MetaLive is computed first, as a trace reads the
+	// set of each function it crosses into.
 	if !opt.NoBlockCompile && !opt.AuditHooks {
+		var ml metaLiveness
+		for fi, fn := range p.Funcs {
+			c.Funcs[fi].MetaLive = ml.run(&c.Funcs[fi], fn.NumRegs)
+		}
+		var tb traceCompiler
 		for fi := range c.Funcs {
-			c.BlockSegs += compileBlocks(p, c, &c.Funcs[fi])
+			c.BlockSegs += tb.compileBlocks(p, c, &c.Funcs[fi])
 		}
 	}
 	return c
@@ -361,4 +379,110 @@ func regsDefBeforeUse(fn *ir.Func) bool {
 		}
 	}
 	return true
+}
+
+// metaLiveness computes FuncCode.MetaLive, the registers whose metadata
+// some instruction can read, reusing its buffers across the functions of a
+// program. The seeds are the register operands whose metadata an
+// instruction consumes or hands on beyond the function:
+//
+//   - the address of a flagged load or store (derefCheck);
+//   - the value of a flagged store (storeProt);
+//   - the value of a plain store to a safe-eligible frame object, whose
+//     metadata goes into the safe stack's shadow and from there back into
+//     the register a reload writes;
+//   - the target of an indirect call (the code-provenance check);
+//   - a returned value (the caller's destination register);
+//   - every call or intrinsic argument (the callee's parameter registers,
+//     argMeta, fortifyLimit).
+//
+// The closure runs backwards over the copies — mov, cast, addr and a GEP's
+// base: when an instruction's destination is live, its source is too.
+// Nothing else reads register metadata: a plain store outside the safe
+// stack keeps none, and Bin, compares and branches discard it.
+type metaLiveness struct {
+	off  []int32 // CSR offsets of the copy edges, by destination
+	src  []int32 // copy sources, grouped by destination
+	work []int32 // live registers whose sources are not yet visited
+}
+
+// run returns the live set of fc, whose register file has nr registers.
+// Operands outside the file are ignored.
+func (ml *metaLiveness) run(fc *FuncCode, nr int) ir.Bits {
+	live := ir.NewBits(nr)
+	ml.off = slices.Grow(ml.off[:0], nr+2)[:nr+2]
+	clear(ml.off)
+	ml.work = ml.work[:0]
+	edges := 0
+	for i := range fc.Ins {
+		in := &fc.Ins[i]
+		switch in.Op {
+		case ir.OpLoad:
+			if in.Flags&protMask != 0 {
+				ml.seed(live, nr, &in.A)
+			}
+		case ir.OpStore:
+			if in.Flags&protMask != 0 {
+				ml.seed(live, nr, &in.A)
+				ml.seed(live, nr, &in.B)
+			} else if in.A.Kind == ir.ValFrame && !in.A.Unsafe {
+				ml.seed(live, nr, &in.B)
+			}
+		case ir.OpICall, ir.OpRet:
+			ml.seed(live, nr, &in.A)
+		}
+		for a := range in.Args {
+			ml.seed(live, nr, &in.Args[a])
+		}
+		if copyEdge(in, nr) {
+			ml.off[in.Dst+2]++
+			edges++
+		}
+	}
+	if len(ml.work) == 0 {
+		return live
+	}
+	// Counting sort of the edges by destination: after the prefix sum,
+	// off[d+1] is where d's sources start; filling advances it to their end,
+	// which leaves d's sources at src[off[d]:off[d+1]].
+	for d := 2; d < len(ml.off); d++ {
+		ml.off[d] += ml.off[d-1]
+	}
+	ml.src = slices.Grow(ml.src[:0], edges)[:edges]
+	for i := range fc.Ins {
+		if in := &fc.Ins[i]; copyEdge(in, nr) {
+			ml.src[ml.off[in.Dst+1]] = in.A.Reg
+			ml.off[in.Dst+1]++
+		}
+	}
+	for len(ml.work) > 0 {
+		d := ml.work[len(ml.work)-1]
+		ml.work = ml.work[:len(ml.work)-1]
+		for _, s := range ml.src[ml.off[d]:ml.off[d+1]] {
+			if !live.Has(int(s)) {
+				live.Add(int(s))
+				ml.work = append(ml.work, s)
+			}
+		}
+	}
+	return live
+}
+
+// seed adds a register operand to the live set and the worklist.
+func (ml *metaLiveness) seed(live ir.Bits, nr int, v *PVal) {
+	if r := int(v.Reg); v.Kind == ir.ValReg && r >= 0 && r < nr && !live.Has(r) {
+		live.Add(r)
+		ml.work = append(ml.work, v.Reg)
+	}
+}
+
+// copyEdge reports whether in copies the metadata of one register of the
+// file into another: a mov, cast, addr or GEP of a register A operand.
+func copyEdge(in *PIns, nr int) bool {
+	switch in.Op {
+	case ir.OpMov, ir.OpCast, ir.OpAddr, ir.OpGEP:
+		return in.A.Kind == ir.ValReg && in.A.Reg >= 0 && int(in.A.Reg) < nr &&
+			in.Dst >= 0 && int(in.Dst) < nr
+	}
+	return false
 }

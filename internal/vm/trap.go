@@ -23,6 +23,8 @@ const (
 	TrapNullCall
 	TrapMaxSteps
 	TrapStackOverflow
+	// TrapOOM is kept for its value: an allocation the heap cannot fit
+	// returns NULL, so no program behaviour raises it today.
 	TrapOOM
 	TrapAbort
 	TrapDivZero
