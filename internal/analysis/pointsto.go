@@ -209,6 +209,24 @@ func (s *PointsTo) addEdge(from, to int32) {
 }
 
 func (s *PointsTo) build() {
+	// Size the per-object and per-variable slices once: one contents
+	// variable per object, at most one singleton address variable per
+	// object, each function's register block and return variable. Only
+	// heap sites and copy temporaries, added while generating, grow them.
+	nobj, nregs := 1+len(s.prog.Funcs)+len(s.prog.Globals)+len(s.prog.Strings), 0
+	for _, f := range s.prog.Funcs {
+		nobj += len(f.Frame)
+		nregs += max(f.NumRegs, 1)
+	}
+	nvars := 2*nobj + nregs + len(s.prog.Funcs)
+	s.objs = make([]ptObject, 0, nobj)
+	s.objv = make([]int32, 0, nobj)
+	s.pts = make([]map[int32]struct{}, 0, nvars)
+	s.succs = make([][]int32, 0, nvars)
+	s.loadsAt = make([][]int32, 0, nvars)
+	s.storesAt = make([][]int32, 0, nvars)
+	s.icallsAt = make([][]int32, 0, nvars)
+
 	// Object 0: Unknown. Untracked memory may reach more untracked memory.
 	s.newObj(objUnknown, -1, -1)
 	s.addObj(s.objv[0], 0)

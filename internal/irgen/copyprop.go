@@ -10,8 +10,8 @@ package irgen
 // computes, for every block entry, the set of copy pairs (d, s) such that
 // registers d and s are guaranteed to hold the same value (and, because
 // the VM's mov handler copies register metadata together with the value,
-// the same metadata) on every path from entry. The lattice is the map
-// d→s; a register mov generates its pair, any write to either side kills
+// the same metadata) on every path from entry. The lattice is the partial
+// map d→s; a register mov generates its pair, any write to either side kills
 // it, and the meet at a join is set intersection. Uses of d rewrite to s
 // wherever a pair is available, and the movs whose destinations lose
 // their last use are left to the caller's dead-mov elision.
@@ -23,10 +23,16 @@ package irgen
 // register-clear elision: ir.Verify checks def-before-use only for
 // promoted registers.
 //
+// The available-copy state is a copySet: a dense d→s array over the
+// function's registers plus the list of d's it holds, so a lookup is an
+// index, a definition that is no pair's source kills in O(1), and a reset
+// touches only the pairs it clears. Each block's OUT is the set's pairs
+// sorted by d, so the meet is a sorted intersection and the fixpoint test
+// a slice comparison.
+//
 // The block-local pass runs first although, on the bundled workloads,
-// this one reaches the same code without it: the transfer function's kill
-// walks the whole available-copy map on every definition, and the local
-// pass and its dead-mov elision leave that map small. setjmp is the same
+// this one reaches the same code without it: the local pass and its
+// dead-mov elision leave every available-copy set small. setjmp is the same
 // barrier it is for the local pass: the transfer function clears its
 // state at a setjmp call, since a longjmp resumes there with the frame's
 // registers as the intervening code left them, so no pair captured before
@@ -39,13 +45,102 @@ package irgen
 // this pass.
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/ir"
 )
 
-// crossBlockCopyProp runs the available-copies dataflow and rewrites uses.
-// Returns true if the function changed (so the caller can re-run dead-mov
-// elision).
-func crossBlockCopyProp(fn *ir.Func) bool {
+// copySet is a set of available copy pairs (d, s) over one function's
+// registers: register d holds the value of register s. It is a sparse set
+// keyed by d, with a count of the pairs naming each register as source so
+// that a definition no pair reads from kills in O(1).
+type copySet struct {
+	src  []int32 // src[d]: the register d copies, or -1
+	pos  []int32 // pos[d]: d's index in dsts while src[d] >= 0
+	refs []int32 // refs[s]: the number of pairs whose source is s
+	dsts []int32 // the d's with src[d] >= 0, in no particular order
+}
+
+// copyPair is one available copy: register d holds the value of s.
+type copyPair struct{ d, s int32 }
+
+// newCopySet returns an empty set over nregs registers.
+func newCopySet(nregs int) *copySet {
+	buf := make([]int32, 4*nregs)
+	st := &copySet{
+		src:  buf[:nregs:nregs],
+		pos:  buf[nregs : 2*nregs : 2*nregs],
+		refs: buf[2*nregs : 3*nregs : 3*nregs],
+		dsts: buf[3*nregs : 3*nregs : 4*nregs],
+	}
+	for i := range st.src {
+		st.src[i] = -1
+	}
+	return st
+}
+
+// lookup returns the register r copies, if a pair for r is available.
+func (st *copySet) lookup(r int) (int, bool) {
+	s := st.src[r]
+	return int(s), s >= 0
+}
+
+// add records the pair (d, s); d must hold no pair.
+func (st *copySet) add(d, s int) {
+	st.src[d] = int32(s)
+	st.pos[d] = int32(len(st.dsts))
+	st.dsts = append(st.dsts, int32(d))
+	st.refs[s]++
+}
+
+// remove drops d's pair, which must be present.
+func (st *copySet) remove(d int32) {
+	st.refs[st.src[d]]--
+	st.src[d] = -1
+	i, last := st.pos[d], st.dsts[len(st.dsts)-1]
+	st.dsts[i], st.pos[last] = last, i
+	st.dsts = st.dsts[:len(st.dsts)-1]
+}
+
+// kill applies a write to register d: the pair for d and every pair whose
+// source is d stop being available.
+func (st *copySet) kill(d int) {
+	if st.src[d] >= 0 {
+		st.remove(int32(d))
+	}
+	for i := 0; st.refs[d] > 0; {
+		if t := st.dsts[i]; st.src[t] == int32(d) {
+			st.remove(t) // swaps the last pair into slot i
+		} else {
+			i++
+		}
+	}
+}
+
+// reset empties the set.
+func (st *copySet) reset() {
+	for _, d := range st.dsts {
+		st.refs[st.src[d]] = 0
+		st.src[d] = -1
+	}
+	st.dsts = st.dsts[:0]
+}
+
+// appendPairs appends the set's pairs to buf, sorted by d.
+func (st *copySet) appendPairs(buf []copyPair) []copyPair {
+	n := len(buf)
+	for _, d := range st.dsts {
+		buf = append(buf, copyPair{d, st.src[d]})
+	}
+	slices.SortFunc(buf[n:], func(a, b copyPair) int { return cmp.Compare(a.d, b.d) })
+	return buf
+}
+
+// crossBlockCopyProp runs the available-copies dataflow and rewrites uses,
+// with st (empty, over fn's registers) as its working state. Returns true
+// if the function changed (so the caller can re-run dead-mov elision).
+func crossBlockCopyProp(fn *ir.Func, st *copySet) bool {
 	if len(fn.Blocks) < 2 {
 		return false // the block-local pass already saw everything
 	}
@@ -54,12 +149,13 @@ func crossBlockCopyProp(fn *ir.Func) bool {
 	idom := immediateDominators(fn, rpo, preds)
 	defBlock := saDefBlocks(fn)
 
-	out := copyDataflow(fn, rpo, preds)
+	cf := newCopyFlow(fn, st)
+	cf.solve(rpo, preds)
 
 	// Rebuild each reachable block's IN from its predecessors and rewrite.
 	changed := false
 	for _, bi := range rpo {
-		st := meetPreds(out, preds[bi], bi)
+		cf.meetPreds(preds[bi], bi)
 		b := fn.Blocks[bi]
 		for ii := range b.Ins {
 			in := &b.Ins[ii]
@@ -67,13 +163,14 @@ func crossBlockCopyProp(fn *ir.Func) bool {
 			copyTransfer(in, st)
 		}
 	}
+	st.reset()
 	return changed
 }
 
 // substUses rewrites the register uses of one instruction through the
-// available-copy map, chasing chains to their root. A single-assignment
+// available-copy set, chasing chains to their root. A single-assignment
 // replacement register must be defined in a block dominating the use.
-func substUses(in *ir.Instr, st map[int]int, idom []int, defBlock []int, bi int) bool {
+func substUses(in *ir.Instr, st *copySet, idom []int, defBlock []int, bi int) bool {
 	changed := false
 	sub := func(v *ir.Value) {
 		if v.Kind != ir.ValReg {
@@ -83,7 +180,7 @@ func substUses(in *ir.Instr, st map[int]int, idom []int, defBlock []int, bi int)
 		// Chains are acyclic (generating (d,s) requires s live, and a
 		// write to s kills (d,s)), but bound the walk anyway.
 		for hops := 0; hops < len(idom)+8; hops++ {
-			s, ok := st[r]
+			s, ok := st.lookup(r)
 			if !ok {
 				break
 			}
@@ -106,112 +203,171 @@ func substUses(in *ir.Instr, st map[int]int, idom []int, defBlock []int, bi int)
 }
 
 // copyTransfer applies one instruction to the available-copy state.
-func copyTransfer(in *ir.Instr, st map[int]int) {
+func copyTransfer(in *ir.Instr, st *copySet) {
 	if isSetjmpBarrier(in) {
-		clear(st)
+		st.reset()
 		return
 	}
 	d := in.Dst
 	if d < 0 {
 		return
 	}
-	delete(st, d)
-	for t, s := range st {
-		if s == d {
-			delete(st, t)
-		}
-	}
+	st.kill(d)
 	if in.Op == ir.OpMov && in.A.Kind == ir.ValReg && in.A.Reg != d {
-		st[d] = in.A.Reg
+		st.add(d, in.A.Reg)
 	}
 }
 
-// copyDataflow computes each reachable block's OUT copy set by iterating
-// the transfer function over reverse postorder until fixpoint.
-func copyDataflow(fn *ir.Func, rpo []int, preds [][]int) []map[int]int {
-	out := make([]map[int]int, len(fn.Blocks))
+// copyFlow is the cross-block pass's dataflow state: each block's OUT
+// pairs, sorted by d, and the working set the meet and transfer act on.
+type copyFlow struct {
+	fn  *ir.Func
+	st  *copySet
+	out [][]copyPair // nil until computed (⊤); a computed empty OUT is non-nil
+	// slab backs every OUT: a changed OUT is appended, never overwritten,
+	// so the OUT slices stay valid as the slab grows.
+	slab     []copyPair
+	cur, acc []copyPair // scratch: the block's new OUT, the running meet
+}
+
+// noPairs is the computed empty OUT, distinct from the nil ⊤.
+var noPairs = []copyPair{}
+
+// newCopyFlow returns the state for fn with st as its working set. The
+// slab starts with room for one pair per block, which after the local
+// pass's cleanup is more than the bundled functions' OUTs ever take.
+func newCopyFlow(fn *ir.Func, st *copySet) copyFlow {
+	n, nb := len(st.src), len(fn.Blocks)
+	buf := make([]copyPair, 2*n+nb)
+	return copyFlow{
+		fn:   fn,
+		st:   st,
+		out:  make([][]copyPair, nb),
+		cur:  buf[:0:n],
+		acc:  buf[n : n : 2*n],
+		slab: buf[2*n : 2*n : 2*n+nb],
+	}
+}
+
+// solve computes each reachable block's OUT copy set by iterating the
+// transfer function over reverse postorder until fixpoint.
+func (cf *copyFlow) solve(rpo []int, preds [][]int) {
 	for {
 		changed := false
 		for _, bi := range rpo {
-			st := meetPreds(out, preds[bi], bi)
-			for ii := range fn.Blocks[bi].Ins {
-				copyTransfer(&fn.Blocks[bi].Ins[ii], st)
+			cf.meetPreds(preds[bi], bi)
+			for ii := range cf.fn.Blocks[bi].Ins {
+				copyTransfer(&cf.fn.Blocks[bi].Ins[ii], cf.st)
 			}
-			// nil means ⊤ (never computed); an empty map is a real bottom
-			// OUT and must replace it even when the contents compare equal.
-			if out[bi] == nil || !copySetEq(out[bi], st) {
-				out[bi] = st
+			cf.cur = cf.st.appendPairs(cf.cur[:0])
+			// nil means ⊤ (never computed); an empty OUT is a real bottom
+			// and must replace it even when the contents compare equal.
+			if cf.out[bi] == nil || !slices.Equal(cf.out[bi], cf.cur) {
+				cf.out[bi] = cf.keep(cf.cur)
 				changed = true
 			}
 		}
 		if !changed {
-			return out
+			return
 		}
 	}
 }
 
-// meetPreds intersects the predecessors' OUT sets (entry and blocks whose
-// predecessors are all unprocessed start empty — the conservative bottom).
-func meetPreds(out []map[int]int, preds []int, bi int) map[int]int {
-	if bi == 0 {
-		return map[int]int{}
+// keep stores an OUT in the slab and returns its stable copy.
+func (cf *copyFlow) keep(pairs []copyPair) []copyPair {
+	if len(pairs) == 0 {
+		return noPairs
 	}
-	var acc map[int]int
+	i := len(cf.slab)
+	cf.slab = append(cf.slab, pairs...)
+	return cf.slab[i:len(cf.slab):len(cf.slab)]
+}
+
+// meetPreds loads the working set with the intersection of the
+// predecessors' OUT sets (entry and blocks whose predecessors are all
+// unprocessed start empty — the conservative bottom).
+func (cf *copyFlow) meetPreds(preds []int, bi int) {
+	cf.st.reset()
+	if bi == 0 {
+		return
+	}
+	acc, seen := cf.acc[:0], false
 	for _, p := range preds {
-		po := out[p]
+		po := cf.out[p]
 		if po == nil {
 			continue // unprocessed on this sweep: ⊤, identity for ∩
 		}
-		if acc == nil {
-			acc = make(map[int]int, len(po))
-			for d, s := range po {
-				acc[d] = s
-			}
+		if !seen {
+			acc, seen = append(acc, po...), true
 			continue
 		}
-		for d, s := range acc {
-			if ps, ok := po[d]; !ok || ps != s {
-				delete(acc, d)
-			}
-		}
+		acc = intersectPairs(acc, po)
 	}
-	if acc == nil {
-		acc = map[int]int{}
+	for _, c := range acc {
+		cf.st.add(int(c.d), int(c.s))
 	}
-	return acc
+	cf.acc = acc
 }
 
-func copySetEq(a, b map[int]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for d, s := range a {
-		if bs, ok := b[d]; !ok || bs != s {
-			return false
+// intersectPairs keeps the pairs of a (sorted by d) that b (sorted by d)
+// also holds, in place.
+func intersectPairs(a, b []copyPair) []copyPair {
+	out, j := a[:0], 0
+	for _, c := range a {
+		for j < len(b) && b[j].d < c.d {
+			j++
+		}
+		if j < len(b) && b[j] == c {
+			out = append(out, c)
 		}
 	}
-	return true
+	return out
 }
 
 // ---- CFG scaffolding ----
 
 // predLists returns each block's predecessor list (reachability-agnostic:
-// an edge counts whether or not its source is reachable).
+// an edge counts whether or not its source is reachable). The lists share
+// one backing array.
 func predLists(fn *ir.Func) [][]int {
+	n := make([]int, len(fn.Blocks))
+	edges := 0
+	for _, b := range fn.Blocks {
+		for _, t := range blockSuccs(b) {
+			if t >= 0 {
+				n[t]++
+				edges++
+			}
+		}
+	}
+	flat := make([]int, edges)
 	preds := make([][]int, len(fn.Blocks))
+	off := 0
+	for bi := range preds {
+		preds[bi] = flat[off : off : off+n[bi]]
+		off += n[bi]
+	}
 	for bi, b := range fn.Blocks {
-		term := &b.Ins[len(b.Ins)-1]
-		switch term.Op {
-		case ir.OpBr:
-			preds[term.Blk0] = append(preds[term.Blk0], bi)
-		case ir.OpCondBr:
-			preds[term.Blk0] = append(preds[term.Blk0], bi)
-			if term.Blk1 != term.Blk0 {
-				preds[term.Blk1] = append(preds[term.Blk1], bi)
+		for _, t := range blockSuccs(b) {
+			if t >= 0 {
+				preds[t] = append(preds[t], bi)
 			}
 		}
 	}
 	return preds
+}
+
+// blockSuccs returns a block's distinct successors, -1 marking an absent
+// one.
+func blockSuccs(b *ir.Block) [2]int {
+	term := &b.Ins[len(b.Ins)-1]
+	switch {
+	case term.Op == ir.OpBr, term.Op == ir.OpCondBr && term.Blk1 == term.Blk0:
+		return [2]int{term.Blk0, -1}
+	case term.Op == ir.OpCondBr:
+		return [2]int{term.Blk0, term.Blk1}
+	}
+	return [2]int{-1, -1}
 }
 
 // reversePostorder returns the reachable blocks in reverse postorder of a
@@ -222,18 +378,9 @@ func reversePostorder(fn *ir.Func) []int {
 	var walk func(int)
 	walk = func(bi int) {
 		seen[bi] = true
-		term := &fn.Blocks[bi].Ins[len(fn.Blocks[bi].Ins)-1]
-		switch term.Op {
-		case ir.OpBr:
-			if !seen[term.Blk0] {
-				walk(term.Blk0)
-			}
-		case ir.OpCondBr:
-			if !seen[term.Blk0] {
-				walk(term.Blk0)
-			}
-			if !seen[term.Blk1] {
-				walk(term.Blk1)
+		for _, t := range blockSuccs(fn.Blocks[bi]) {
+			if t >= 0 && !seen[t] {
+				walk(t)
 			}
 		}
 		post = append(post, bi)

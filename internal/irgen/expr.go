@@ -317,7 +317,7 @@ func (g *gen) shortCircuit(x *ast.Binary) ir.Value {
 	}
 
 	// Short-circuit result: 0 for &&, 1 for ||.
-	g.blk = shortB
+	g.enter(shortB)
 	sv := int64(0)
 	if x.Op == ast.LOr {
 		sv = 1
@@ -326,7 +326,7 @@ func (g *gen) shortCircuit(x *ast.Binary) ir.Value {
 		B: ir.Const(sv), Size: 8, Ty: ctypes.Int})
 	g.br(endB.Index)
 
-	g.blk = rightB
+	g.enter(rightB)
 	b := g.expr(x.Y)
 	nz := g.newReg()
 	g.emit(ir.Instr{Op: ir.OpBin, ALU: ir.ANe, Dst: nz, A: b, B: ir.Const(0)})
@@ -334,7 +334,7 @@ func (g *gen) shortCircuit(x *ast.Binary) ir.Value {
 		B: ir.Reg(nz), Size: 8, Ty: ctypes.Int})
 	g.br(endB.Index)
 
-	g.blk = endB
+	g.enter(endB)
 	dst := g.newReg()
 	g.emit(ir.Instr{Op: ir.OpLoad, Dst: dst, A: ir.FrameAddr(tmp, 0),
 		Size: 8, Ty: ctypes.Int})
@@ -352,19 +352,19 @@ func (g *gen) condExpr(x *ast.Cond) ir.Value {
 	g.condbr(c, thenB.Index, elseB.Index)
 
 	ty := x.Type()
-	g.blk = thenB
+	g.enter(thenB)
 	tv := g.expr(x.T)
 	g.emit(ir.Instr{Op: ir.OpStore, Dst: -1, A: ir.FrameAddr(tmp, 0), B: tv,
 		Size: 8, Ty: ty})
 	g.br(endB.Index)
 
-	g.blk = elseB
+	g.enter(elseB)
 	fv := g.expr(x.F)
 	g.emit(ir.Instr{Op: ir.OpStore, Dst: -1, A: ir.FrameAddr(tmp, 0), B: fv,
 		Size: 8, Ty: ty})
 	g.br(endB.Index)
 
-	g.blk = endB
+	g.enter(endB)
 	dst := g.newReg()
 	g.emit(ir.Instr{Op: ir.OpLoad, Dst: dst, A: ir.FrameAddr(tmp, 0),
 		Size: 8, Ty: ty})

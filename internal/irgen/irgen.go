@@ -53,9 +53,13 @@ type gen struct {
 	opts    Options
 
 	// Per-function state.
-	fn       *ir.Func
-	decl     *ast.FuncDecl
+	fn   *ir.Func
+	decl *ast.FuncDecl
+	// blk is the block being generated. Its instructions collect in ins,
+	// a buffer reused across blocks and functions, until enter seals them
+	// into blk.Ins at their exact size.
 	blk      *ir.Block
+	ins      []ir.Instr
 	nParams  int
 	localOff int // frame index of first sema-assigned local
 	breaks   []int
@@ -246,8 +250,7 @@ func (g *gen) lowerFunc(fd *ast.FuncDecl) (*ir.Func, error) {
 		})
 	}
 
-	entry := fn.NewBlock("entry")
-	g.blk = entry
+	g.enter(fn.NewBlock("entry"))
 	// Spill parameters into their frame slots.
 	for i, p := range fd.Params {
 		g.emit(ir.Instr{
@@ -261,11 +264,16 @@ func (g *gen) lowerFunc(fd *ast.FuncDecl) (*ir.Func, error) {
 	}
 	// Terminate every dangling block with an implicit return (the current
 	// block on fall-off-the-end paths, plus merge blocks that became
-	// unreachable because all predecessors returned).
+	// unreachable because all predecessors returned). The current block
+	// takes it before it is sealed; a sealed block regrows.
 	ret := ir.Instr{Op: ir.OpRet, Dst: -1}
 	if !fd.Ret.IsVoid() {
 		ret.A = ir.Const(0)
 	}
+	if !g.terminated() {
+		g.emit(ret)
+	}
+	g.enter(nil)
 	for _, blk := range fn.Blocks {
 		if n := len(blk.Ins); n == 0 || !blk.Ins[n-1].IsTerm() {
 			blk.Emit(ret)
@@ -343,13 +351,26 @@ func (g *gen) newTemp() int {
 	return i
 }
 
+// enter makes b the block being generated (nil: none), sealing the one
+// being left: its instructions move from the buffer into one allocation
+// of their exact size. Every block is entered once, so a sealed block
+// gets no more instructions from the buffer.
+func (g *gen) enter(b *ir.Block) {
+	if g.blk != nil && len(g.ins) > 0 {
+		g.blk.Ins = make([]ir.Instr, len(g.ins))
+		copy(g.blk.Ins, g.ins)
+		g.ins = g.ins[:0]
+	}
+	g.blk = b
+}
+
 func (g *gen) emit(in ir.Instr) {
-	g.blk.Emit(in)
+	g.ins = append(g.ins, in)
 }
 
 func (g *gen) terminated() bool {
-	n := len(g.blk.Ins)
-	return n > 0 && g.blk.Ins[n-1].IsTerm()
+	n := len(g.ins)
+	return n > 0 && g.ins[n-1].IsTerm()
 }
 
 func (g *gen) br(target int) {

@@ -404,3 +404,19 @@ int f(void) {
 }
 
 var _ = ast.RefFunc // keep import for doc reference
+
+// TestBlocksExactSize requires every block the lowering builds to hold its
+// instructions in an allocation of their exact size. Promotion's cleanup
+// passes filter blocks in place, so it is checked on the unpromoted
+// lowering.
+func TestBlocksExactSize(t *testing.T) {
+	for name, src := range bundledSources() {
+		for _, fn := range lower(t, src).Funcs {
+			for _, b := range fn.Blocks {
+				if cap(b.Ins) != len(b.Ins) {
+					t.Errorf("%s, %s, block %d: cap %d, len %d", name, fn.Name, b.Index, cap(b.Ins), len(b.Ins))
+				}
+			}
+		}
+	}
+}

@@ -39,10 +39,10 @@ package irgen
 //     the movs it leaves without a use. On the bundled workloads the
 //     cross-block pass reaches the same code without the local
 //     propagation and the first elision; they run first because they keep
-//     its available-copy maps small, and its kill walks the whole map on
-//     every definition. setjmp calls are a propagation barrier: a
-//     temporary captured before the call must not alias a variable
-//     mutated before the longjmp;
+//     its available-copy sets small. Both propagations share one copySet,
+//     a dense d→s array over the function's registers. setjmp calls are a
+//     propagation barrier: a temporary captured before the call must not
+//     alias a variable mutated before the longjmp;
 //  5. frame compaction — promoted slots leave ir.Func.Frame and the
 //     surviving objects are re-laid out.
 //
@@ -53,6 +53,7 @@ package irgen
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ctypes"
 	"repro/internal/ir"
@@ -61,20 +62,34 @@ import (
 
 // promoteFunc runs register promotion on one lowered function.
 func promoteFunc(fn *ir.Func) {
-	if fn.External || len(fn.Frame) == 0 {
+	cand := promoteSlots(fn)
+	if cand == nil {
 		return
+	}
+	st := newCopySet(fn.NumRegs)
+	propagateCopies(fn, st)
+	foldMovIntoDef(fn)
+	elideDeadMovs(fn)
+	// Cross-block cleanup (copyprop.go): propagate copies through the CFG
+	// and drop the movs left without a use.
+	if crossBlockCopyProp(fn, st) {
+		elideDeadMovs(fn)
+	}
+	compactFrame(fn, cand)
+}
+
+// promoteSlots runs steps 1–3: it picks the promotable frame slots,
+// gives each its canonical register and rewrites the slots' loads and
+// stores into register moves. It returns the promoted slots, or nil when
+// there are none and fn is unchanged.
+func promoteSlots(fn *ir.Func) []bool {
+	if fn.External || len(fn.Frame) == 0 {
+		return nil
 	}
 	cand := promoteCandidates(fn)
 	refineDefBeforeLoad(fn, cand)
-	any := false
-	for _, c := range cand {
-		if c {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return
+	if !slices.Contains(cand, true) {
+		return nil
 	}
 
 	// Canonical register per promoted slot. Parameter slot i reuses
@@ -99,15 +114,7 @@ func promoteFunc(fn *ir.Func) {
 	}
 
 	rewriteAccesses(fn, cand, regOf)
-	propagateCopies(fn)
-	foldMovIntoDef(fn)
-	elideDeadMovs(fn)
-	// Cross-block cleanup (copyprop.go): propagate copies through the CFG
-	// and drop the movs left without a use.
-	if crossBlockCopyProp(fn) {
-		elideDeadMovs(fn)
-	}
-	compactFrame(fn, cand)
+	return cand
 }
 
 // scalarSlot reports whether a frame object is a promotable value type: a
@@ -225,19 +232,19 @@ func isSetjmpBarrier(in *ir.Instr) bool {
 // the block read r_s directly — until either register is rewritten. The mov
 // itself usually becomes dead and is elided afterwards. This is exactly the
 // load-forwarding the frame slot used to prevent; it is what turns a
-// promoted variable read into zero instructions.
-func propagateCopies(fn *ir.Func) {
+// promoted variable read into zero instructions. st is the working set
+// (empty, over fn's registers) and is left empty.
+func propagateCopies(fn *ir.Func, st *copySet) {
 	mutable := fn.MutableRegSet()
-	copyOf := map[int]int{}
 	sub := func(v *ir.Value) {
 		if v.Kind == ir.ValReg {
-			if s, ok := copyOf[v.Reg]; ok {
+			if s, ok := st.lookup(v.Reg); ok {
 				v.Reg = s
 			}
 		}
 	}
 	for _, b := range fn.Blocks {
-		clear(copyOf)
+		st.reset()
 		for ii := range b.Ins {
 			in := &b.Ins[ii]
 			sub(&in.A)
@@ -246,22 +253,18 @@ func propagateCopies(fn *ir.Func) {
 				sub(&in.Args[ai])
 			}
 			if isSetjmpBarrier(in) {
-				clear(copyOf)
+				st.reset()
 				continue
 			}
 			if d := in.Dst; d >= 0 {
-				delete(copyOf, d)
-				for t, s := range copyOf {
-					if s == d {
-						delete(copyOf, t)
-					}
-				}
+				st.kill(d)
 				if in.Op == ir.OpMov && in.A.Kind == ir.ValReg && !mutable[d] {
-					copyOf[d] = in.A.Reg
+					st.add(d, in.A.Reg)
 				}
 			}
 		}
 	}
+	st.reset()
 }
 
 // foldMovIntoDef rewrites `r_t = <op> ...; r_x = mov r_t` into

@@ -109,16 +109,16 @@ func (g *gen) ifStmt(st *ast.If) {
 	}
 	g.condbr(cond, thenB.Index, elseIdx)
 
-	g.blk = thenB
+	g.enter(thenB)
 	g.stmt(st.Then)
 	g.br(endB.Index)
 
 	if elseB != nil {
-		g.blk = elseB
+		g.enter(elseB)
 		g.stmt(st.Else)
 		g.br(endB.Index)
 	}
-	g.blk = endB
+	g.enter(endB)
 }
 
 func (g *gen) whileStmt(st *ast.While) {
@@ -127,19 +127,19 @@ func (g *gen) whileStmt(st *ast.While) {
 	endB := g.fn.NewBlock("while.end")
 	g.br(condB.Index)
 
-	g.blk = condB
+	g.enter(condB)
 	cond := g.expr(st.Cond)
 	g.condbr(cond, bodyB.Index, endB.Index)
 
 	g.breaks = append(g.breaks, endB.Index)
 	g.conts = append(g.conts, condB.Index)
-	g.blk = bodyB
+	g.enter(bodyB)
 	g.stmt(st.Body)
 	g.br(condB.Index)
 	g.breaks = g.breaks[:len(g.breaks)-1]
 	g.conts = g.conts[:len(g.conts)-1]
 
-	g.blk = endB
+	g.enter(endB)
 }
 
 func (g *gen) doWhileStmt(st *ast.DoWhile) {
@@ -150,17 +150,17 @@ func (g *gen) doWhileStmt(st *ast.DoWhile) {
 
 	g.breaks = append(g.breaks, endB.Index)
 	g.conts = append(g.conts, condB.Index)
-	g.blk = bodyB
+	g.enter(bodyB)
 	g.stmt(st.Body)
 	g.br(condB.Index)
 	g.breaks = g.breaks[:len(g.breaks)-1]
 	g.conts = g.conts[:len(g.conts)-1]
 
-	g.blk = condB
+	g.enter(condB)
 	cond := g.expr(st.Cond)
 	g.condbr(cond, bodyB.Index, endB.Index)
 
-	g.blk = endB
+	g.enter(endB)
 }
 
 func (g *gen) forStmt(st *ast.For) {
@@ -173,7 +173,7 @@ func (g *gen) forStmt(st *ast.For) {
 	endB := g.fn.NewBlock("for.end")
 	g.br(condB.Index)
 
-	g.blk = condB
+	g.enter(condB)
 	if st.Cond != nil {
 		cond := g.expr(st.Cond)
 		g.condbr(cond, bodyB.Index, endB.Index)
@@ -183,19 +183,19 @@ func (g *gen) forStmt(st *ast.For) {
 
 	g.breaks = append(g.breaks, endB.Index)
 	g.conts = append(g.conts, postB.Index)
-	g.blk = bodyB
+	g.enter(bodyB)
 	g.stmt(st.Body)
 	g.br(postB.Index)
 	g.breaks = g.breaks[:len(g.breaks)-1]
 	g.conts = g.conts[:len(g.conts)-1]
 
-	g.blk = postB
+	g.enter(postB)
 	if st.Post != nil {
 		g.expr(st.Post)
 	}
 	g.br(condB.Index)
 
-	g.blk = endB
+	g.enter(endB)
 }
 
 func (g *gen) switchStmt(st *ast.Switch) {
@@ -221,7 +221,7 @@ func (g *gen) switchStmt(st *ast.Switch) {
 			g.emit(ir.Instr{Op: ir.OpBin, ALU: ir.AEq, Dst: cmp, A: v, B: ir.Const(val)})
 			nextT := g.fn.NewBlock("sw.test")
 			g.condbr(ir.Reg(cmp), bodies[i].Index, nextT.Index)
-			g.blk = nextT
+			g.enter(nextT)
 		}
 	}
 	g.br(defaultIdx)
@@ -229,7 +229,7 @@ func (g *gen) switchStmt(st *ast.Switch) {
 	// Bodies with fallthrough.
 	g.breaks = append(g.breaks, endB.Index)
 	for i, c := range st.Cases {
-		g.blk = bodies[i]
+		g.enter(bodies[i])
 		for _, s2 := range c.Stmts {
 			g.stmt(s2)
 		}
@@ -241,5 +241,5 @@ func (g *gen) switchStmt(st *ast.Switch) {
 	}
 	g.breaks = g.breaks[:len(g.breaks)-1]
 
-	g.blk = endB
+	g.enter(endB)
 }

@@ -6,6 +6,11 @@ import (
 	"repro/internal/minic/token"
 )
 
+// Every expression parser leaves the height of the expression it returns
+// in p.h and opens a tree level (p.enter) around each operand it parses
+// by recursion. Left-deep chains (binary operators, postfix suffixes) are
+// built by loops, so their height is checked as it grows.
+
 // expr parses a full expression (assignment level; mini-C has no comma
 // operator).
 func (p *parser) expr() ast.Expr { return p.assignExpr() }
@@ -41,10 +46,14 @@ func (p *parser) assignExpr() ast.Expr {
 	default:
 		return lhs
 	}
+	lh := p.h
 	pos := p.next().Pos
+	p.enter(pos)
 	rhs := p.assignExpr()
+	p.leave()
 	a := &ast.Assign{Simple: simple, Op: op, LHS: lhs, RHS: rhs}
 	a.Pos = pos
+	p.height(pos, max(lh, p.h)+1)
 	return a
 }
 
@@ -54,12 +63,17 @@ func (p *parser) condExpr() ast.Expr {
 	if !p.at(token.Question) {
 		return c
 	}
+	h := p.h
 	pos := p.next().Pos
+	p.enter(pos)
 	t := p.assignExpr()
+	h = max(h, p.h)
 	p.expect(token.Colon)
 	f := p.condExpr()
+	p.leave()
 	e := &ast.Cond{C: c, T: t, F: f}
 	e.Pos = pos
+	p.height(pos, max(h, p.h)+1)
 	return e
 }
 
@@ -93,25 +107,40 @@ var binOps = map[token.Kind]binLevel{
 // binExpr is a precedence-climbing binary expression parser.
 func (p *parser) binExpr(minPrec int) ast.Expr {
 	lhs := p.unaryExpr()
+	h := p.h
 	for {
 		lv, ok := binOps[p.kind()]
 		if !ok || lv.prec < minPrec {
+			p.h = h
 			return lhs
 		}
 		pos := p.next().Pos
+		p.enter(pos)
 		rhs := p.binExpr(lv.prec + 1)
+		p.leave()
 		b := &ast.Binary{Op: lv.op, X: lhs, Y: rhs}
 		b.Pos = pos
 		lhs = b
+		h = max(h, p.h) + 1
+		p.height(pos, h)
 	}
 }
 
 // unaryExpr parses prefix operators, casts and sizeof.
 func (p *parser) unaryExpr() ast.Expr {
 	pos := p.cur().Pos
+	// operand parses the operand of a prefix construct at pos and records
+	// the construct's height.
+	operand := func() ast.Expr {
+		p.enter(pos)
+		x := p.unaryExpr()
+		p.leave()
+		p.height(pos, p.h+1)
+		return x
+	}
 	mk := func(op ast.UnaryOp) ast.Expr {
 		p.next()
-		u := &ast.Unary{Op: op, X: p.unaryExpr()}
+		u := &ast.Unary{Op: op, X: operand()}
 		u.Pos = pos
 		return u
 	}
@@ -132,7 +161,7 @@ func (p *parser) unaryExpr() ast.Expr {
 		return mk(ast.UPreDec)
 	case token.Plus:
 		p.next()
-		return p.unaryExpr()
+		return operand()
 	case token.KwSizeof:
 		p.next()
 		if p.at(token.LParen) && p.typeAfterLParen() {
@@ -142,9 +171,10 @@ func (p *parser) unaryExpr() ast.Expr {
 			s := &ast.SizeofType{T: t}
 			s.Pos = pos
 			s.SetType(ctypes.Int)
+			p.height(pos, 1)
 			return s
 		}
-		s := &ast.SizeofType{X: p.unaryExpr()}
+		s := &ast.SizeofType{X: operand()}
 		s.Pos = pos
 		s.SetType(ctypes.Int)
 		return s
@@ -153,7 +183,7 @@ func (p *parser) unaryExpr() ast.Expr {
 			p.next()
 			t := p.typeName()
 			p.expect(token.RParen)
-			c := &ast.Cast{To: t, X: p.unaryExpr()}
+			c := &ast.Cast{To: t, X: operand()}
 			c.Pos = pos
 			return c
 		}
@@ -176,24 +206,32 @@ func (p *parser) typeAfterLParen() bool {
 // increment suffixes.
 func (p *parser) postfixExpr() ast.Expr {
 	x := p.primaryExpr()
+	h := p.h
 	for {
 		pos := p.cur().Pos
+		sub := 0 // the height of the suffix's operands
 		switch p.kind() {
 		case token.LParen:
 			p.next()
 			call := &ast.Call{Fun: x}
 			call.Pos = pos
+			p.enter(pos)
 			for !p.at(token.RParen) {
 				call.Args = append(call.Args, p.assignExpr())
+				sub = max(sub, p.h)
 				if !p.accept(token.Comma) {
 					break
 				}
 			}
+			p.leave()
 			p.expect(token.RParen)
 			x = call
 		case token.LBracket:
 			p.next()
+			p.enter(pos)
 			idx := p.expr()
+			p.leave()
+			sub = p.h
 			p.expect(token.RBracket)
 			ix := &ast.Index{X: x, Idx: idx}
 			ix.Pos = pos
@@ -219,8 +257,11 @@ func (p *parser) postfixExpr() ast.Expr {
 			pf.Pos = pos
 			x = pf
 		default:
+			p.h = h
 			return x
 		}
+		h = max(h, sub) + 1
+		p.height(pos, h)
 	}
 }
 
@@ -233,6 +274,7 @@ func (p *parser) primaryExpr() ast.Expr {
 		lit := &ast.IntLit{Val: t.Val}
 		lit.Pos = pos
 		lit.SetType(ctypes.Int)
+		p.height(pos, 1)
 		return lit
 	case token.StringLit:
 		t := p.next()
@@ -244,16 +286,23 @@ func (p *parser) primaryExpr() ast.Expr {
 		lit := &ast.StrLit{Val: s}
 		lit.Pos = pos
 		lit.SetType(ctypes.CharPtr())
+		p.height(pos, 1)
 		return lit
 	case token.Ident:
 		t := p.next()
 		id := &ast.Ident{Name: t.Text}
 		id.Pos = pos
+		p.height(pos, 1)
 		return id
 	case token.LParen:
+		// A parenthesis is a level of its own: it is one more recursion
+		// of the parser, though not of the tree.
 		p.next()
+		p.enter(pos)
 		x := p.expr()
+		p.leave()
 		p.expect(token.RParen)
+		p.height(pos, p.h+1)
 		return x
 	}
 	p.errf(pos, "expected expression, found %v", p.cur())

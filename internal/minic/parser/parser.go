@@ -41,6 +41,12 @@ type parser struct {
 	structs map[string]*ctypes.Struct
 	unit    *ast.File
 
+	// depth counts the tree levels open above the construct being parsed:
+	// enclosing statements, operator and call operands, parentheses,
+	// initializer braces and declarator levels. h is the height of the
+	// expression the last expression parser returned (a leaf is 1).
+	depth, h int
+
 	// pendingParams holds named parameters from the most recent function
 	// declarator, consumed by function definitions.
 	pendingParams []ast.Param
@@ -53,6 +59,33 @@ type bail struct{ err error }
 
 func (p *parser) errf(pos token.Pos, format string, args ...any) {
 	panic(bail{&Error{Pos: pos, Msg: fmt.Sprintf(format, args...)}})
+}
+
+// maxNest bounds the height of the syntax tree, counted as the parser's
+// depth field counts it. Sema, irgen and the AST folder walk the tree
+// recursively, and a Go stack overflow is a fatal error that no caller
+// can recover from, so a source nested past the bound is a parse error.
+// The deepest bundled source (464.h264ref) reaches 23, the deepest RIPE
+// program 6.
+const maxNest = 1000
+
+// enter opens one tree level at pos; leave closes it.
+func (p *parser) enter(pos token.Pos) {
+	p.depth++
+	if p.depth > maxNest {
+		p.errf(pos, "nesting exceeds %d levels", maxNest)
+	}
+}
+
+func (p *parser) leave() { p.depth-- }
+
+// height records h as the height of the expression just built at pos,
+// which fails when it reaches past maxNest under the levels open above it.
+func (p *parser) height(pos token.Pos, h int) {
+	p.h = h
+	if p.depth+h > maxNest {
+		p.errf(pos, "nesting exceeds %d levels", maxNest)
+	}
 }
 
 func (p *parser) cur() token.Token     { return p.toks[p.pos] }
@@ -266,10 +299,12 @@ func (p *parser) declarator(base *ctypes.Type) (string, *ctypes.Type) {
 // declaratorFn parses a declarator and returns the name plus a function
 // mapping the base type to the declared type.
 func (p *parser) declaratorFn() (string, func(*ctypes.Type) *ctypes.Type) {
-	if p.accept(token.Star) {
+	if p.at(token.Star) {
+		p.enter(p.next().Pos)
 		for p.accept(token.KwConst) {
 		}
 		name, inner := p.declaratorFn()
+		p.leave()
 		return name, func(t *ctypes.Type) *ctypes.Type {
 			return inner(ctypes.PointerTo(t))
 		}
@@ -285,14 +320,20 @@ func (p *parser) directDeclarator() (string, func(*ctypes.Type) *ctypes.Type) {
 	case p.at(token.Ident):
 		name = p.next().Text
 	case p.at(token.LParen) && p.nestedDeclaratorAhead():
-		p.next()
+		p.enter(p.next().Pos)
 		name, inner = p.declaratorFn()
 		p.expect(token.RParen)
+		p.leave()
 	}
 
-	// Suffixes, applied right-to-left per C semantics.
+	// Suffixes, applied right-to-left per C semantics. Each is one type
+	// level, open until the last suffix is parsed.
 	var sufs []func(*ctypes.Type) *ctypes.Type
+	depth := p.depth
 	for {
+		if p.at(token.LBracket) || p.at(token.LParen) {
+			p.enter(p.cur().Pos)
+		}
 		if p.accept(token.LBracket) {
 			if p.accept(token.RBracket) {
 				// Unsized array in a parameter adjusts to pointer; model as
@@ -329,6 +370,7 @@ func (p *parser) directDeclarator() (string, func(*ctypes.Type) *ctypes.Type) {
 		}
 		break
 	}
+	p.depth = depth
 
 	return name, func(t *ctypes.Type) *ctypes.Type {
 		for i := len(sufs) - 1; i >= 0; i-- {

@@ -17,8 +17,16 @@ func (p *parser) block() *ast.Block {
 	return b
 }
 
-// stmt parses a single statement.
+// stmt parses a single statement, one tree level below the enclosing
+// one.
 func (p *parser) stmt() ast.Stmt {
+	p.enter(p.cur().Pos)
+	s := p.stmtBody()
+	p.leave()
+	return s
+}
+
+func (p *parser) stmtBody() ast.Stmt {
 	switch p.kind() {
 	case token.LBrace:
 		return p.block()
@@ -93,12 +101,14 @@ func (p *parser) initializer() ast.Expr {
 		lst := &ast.InitList{}
 		lst.SetType(nil)
 		lst.Pos = pos
+		p.enter(pos)
 		for !p.at(token.RBrace) {
 			lst.Elems = append(lst.Elems, p.initializer())
 			if !p.accept(token.Comma) {
 				break
 			}
 		}
+		p.leave()
 		p.expect(token.RBrace)
 		return lst
 	}

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"slices"
+	"sync"
 
 	"repro/internal/ir"
 	"repro/internal/sps"
@@ -387,12 +388,31 @@ type traceKey struct {
 
 // traceCompiler compiles the segments of a program's functions
 // (compileBlocks) and their traces (build), reusing its buffers across
-// both. A built trace aliases ops until the next build.
+// both. A built trace aliases ops until the next build. Compilers wait
+// in tracePool between programs, so the buffers are grown once rather
+// than on every PredecodeWith.
 type traceCompiler struct {
 	ops     []segOp
 	visited []traceKey
 	entries []int32 // the function's segment entry slots
 	staged  []segOp // the function's segments, back to back
+}
+
+var tracePool = sync.Pool{New: func() any { return new(traceCompiler) }}
+
+// release returns tb to tracePool after clearing every pointer its buffers
+// hold, so that a pooled compiler keeps no program alive.
+func (tb *traceCompiler) release() {
+	tb.clearPointers()
+	tracePool.Put(tb)
+}
+
+// clearPointers zeroes the buffers' whole capacity: ops and staged hold
+// *PIns, visited holds *FuncCode.
+func (tb *traceCompiler) clearPointers() {
+	clear(tb.ops[:cap(tb.ops)])
+	clear(tb.visited[:cap(tb.visited)])
+	clear(tb.staged[:cap(tb.staged)])
 }
 
 // visit marks a slot visited, reporting false if it already was. A trace

@@ -619,3 +619,38 @@ func TestSegOpSize(t *testing.T) {
 		t.Errorf("unsafe.Sizeof(segOp) = %d, want 64", got)
 	}
 }
+
+// TestTraceCompilerReleaseDropsPointers requires a trace compiler on its
+// way back to the pool to hold no pointer into the program it compiled:
+// before clearing, its buffers hold the trace's *PIns; after, none.
+func TestTraceCompilerReleaseDropsPointers(t *testing.T) {
+	p := compileWith(t, srcSegShapes, irgen.Options{PromoteRegisters: true})
+	c := Predecode(p)
+	tb := new(traceCompiler)
+	for fi := range c.Funcs {
+		tb.compileBlocks(p, c, &c.Funcs[fi])
+	}
+	pins := func() int {
+		n := 0
+		for _, ops := range [][]segOp{tb.ops[:cap(tb.ops)], tb.staged[:cap(tb.staged)]} {
+			for i := range ops {
+				if ops[i].in != nil {
+					n++
+				}
+			}
+		}
+		for _, k := range tb.visited[:cap(tb.visited)] {
+			if k.fc != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if pins() == 0 {
+		t.Fatal("the compiled buffers hold no pointers to clear")
+	}
+	tb.clearPointers()
+	if n := pins(); n != 0 {
+		t.Errorf("%d pointers left in the cleared buffers", n)
+	}
+}

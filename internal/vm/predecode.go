@@ -331,10 +331,11 @@ func PredecodeWith(p *ir.Program, opt PredecodeOptions) *Code {
 		for fi, fn := range p.Funcs {
 			c.Funcs[fi].MetaLive = ml.run(&c.Funcs[fi], fn.NumRegs)
 		}
-		var tb traceCompiler
+		tb := tracePool.Get().(*traceCompiler)
 		for fi := range c.Funcs {
 			c.BlockSegs += tb.compileBlocks(p, c, &c.Funcs[fi])
 		}
+		tb.release()
 	}
 	return c
 }
