@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/ir"
 	"repro/internal/vm"
 	"repro/internal/workloads"
 )
@@ -478,12 +479,22 @@ func TestBlockCompileEquivalenceTruncated(t *testing.T) {
 }
 
 // TestPInsSize pins the predecoded instruction size. The block compiler's
-// segOp executors read through PIns pointers on their slow paths and the
+// segOp executors read their op's PIns slot on their slow paths and the
 // dispatch loop strides over a []PIns; growing the struct degrades the
 // cache behavior both were tuned against, so a size change must be a
 // deliberate decision, not a side effect of adding a field.
 func TestPInsSize(t *testing.T) {
 	if got := unsafe.Sizeof(vm.PIns{}); got != 160 {
 		t.Errorf("unsafe.Sizeof(vm.PIns) = %d, want 160", got)
+	}
+}
+
+// TestIRInstrSize pins the IR instruction at 160 bytes, its narrow fields
+// sharing the first word: irgen stages every block in a buffer of them and
+// each block keeps an exact-size array, so a size change is paid on every
+// instruction of every compile.
+func TestIRInstrSize(t *testing.T) {
+	if got := unsafe.Sizeof(ir.Instr{}); got != 160 {
+		t.Errorf("unsafe.Sizeof(ir.Instr) = %d, want 160", got)
 	}
 }

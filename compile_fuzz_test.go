@@ -11,13 +11,15 @@ import (
 
 // FuzzCompile feeds arbitrary bytes to the whole front end and compiler
 // under cpi: hostile source must come back as a program or an error, never
-// a Go panic. The micro workloads seed the search with well-formed C, and
-// one source nested past the parser's bound seeds it with a deep tree.
+// a Go panic. The micro workloads seed the search with well-formed C, one
+// source nested past the parser's bound seeds it with a deep tree, and one
+// with a run of characters the lexer rejects.
 func FuzzCompile(f *testing.F) {
 	for _, w := range workloads.Micro() {
 		f.Add([]byte(w.Src))
 	}
 	f.Add([]byte(deepSources(2000)["parentheses"]))
+	f.Add([]byte(unexpectedRun(2000)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		prog, err := core.Compile(string(data), core.Config{Protect: core.CPI, DEP: true})
 		if (prog == nil) == (err == nil) {
@@ -65,5 +67,26 @@ func TestDeepNestingIsAnError(t *testing.T) {
 		if _, err := core.Compile(src, core.Config{Protect: core.CPI}); err != nil {
 			t.Errorf("%s, 50 levels: %v", name, err)
 		}
+	}
+}
+
+// unexpectedRun returns a valid program followed by n characters that
+// start no token.
+func unexpectedRun(n int) string {
+	return "int main(void) { return 0; }\n" + strings.Repeat("@", n)
+}
+
+// TestUnexpectedCharacterRunIsAnError compiles a program followed by a
+// million characters that start no token, on a 16 MB stack: the lexer
+// skips them in a loop, so Compile returns the positioned error of the
+// first one.
+func TestUnexpectedCharacterRunIsAnError(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(16 << 20))
+	prog, err := core.Compile(unexpectedRun(1_000_000), core.Config{Protect: core.CPI})
+	if err == nil || prog != nil {
+		t.Fatalf("Compile returned program %v and error %v, want an error", prog != nil, err)
+	}
+	if want := "2:1: unexpected character '@'"; !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q, want it to contain %q", err, want)
 	}
 }

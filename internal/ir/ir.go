@@ -384,21 +384,22 @@ const (
 
 // Instr is one IR instruction.
 type Instr struct {
+	// The narrow fields share the first word.
 	Op     Op
 	ALU    ALU
+	Intr   builtins.Kind // OpCall with Callee < 0
+	Size   uint8         // load/store width in bytes (1 or 8)
+	Flags  Prot
 	Dst    int // destination register; -1 when none
 	A, B   Value
 	Args   []Value
-	Callee int           // OpCall: function index, or -1 for builtins
-	Intr   builtins.Kind // OpCall with Callee < 0
-	Size   uint8         // load/store width in bytes (1 or 8)
+	Callee int // OpCall: function index, or -1 for builtins
 	Ty     *ctypes.Type
 	FromTy *ctypes.Type // OpCast source type
 	Off    int64        // OpGEP constant offset
 	Scale  int64        // OpGEP index scale
 	Blk0   int
 	Blk1   int
-	Flags  Prot
 }
 
 // IsTerm reports whether the instruction terminates a block.

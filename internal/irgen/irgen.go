@@ -9,6 +9,7 @@ package irgen
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/ctypes"
 	"repro/internal/ir"
@@ -35,15 +36,28 @@ func Lower(f *ast.File) (*ir.Program, error) {
 
 // LowerWith converts a checked file into an IR program per opts.
 func LowerWith(f *ast.File, opts Options) (*ir.Program, error) {
+	buf := insPool.Get().(*[]ir.Instr)
 	g := &gen{
 		unit:    f,
 		prog:    &ir.Program{Structs: f.Structs},
 		strIdx:  map[string]int{},
 		funcIdx: map[string]int{},
 		opts:    opts,
+		ins:     (*buf)[:0],
 	}
-	return g.run()
+	p, err := g.run()
+	// The instructions left in the buffer hold the program's types and
+	// argument lists: clear its whole capacity, so that a pooled buffer
+	// keeps no program alive.
+	clear(g.ins[:cap(g.ins)])
+	*buf = g.ins[:0]
+	insPool.Put(buf)
+	return p, err
 }
+
+// insPool holds block buffers (gen.ins) between LowerWith calls, so a
+// buffer is grown once rather than on every lowering.
+var insPool = sync.Pool{New: func() any { return new([]ir.Instr) }}
 
 type gen struct {
 	unit    *ast.File
@@ -56,8 +70,8 @@ type gen struct {
 	fn   *ir.Func
 	decl *ast.FuncDecl
 	// blk is the block being generated. Its instructions collect in ins,
-	// a buffer reused across blocks and functions, until enter seals them
-	// into blk.Ins at their exact size.
+	// a buffer reused across blocks, functions and (through insPool)
+	// programs, until enter seals them into blk.Ins at their exact size.
 	blk      *ir.Block
 	ins      []ir.Instr
 	nParams  int

@@ -1,6 +1,7 @@
 package irgen
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -417,6 +418,25 @@ func TestBlocksExactSize(t *testing.T) {
 					t.Errorf("%s, %s, block %d: cap %d, len %d", name, fn.Name, b.Index, cap(b.Ins), len(b.Ins))
 				}
 			}
+		}
+	}
+}
+
+// TestLowerReleasesBlockBuffer requires the block buffer LowerWith returns
+// to insPool to hold no instruction: their types and argument lists would
+// keep the lowered program alive for as long as the buffer waits. With one
+// P the pool hands the buffer just put back to the next Get.
+func TestLowerReleasesBlockBuffer(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	lower(t, `int f(int *p, int n) { return p[n] + f(p, n - 1); } int main(void) { return 0; }`)
+	buf := insPool.Get().(*[]ir.Instr)
+	defer insPool.Put(buf)
+	if cap(*buf) == 0 {
+		t.Skip("the pool dropped the buffer (it may, under the race detector)")
+	}
+	for i, in := range (*buf)[:cap(*buf)] {
+		if in.Ty != nil || in.FromTy != nil || in.Args != nil || in.Op != 0 {
+			t.Fatalf("pooled buffer slot %d still holds %v", i, in)
 		}
 	}
 }

@@ -17,13 +17,13 @@ type Error struct {
 
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
-// Lexer scans mini-C source into tokens.
+// Lexer scans mini-C source into tokens, one Next call at a time.
 type Lexer struct {
 	src  string
 	off  int
 	line int
 	col  int
-	errs []error
+	err  error
 }
 
 // New returns a lexer over src.
@@ -31,25 +31,15 @@ func New(src string) *Lexer {
 	return &Lexer{src: src, line: 1, col: 1}
 }
 
-// Errors returns accumulated lexical errors.
-func (l *Lexer) Errors() []error { return l.errs }
+// Err returns the first lexical error in the text scanned so far, or nil.
+func (l *Lexer) Err() error { return l.err }
 
-// All scans the entire input and returns all tokens up to and including EOF.
-// The slice is sized from the source length: the bundled workloads average
-// 2.3 to 3.5 bytes a token, so one allocation nearly always holds them all.
-func (l *Lexer) All() []token.Token {
-	toks := make([]token.Token, 0, len(l.src)/2+1)
-	for {
-		t := l.Next()
-		toks = append(toks, t)
-		if t.Kind == token.EOF {
-			return toks
-		}
-	}
-}
-
+// errorf records a lexical error unless an earlier one is already kept:
+// only the first is ever reported, so the rest are not formatted.
 func (l *Lexer) errorf(pos token.Pos, format string, args ...any) {
-	l.errs = append(l.errs, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
+	if l.err == nil {
+		l.err = &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)}
+	}
 }
 
 func (l *Lexer) peek() byte {
@@ -119,25 +109,33 @@ func (l *Lexer) skipSpace() {
 	}
 }
 
-// Next returns the next token.
+// Next returns the next token; at the end of the input it returns EOF,
+// and keeps returning it. An unexpected character is recorded as an error
+// and skipped, however long the run of them is.
 func (l *Lexer) Next() token.Token {
-	l.skipSpace()
-	pos := l.pos()
-	if l.off >= len(l.src) {
-		return token.Token{Kind: token.EOF, Pos: pos}
+	for {
+		l.skipSpace()
+		pos := l.pos()
+		if l.off >= len(l.src) {
+			return token.Token{Kind: token.EOF, Pos: pos}
+		}
+		c := l.peek()
+		switch {
+		case isLetter(c):
+			return l.ident(pos)
+		case isDigit(c):
+			return l.number(pos)
+		case c == '"':
+			return l.stringLit(pos)
+		case c == '\'':
+			return l.charLit(pos)
+		}
+		if t, ok := l.operator(pos); ok {
+			return t
+		}
+		l.errorf(pos, "unexpected character %q", rune(c))
+		l.advance()
 	}
-	c := l.peek()
-	switch {
-	case isLetter(c):
-		return l.ident(pos)
-	case isDigit(c):
-		return l.number(pos)
-	case c == '"':
-		return l.stringLit(pos)
-	case c == '\'':
-		return l.charLit(pos)
-	}
-	return l.operator(pos)
 }
 
 func (l *Lexer) ident(pos token.Pos) token.Token {
@@ -256,12 +254,14 @@ func (l *Lexer) escape(pos token.Pos) byte {
 	return c
 }
 
-func (l *Lexer) operator(pos token.Pos) token.Token {
-	mk := func(k token.Kind, n int) token.Token {
+// operator scans the operator or punctuator at pos; ok is false, with
+// nothing consumed, when no operator starts there.
+func (l *Lexer) operator(pos token.Pos) (t token.Token, ok bool) {
+	mk := func(k token.Kind, n int) (token.Token, bool) {
 		for i := 0; i < n; i++ {
 			l.advance()
 		}
-		return token.Token{Kind: k, Pos: pos}
+		return token.Token{Kind: k, Pos: pos}, true
 	}
 	c, c2 := l.peek(), l.peek2()
 	c3 := byte(0)
@@ -383,9 +383,7 @@ func (l *Lexer) operator(pos token.Pos) token.Token {
 		}
 		return mk(token.Assign, 1)
 	}
-	l.errorf(pos, "unexpected character %q", rune(c))
-	l.advance()
-	return l.Next()
+	return token.Token{}, false
 }
 
 func isLetter(c byte) bool {

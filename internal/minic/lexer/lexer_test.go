@@ -7,10 +7,22 @@ import (
 	"repro/internal/minic/token"
 )
 
+// all scans l to the end and returns every token up to and including EOF.
+func all(l *Lexer) []token.Token {
+	var toks []token.Token
+	for {
+		t := l.Next()
+		toks = append(toks, t)
+		if t.Kind == token.EOF {
+			return toks
+		}
+	}
+}
+
 func kinds(src string) []token.Kind {
 	l := New(src)
 	var ks []token.Kind
-	for _, t := range l.All() {
+	for _, t := range all(l) {
 		ks = append(ks, t.Kind)
 	}
 	return ks
@@ -18,7 +30,7 @@ func kinds(src string) []token.Kind {
 
 func TestKeywordsAndIdents(t *testing.T) {
 	l := New("int x; struct foo bar;")
-	toks := l.All()
+	toks := all(l)
 	want := []token.Kind{
 		token.KwInt, token.Ident, token.Semi,
 		token.KwStruct, token.Ident, token.Ident, token.Semi, token.EOF,
@@ -38,21 +50,21 @@ func TestKeywordsAndIdents(t *testing.T) {
 
 func TestNumbers(t *testing.T) {
 	l := New("0 42 0x10 0xff 123456789")
-	toks := l.All()
+	toks := all(l)
 	wantVals := []int64{0, 42, 16, 255, 123456789}
 	for i, w := range wantVals {
 		if toks[i].Kind != token.IntLit || toks[i].Val != w {
 			t.Errorf("token %d = %v (val %d), want IntLit %d", i, toks[i].Kind, toks[i].Val, w)
 		}
 	}
-	if len(l.Errors()) != 0 {
-		t.Errorf("unexpected errors: %v", l.Errors())
+	if err := l.Err(); err != nil {
+		t.Errorf("unexpected error: %v", err)
 	}
 }
 
 func TestStringAndCharLiterals(t *testing.T) {
 	l := New(`"hello\n" 'a' '\0' '\n' "\x41B"`)
-	toks := l.All()
+	toks := all(l)
 	if toks[0].Str != "hello\n" {
 		t.Errorf("string = %q", toks[0].Str)
 	}
@@ -102,16 +114,37 @@ comment */ x; # pragma-ish line
 func TestUnterminatedLiterals(t *testing.T) {
 	for _, src := range []string{`"abc`, `'a`, "/* never closed"} {
 		l := New(src)
-		l.All()
-		if len(l.Errors()) == 0 {
+		all(l)
+		if l.Err() == nil {
 			t.Errorf("source %q: want a lexical error", src)
+		}
+	}
+}
+
+// TestUnexpectedCharacters skips every unexpected character, keeps only
+// the first error, and keeps returning EOF at the end of the input (the
+// parser's lookahead may ask past it).
+func TestUnexpectedCharacters(t *testing.T) {
+	l := New("a @@@ b $ c")
+	got := kinds("a @@@ b $ c")
+	want := []token.Kind{token.Ident, token.Ident, token.Ident, token.EOF}
+	if len(got) != len(want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	all(l)
+	if err := l.Err(); err == nil || err.Error() != `1:3: unexpected character '@'` {
+		t.Errorf("error %v, want the first @ at 1:3", err)
+	}
+	for i := 0; i < 3; i++ {
+		if tk := l.Next(); tk.Kind != token.EOF {
+			t.Errorf("Next after EOF = %v", tk.Kind)
 		}
 	}
 }
 
 func TestPositions(t *testing.T) {
 	l := New("int\n  x;")
-	toks := l.All()
+	toks := all(l)
 	if toks[0].Pos.Line != 1 || toks[0].Pos.Col != 1 {
 		t.Errorf("int at %v", toks[0].Pos)
 	}
@@ -124,7 +157,7 @@ func TestPositions(t *testing.T) {
 func TestLexerTotal(t *testing.T) {
 	f := func(src string) bool {
 		l := New(src)
-		toks := l.All()
+		toks := all(l)
 		return len(toks) > 0 && toks[len(toks)-1].Kind == token.EOF
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -135,8 +168,8 @@ func TestLexerTotal(t *testing.T) {
 // Property: lexing is deterministic.
 func TestLexerDeterministic(t *testing.T) {
 	f := func(src string) bool {
-		a := New(src).All()
-		b := New(src).All()
+		a := all(New(src))
+		b := all(New(src))
 		if len(a) != len(b) {
 			return false
 		}

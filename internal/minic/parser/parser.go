@@ -20,24 +20,32 @@ type Error struct {
 
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
-// Parse parses a mini-C translation unit.
+// Parse parses a mini-C translation unit. A lexical error anywhere in src
+// takes precedence over a parse error: Parse reports the first lexical
+// error if there is one, else the first parse error.
 func Parse(src string) (*ast.File, error) {
-	lex := lexer.New(src)
-	toks := lex.All()
-	if errs := lex.Errors(); len(errs) > 0 {
-		return nil, errs[0]
-	}
-	p := &parser{toks: toks, structs: map[string]*ctypes.Struct{}}
+	p := &parser{lex: lexer.New(src), structs: map[string]*ctypes.Struct{}}
+	p.win[0], p.n = p.lex.Next(), 1
 	f, err := p.file()
 	if err != nil {
-		return nil, err
+		// The parse stopped early: scan the rest for a lexical error.
+		for p.lex.Next().Kind != token.EOF {
+		}
 	}
-	return f, nil
+	if lerr := p.lex.Err(); lerr != nil {
+		return nil, lerr
+	}
+	return f, err
 }
 
 type parser struct {
-	toks    []token.Token
-	pos     int
+	// The parser pulls tokens from lex as it goes. win is a ring of the
+	// current token, win[head], and the n-1 tokens after it that peekKind
+	// has already scanned; no rule looks more than two tokens ahead.
+	lex     *lexer.Lexer
+	win     [4]token.Token
+	head, n int
+
 	structs map[string]*ctypes.Struct
 	unit    *ast.File
 
@@ -88,21 +96,27 @@ func (p *parser) height(pos token.Pos, h int) {
 	}
 }
 
-func (p *parser) cur() token.Token     { return p.toks[p.pos] }
-func (p *parser) kind() token.Kind     { return p.toks[p.pos].Kind }
+func (p *parser) cur() token.Token     { return p.win[p.head] }
+func (p *parser) kind() token.Kind     { return p.win[p.head].Kind }
 func (p *parser) at(k token.Kind) bool { return p.kind() == k }
 
+// peekKind returns the kind of the token n places after the current one
+// (n <= 2). Past the end of the input the lexer keeps returning EOF.
 func (p *parser) peekKind(n int) token.Kind {
-	if p.pos+n >= len(p.toks) {
-		return token.EOF
+	for ; p.n <= n; p.n++ {
+		p.win[(p.head+p.n)%len(p.win)] = p.lex.Next()
 	}
-	return p.toks[p.pos+n].Kind
+	return p.win[(p.head+n)%len(p.win)].Kind
 }
 
+// next consumes and returns the current token; EOF is never consumed.
 func (p *parser) next() token.Token {
-	t := p.toks[p.pos]
+	t := p.win[p.head]
 	if t.Kind != token.EOF {
-		p.pos++
+		p.head = (p.head + 1) % len(p.win)
+		if p.n--; p.n == 0 {
+			p.win[p.head], p.n = p.lex.Next(), 1
+		}
 	}
 	return t
 }

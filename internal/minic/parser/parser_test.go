@@ -1,11 +1,13 @@
 package parser
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/ctypes"
 	"repro/internal/minic/ast"
+	"repro/internal/workloads"
 )
 
 func mustParse(t *testing.T, src string) *ast.File {
@@ -268,6 +270,65 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("Parse(%q): error %q does not contain %q", c.src, err, c.wantSub)
 		}
 	}
+}
+
+// TestLexErrorTakesPrecedence: the parser pulls tokens as it goes, yet a
+// lexical error anywhere in the source is still the error Parse reports,
+// even when a parse error or the nesting bound stops the parse before the
+// lexer reaches it.
+func TestLexErrorTakesPrecedence(t *testing.T) {
+	deep := "int main(void) { return " + strings.Repeat("(", maxNest+200) + "1" +
+		strings.Repeat(")", maxNest+200) + "; }"
+	cases := []struct{ src, want string }{
+		{`int main( { return 0; } "abc`, "1:25: unterminated string literal"},
+		{deep + " /* open", "1:2430: unterminated block comment"},
+		// Without the lexical errors, the parse errors stand.
+		{`int main( { return 0; }`, "1:11: expected type"},
+		{deep, "nesting exceeds 1000 levels"},
+	}
+	for _, c := range cases {
+		_, err := Parse(c.src)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Parse(%.40q...): error %v, want %q", c.src, err, c.want)
+		}
+	}
+}
+
+// TestParseAllocs bounds what parsing a bundled source allocates: at most
+// 25 bytes per source byte. The parser holds a window of tokens, not the
+// whole token stream, so what remains is mostly the syntax tree.
+func TestParseAllocs(t *testing.T) {
+	srcs := map[string]string{}
+	for _, set := range [][]workloads.Workload{workloads.Micro(), workloads.Spec(), workloads.Phoronix()} {
+		for _, w := range set {
+			srcs[w.Name] = w.Src
+		}
+	}
+	for _, pg := range append(workloads.WebStack(), workloads.WebServe()...) {
+		srcs[pg.Name] = pg.Src
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 4
+	worst, worstName := 0.0, ""
+	for name, src := range srcs {
+		if _, err := Parse(src); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			Parse(src)
+		}
+		runtime.ReadMemStats(&after)
+		per := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(len(src))
+		if per > 25 {
+			t.Errorf("%s: parsing allocates %.1f bytes per source byte, want at most 25", name, per)
+		}
+		if per > worst {
+			worst, worstName = per, name
+		}
+	}
+	t.Logf("most bytes per source byte: %.1f (%s)", worst, worstName)
 }
 
 func TestParsePerlLikeDispatch(t *testing.T) {

@@ -46,10 +46,13 @@ import (
 // PredecodeOptions.NoBlockCompile. The block differential suite pins this.
 //
 // Entry slots: installing a segment replaces only the entry slot's run
-// handler (with hSeg); every slot keeps its predecoded fields, so segOps
-// re-resolve each constituent's own handler (chooseHandler) at compile
-// time, and branch targets that land mid-segment execute their slot's
-// handler through the dispatch loop.
+// handler (with hSeg); every slot keeps its predecoded fields. A segOp
+// holds no pointer: the paths that need more than its pre-extracted
+// fields (the slow operand paths, segCall, segRet and generic ops) read
+// the constituent's slot as &f.code.Ins[op.pc], and a generic op
+// resolves its own handler with chooseHandler, because in.run is hSeg on
+// an entry slot. Branch targets that land mid-segment execute their
+// slot's handler through the dispatch loop.
 //
 // Config independence: a Code is shared by machines with different
 // vm.Configs and ASLR slides (NewShared), so segments never bake in
@@ -82,7 +85,7 @@ const (
 	skLoadRegB    // plain 1-byte load, register address
 	// The stores take a register value, or with bReg -1 the constant imm;
 	// the register-address word store and the frame store also evaluate any
-	// other value operand through in.B (bReg -2).
+	// other value operand through the slot's B (bReg -2).
 	skStoreRegW8   // plain word store, register address
 	skStoreFrameW8 // plain word store, safe-eligible frame object (aux = offset)
 	skStoreGlobW8  // plain word store, global object (aux = slide-free offset)
@@ -120,25 +123,32 @@ const (
 )
 
 // segOp is one flattened constituent of a compiled segment. The hot kinds
-// read only the pre-extracted fields; in and h serve the generic kind and
-// the slow paths of the specialized ones. pc locates the constituent in its
-// own function's stream (traces cross into callees), k counts the
-// constituents before it since the trace's entry, folded branches included.
+// read only the pre-extracted fields. pc locates the constituent in its
+// own function's stream (traces cross into callees): the generic kind and
+// the slow paths of the specialized ones read the slot &f.code.Ins[pc],
+// where f is the frame the op runs in. k counts the constituents before it
+// since the trace's entry, folded branches included.
+//
+// A segOp holds no pointer, so staging and cloning ops pays no GC write
+// barrier and the collector never scans a SegOps array. The padding keeps
+// it at 64 bytes, one op per cache line: with the 48 bytes of its fields
+// alone, interp-hot op_ms rose from 164.0 to 173.4 ms, slower in 9 of 10
+// alternating 20 s runs of bench/run.sh (2 vCPUs of an Intel Xeon,
+// go1.24.0).
 type segOp struct {
 	kind uint8
 	alu  ir.ALU
 	pre  bool  // a folded trace-extending br (at brPC) runs first
 	wm   bool  // dst is in its function's MetaLive: the op writes its metadata
 	aReg int32 // A register / skRet value source / skCall callee
-	bReg int32 // B register (-1: imm; -2: slow operand via in)
+	bReg int32 // B register (-1: imm; -2: slow operand via the slot's B)
 	dst  int32
 	pc   int32
 	k    int32
 	brPC int32
 	imm  uint64 // immediate / pre-summed frame or global offset / cast mask / branch target / site ordinal
 	aux  uint64 // GEP scale / store's frame or global offset / CondBr fallthrough target
-	in   *PIns
-	h    handler
+	_    [16]byte
 }
 
 // segRef locates one compiled straight-line trace inside FuncCode.SegOps;
@@ -147,12 +157,11 @@ type segRef struct {
 	off, n int32
 }
 
-// makeSegOp flattens the slot at pc of function fc into the trace's k-th
-// micro-op, selecting by operand shape the executors runSegment inlines;
-// every other shape keeps its per-opcode handler. The generic handler is
-// re-resolved rather than read from in.run, which is hSeg on entry slots.
+// makeSegOp flattens the slot in at pc of function fc into the trace's
+// k-th micro-op, selecting by operand shape the executors runSegment
+// inlines; every other shape stays generic and runs its per-opcode handler.
 func makeSegOp(p *ir.Program, c *Code, fc *FuncCode, in *PIns, pc, k int) segOp {
-	op := segOp{kind: skGeneric, pc: int32(pc), k: int32(k), in: in, h: chooseHandler(in, false)}
+	op := segOp{kind: skGeneric, pc: int32(pc), k: int32(k)}
 	if d := int(in.Dst); d >= 0 && d < len(fc.MetaLive)*64 {
 		op.wm = fc.MetaLive.Has(d)
 	}
@@ -225,7 +234,7 @@ func makeSegOp(p *ir.Program, c *Code, fc *FuncCode, in *PIns, pc, k int) segOp 
 		case ir.ValConst:
 			op.bReg, op.imm = -1, in.B.Imm
 		default:
-			op.bReg = -2 // slow operand evaluation via in.B
+			op.bReg = -2 // slow operand evaluation via the slot's B
 		}
 		// aux carries a frame or global displacement; imm may hold a
 		// constant stored value.
@@ -249,7 +258,7 @@ func makeSegOp(p *ir.Program, c *Code, fc *FuncCode, in *PIns, pc, k int) segOp 
 		case ir.ValNone:
 			op.aReg = -1
 		default:
-			op.aReg = -2 // slow operand evaluation via in.A
+			op.aReg = -2 // slow operand evaluation via the slot's A
 		}
 	case ir.OpCall:
 		if in.Callee >= 0 && regArgCall(in, p.Funcs[in.Callee]) {
@@ -280,12 +289,12 @@ func regArgCall(in *PIns, callee *ir.Func) bool {
 // per call return site. Even single-op segments are kept — their terminal
 // runs at dispatch-loop cost when entered from the loop, but they let the
 // trampoline chain call/return/branch continuations without surfacing, so
-// tight recursion never leaves the segment runner. Runs after fc.Ins is
-// fully built (segOps hold pointers into it) and after every function's
-// MetaLive. Returns the number of segments installed. fc.Segs is always
-// allocated — the trampoline indexes it for every function a run can
-// enter. The traces are staged in tb's buffer, so fc.SegOps is allocated
-// once, at its exact size.
+// tight recursion never leaves the segment runner. Runs after every
+// function's Ins is fully built (segOps are flattened from it and index it
+// by pc) and after every function's MetaLive. Returns the number of
+// segments installed. fc.Segs is always allocated — the trampoline
+// indexes it for every function a run can enter. The traces are staged in
+// tb's buffer, so fc.SegOps is allocated once, at its exact size.
 func (tb *traceCompiler) compileBlocks(p *ir.Program, c *Code, fc *FuncCode) int {
 	n := len(fc.Ins)
 	fc.Segs = make([]segRef, n)
@@ -407,12 +416,10 @@ func (tb *traceCompiler) release() {
 	tracePool.Put(tb)
 }
 
-// clearPointers zeroes the buffers' whole capacity: ops and staged hold
-// *PIns, visited holds *FuncCode.
+// clearPointers zeroes visited over its whole capacity: it holds
+// *FuncCode. The op buffers hold no pointer.
 func (tb *traceCompiler) clearPointers() {
-	clear(tb.ops[:cap(tb.ops)])
 	clear(tb.visited[:cap(tb.visited)])
-	clear(tb.staged[:cap(tb.staged)])
 }
 
 // visit marks a slot visited, reporting false if it already was. A trace
@@ -698,7 +705,7 @@ activation:
 				case skGEPGR:
 					regs[op.dst] = globalBase + m.slideData + op.imm + regs[op.bReg]*op.aux
 					if tm && op.wm {
-						meta[op.dst] = m.globalMeta(&op.in.A)
+						meta[op.dst] = m.globalMeta(&f.code.Ins[op.pc].A)
 					}
 					cyc += cost.GEP
 					if boundsGEP {
@@ -796,7 +803,7 @@ activation:
 					case op.bReg == -1:
 						val = op.imm
 					default:
-						val = m.evalUSlow(f, &op.in.B)
+						val = m.evalUSlow(f, &f.code.Ins[op.pc].B)
 					}
 					if sfi {
 						cyc += cost.SFIMask
@@ -859,7 +866,7 @@ activation:
 							valMeta = meta[op.bReg]
 						}
 					} else {
-						val, valMeta = m.evalValSlow(f, &op.in.B)
+						val, valMeta = m.evalValSlow(f, &f.code.Ins[op.pc].B)
 					}
 					if !safeStack {
 						if sfi {
@@ -1025,7 +1032,7 @@ activation:
 					default:
 						addr = globalBase + m.slideData + op.imm + regs[op.bReg]*op.aux
 						if tm && op.wm {
-							meta[op.dst] = m.globalMeta(&op.in.A)
+							meta[op.dst] = m.globalMeta(&f.code.Ins[op.pc].A)
 						}
 					}
 					regs[op.dst] = addr
@@ -1062,7 +1069,7 @@ activation:
 					case op2.bReg == -1:
 						val = op2.imm
 					default:
-						val = m.evalUSlow(f, &op2.in.B)
+						val = m.evalUSlow(f, &f.code.Ins[op2.pc].B)
 					}
 					if sfi {
 						cyc += cost.SFIMask
@@ -1081,7 +1088,8 @@ activation:
 					f.pc = int(op.pc)
 					m.cycles += cyc
 					cyc = 0
-					op.h(m, f, op.in)
+					in := &f.code.Ins[op.pc]
+					chooseHandler(in, false)(m, f, in)
 					if m.trap != nil {
 						break body
 					}
@@ -1217,7 +1225,7 @@ func (m *Machine) segRet(f *frame, op *segOp, tm bool, cyc int64) int64 {
 			rm = f.meta[op.aReg]
 		}
 	case op.aReg == -2:
-		rv, rm = m.evalValSlow(f, &op.in.A)
+		rv, rm = m.evalValSlow(f, &f.code.Ins[op.pc].A)
 	}
 	if nf := len(m.frames) - 1; f.canaryAddr == 0 && nf > 0 &&
 		(f.safeSize == 0 || (len(m.safeMetaW) == 0 && len(m.safeMetaU) == 0)) {
@@ -1249,7 +1257,7 @@ func (m *Machine) segRet(f *frame, op *segOp, tm bool, cyc int64) int64 {
 	return cyc
 }
 
-// segCall executes a skCall op, mirroring execCall. The fast path inlines
+// segCall executes a skCall op of frame f's function, mirroring execCall. The fast path inlines
 // newFrame's recycled-record reuse (re-pointing records that last held a
 // different function; initFrame is idempotent, so a fallback below still
 // recycles correctly) and pushFrame's frame setup for cookie-less frames,
@@ -1292,14 +1300,15 @@ func (m *Machine) segCall(f *frame, op *segOp, tm bool, cyc int64) int64 {
 			}
 		}
 	}
+	args := f.code.Ins[op.pc].Args
 	if f2 == nil {
-		m.pushFrame(callee, f, op.in.Args, retAddr, retPC, int(op.dst))
+		m.pushFrame(callee, f, args, retAddr, retPC, int(op.dst))
 		return cyc
 	}
 	f2.pc = 0
 	f2.retPC = retPC
 	f2.dst = int(op.dst)
-	if args := op.in.Args; len(args) > 0 {
+	if len(args) > 0 {
 		cyc += int64(len(args)) * cost.Arg
 		regs, meta := f.regs, f.meta
 		regs2 := f2.regs

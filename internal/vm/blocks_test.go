@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
@@ -271,6 +272,72 @@ func fallbackShape(in *PIns) bool {
 	return false
 }
 
+// segSlots calls visit with every segment op of c, the index of the
+// function whose stream it was flattened from, and that slot. A trace
+// starts in the function it is anchored in; after a skCall op, the
+// trace's following ops belong to the callee. A merged skPairBinRCCall
+// keeps the call in its second slot, which stays a skCall op.
+func segSlots(c *Code, visit func(fi int, op *segOp, in *PIns)) {
+	for fi := range c.Funcs {
+		fc := &c.Funcs[fi]
+		for _, sr := range fc.Segs {
+			cur := fi
+			for i := range sr.n {
+				op := &fc.SegOps[sr.off+i]
+				visit(cur, op, &c.Funcs[cur].Ins[op.pc])
+				if op.kind == skCall {
+					cur = int(op.aReg)
+				}
+			}
+		}
+	}
+}
+
+// TestSegSlotsResolveOwnSlot checks segSlots against the ops' own shapes:
+// every op resolves to a slot of its opcode, so a walk that lost track of
+// a call crossing would fail here rather than silently test other slots.
+func TestSegSlotsResolveOwnSlot(t *testing.T) {
+	want := map[uint8]ir.Op{
+		skBinRR: ir.OpBin, skBinRC: ir.OpBin, skBinCR: ir.OpBin,
+		skMovR: ir.OpMov, skMovC: ir.OpMov, skCastR: ir.OpCast,
+		skGEPRR: ir.OpGEP, skGEPRC: ir.OpGEP, skGEPGR: ir.OpGEP,
+		skLoadRegW8: ir.OpLoad, skLoadFrameW8: ir.OpLoad, skLoadGlobW8: ir.OpLoad, skLoadRegB: ir.OpLoad,
+		skStoreRegW8: ir.OpStore, skStoreFrameW8: ir.OpStore, skStoreGlobW8: ir.OpStore, skStoreRegB: ir.OpStore,
+		skBr: ir.OpBr, skCondBrX: ir.OpCondBr, skRet: ir.OpRet, skCall: ir.OpCall,
+		skPairCmpRCBrX: ir.OpBin, skPairCmpRRBrX: ir.OpBin,
+		skPairBinRCCall: ir.OpBin, skPairBinRCRet: ir.OpBin, skPairBinRRRet: ir.OpBin,
+		skPairGEPRRLoad: ir.OpGEP, skPairGEPRCLoad: ir.OpGEP, skPairGEPGRLoad: ir.OpGEP,
+		skPairGEPRRStore: ir.OpGEP, skPairGEPRCStore: ir.OpGEP, skPairGEPGRStore: ir.OpGEP,
+	}
+	crossings := 0
+	for name, src := range workloadSources() {
+		c := PredecodeWith(compileProtected(t, src, backend.CPI), PredecodeOptions{})
+		segSlots(c, func(fi int, op *segOp, in *PIns) {
+			if w, ok := want[op.kind]; ok && in.Op != w {
+				t.Errorf("%s: op kind %d at pc %d of function %d resolves to opcode %d, want %d",
+					name, op.kind, op.pc, fi, in.Op, w)
+			}
+			if op.kind == skCall && op.aReg != in.Callee {
+				t.Errorf("%s: call op at pc %d of function %d calls %d, its slot %d",
+					name, op.pc, fi, op.aReg, in.Callee)
+			}
+		})
+		for fi := range c.Funcs {
+			fc := &c.Funcs[fi]
+			for _, sr := range fc.Segs {
+				for i := range max(sr.n-1, 0) {
+					if fc.SegOps[sr.off+i].kind == skCall {
+						crossings++
+					}
+				}
+			}
+		}
+	}
+	if crossings == 0 {
+		t.Error("no trace crosses into a callee; the walk's crossing is untested")
+	}
+}
+
 // benchedProtections are the four backends the benchmark runs.
 var benchedProtections = []backend.Protection{backend.Vanilla, backend.CPS, backend.CPI, backend.PAC}
 
@@ -310,18 +377,15 @@ func TestFallbackShapesInline(t *testing.T) {
 	for name, src := range workloadSources() {
 		for _, prot := range benchedProtections {
 			p := compileProtected(t, src, prot)
-			c := PredecodeWith(p, PredecodeOptions{})
-			for fi := range c.Funcs {
-				for _, op := range c.Funcs[fi].SegOps {
-					switch {
-					case !fallbackShape(op.in):
-					case op.kind != skGeneric:
-						inline[op.kind]++
-					case op.k != segMaxOps-1:
-						t.Errorf("%s/%v: %s op %d (pc %d) stays generic", name, prot, p.Funcs[fi].Name, op.in.Op, op.pc)
-					}
+			segSlots(PredecodeWith(p, PredecodeOptions{}), func(fi int, op *segOp, in *PIns) {
+				switch {
+				case !fallbackShape(in):
+				case op.kind != skGeneric:
+					inline[op.kind]++
+				case op.k != segMaxOps-1:
+					t.Errorf("%s/%v: %s op %d (pc %d) stays generic", name, prot, p.Funcs[fi].Name, in.Op, op.pc)
 				}
-			}
+			})
 		}
 	}
 	for _, k := range []uint8{skCastR, skLoadRegB, skStoreRegB, skLoadGlobW8, skStoreGlobW8} {
@@ -402,11 +466,11 @@ func TestMetaLiveSet(t *testing.T) {
 	if len(fc.SegOps) == 0 {
 		t.Fatal("no segment compiled")
 	}
-	for _, op := range fc.SegOps {
-		if d := int(op.in.Dst); d >= 0 && op.wm != fc.MetaLive.Has(d) {
-			t.Errorf("op at pc %d writes r%d: wm = %v", op.pc, d, op.wm)
+	segSlots(c, func(fi int, op *segOp, in *PIns) {
+		if d := int(in.Dst); d >= 0 && op.wm != c.Funcs[fi].MetaLive.Has(d) {
+			t.Errorf("op at pc %d of function %d writes r%d: wm = %v", op.pc, fi, d, op.wm)
 		}
-	}
+	})
 }
 
 // TestMetaLiveCounts pins, under cpi, how many of the segment ops that
@@ -416,17 +480,15 @@ func TestMetaLiveSet(t *testing.T) {
 func TestMetaLiveCounts(t *testing.T) {
 	count := func(src string) (live, total int) {
 		c := PredecodeWith(compileProtected(t, src, backend.CPI), PredecodeOptions{})
-		for fi := range c.Funcs {
-			for _, op := range c.Funcs[fi].SegOps {
-				if op.in.Dst < 0 || op.kind == skGeneric || op.kind == skCall {
-					continue
-				}
-				total++
-				if op.wm {
-					live++
-				}
+		segSlots(c, func(_ int, op *segOp, in *PIns) {
+			if in.Dst < 0 || op.kind == skGeneric || op.kind == skCall {
+				return
 			}
-		}
+			total++
+			if op.wm {
+				live++
+			}
+		})
 		return live, total
 	}
 	var live, total int
@@ -611,18 +673,37 @@ func runCode(t *testing.T, p *ir.Program, c *Code, cfg Config) *Result {
 	return m.Run("main")
 }
 
-// TestSegOpSize pins the segment micro-op at one 64-byte cache line, the
-// size runSegment's op stream was tuned against; growing it must be a
-// deliberate decision, like TestPInsSize's pin of PIns.
-func TestSegOpSize(t *testing.T) {
+// TestSegOpLayout pins the segment micro-op at one 64-byte cache line,
+// the size runSegment's op stream was tuned against (growing or shrinking
+// it must be a deliberate decision, like TestPInsSize's pin of PIns), and
+// requires it to hold no pointer of any kind: the GC then never scans a
+// SegOps array, staging ops pays no write barrier, and a pooled trace
+// compiler's op buffers keep no program alive.
+func TestSegOpLayout(t *testing.T) {
 	if got := unsafe.Sizeof(segOp{}); got != 64 {
 		t.Errorf("unsafe.Sizeof(segOp) = %d, want 64", got)
 	}
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := range ty.NumField() {
+				walk(path+"."+ty.Field(i).Name, ty.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", ty.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Func, reflect.Slice,
+			reflect.Map, reflect.Interface, reflect.Chan, reflect.String:
+			t.Errorf("%s is a %v", path, ty.Kind())
+		}
+	}
+	walk("segOp", reflect.TypeOf(segOp{}))
 }
 
 // TestTraceCompilerReleaseDropsPointers requires a trace compiler on its
 // way back to the pool to hold no pointer into the program it compiled:
-// before clearing, its buffers hold the trace's *PIns; after, none.
+// before clearing, its visited list holds the traces' *FuncCode; after,
+// none. Its op buffers hold no pointer at all (TestSegOpLayout).
 func TestTraceCompilerReleaseDropsPointers(t *testing.T) {
 	p := compileWith(t, srcSegShapes, irgen.Options{PromoteRegisters: true})
 	c := Predecode(p)
@@ -632,13 +713,6 @@ func TestTraceCompilerReleaseDropsPointers(t *testing.T) {
 	}
 	pins := func() int {
 		n := 0
-		for _, ops := range [][]segOp{tb.ops[:cap(tb.ops)], tb.staged[:cap(tb.staged)]} {
-			for i := range ops {
-				if ops[i].in != nil {
-					n++
-				}
-			}
-		}
 		for _, k := range tb.visited[:cap(tb.visited)] {
 			if k.fc != nil {
 				n++
