@@ -77,16 +77,3 @@ func SensitivePtr(t *Type) bool {
 	}
 	return Sensitive(t.Elem)
 }
-
-// CodePtr reports whether t is a direct code pointer: the only pointer kind
-// protected by CPS (§3.3). Universal pointers are included because they may
-// carry code pointers at run time; CPS stores them in the safe region only
-// when they hold values with code provenance.
-func CodePtr(t *Type) bool { return t.IsFuncPtr() }
-
-// CPSProtected reports whether loads/stores of a value of type t are
-// instrumented under CPS: direct code pointers always, universal pointers
-// conditionally (the store/load intrinsics check provenance at run time).
-func CPSProtected(t *Type) bool {
-	return t.IsFuncPtr() || t.IsUniversalPtr()
-}

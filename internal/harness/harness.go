@@ -83,6 +83,12 @@ func Summarize(results []*Result, cfg string, lang int) Summary {
 		}
 		xs = append(xs, r.Overhead(cfg))
 	}
+	return summarize(xs)
+}
+
+// summarize computes the mean, median and maximum of xs, sorting it; an
+// empty xs gives the zero Summary.
+func summarize(xs []float64) Summary {
 	if len(xs) == 0 {
 		return Summary{}
 	}

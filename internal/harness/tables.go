@@ -109,33 +109,21 @@ func WriteTable3Opt(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	cols := append(ProtColumns(), "softbound")
 	fmt.Fprintln(w, "Table 3: Overhead of Levee and SoftBound (%)")
-	fmt.Fprintf(w, "%-16s", "benchmark")
-	for _, c := range cols {
-		fmt.Fprintf(w, " %10s", c)
-	}
-	fmt.Fprintln(w)
-	for _, r := range results {
-		fmt.Fprintf(w, "%-16s", r.Name)
-		for _, c := range cols {
-			fmt.Fprintf(w, " %9.1f%%", r.Overhead(c))
-		}
-		fmt.Fprintln(w)
-	}
+	writeOverheadRows(w, results, append(ProtColumns(), "softbound"))
 	return nil
 }
 
 // WriteFig4 renders the Phoronix-style system suite overheads.
 func WriteFig4(w io.Writer, results []*Result) {
 	fmt.Fprintln(w, "Figure 4: Performance overheads on the system suite (Phoronix-style, %)")
-	writeOverheadRows(w, results)
+	writeOverheadRows(w, results, ProtColumns())
 }
 
 // writeOverheadRows renders one benchmark-per-row overhead listing with a
-// column per registered protection (the shared body of Fig. 4 / Table 4).
-func writeOverheadRows(w io.Writer, results []*Result) {
-	cols := ProtColumns()
+// column per configuration in cols (the shared body of Table 3, Fig. 4
+// and Table 4).
+func writeOverheadRows(w io.Writer, results []*Result, cols []string) {
 	fmt.Fprintf(w, "%-16s", "benchmark")
 	for _, c := range cols {
 		fmt.Fprintf(w, " %10s", c)
@@ -162,7 +150,7 @@ func WriteTable4Opt(w io.Writer, opt Options) error {
 		return err
 	}
 	fmt.Fprintln(w, "Table 4: Throughput benchmark for web server stack (overhead %)")
-	writeOverheadRows(w, results)
+	writeOverheadRows(w, results, ProtColumns())
 	return nil
 }
 
@@ -213,21 +201,9 @@ func MemoryOverheadsOpt(set []workloads.Workload, opt Options) ([]MemRow, error)
 				pcts = append(pcts, 100*extra/base)
 			}
 		}
-		sortFloats(pcts)
-		med, mean, max := 0.0, 0.0, 0.0
-		if n := len(pcts); n > 0 {
-			med = pcts[n/2]
-			if n%2 == 0 {
-				med = (pcts[n/2-1] + pcts[n/2]) / 2
-			}
-			for _, x := range pcts {
-				mean += x
-			}
-			mean /= float64(n)
-			max = pcts[n-1]
-		}
+		s := summarize(pcts)
 		rows = append(rows, MemRow{Config: v.name, Org: v.org,
-			MedianPct: med, MeanPct: mean, MaxPct: max})
+			MedianPct: s.Median, MeanPct: s.Avg, MaxPct: s.Max})
 	}
 	return rows, nil
 }
@@ -285,12 +261,4 @@ func SPSOrgOverheadsOpt(set []workloads.Workload, opt Options) (map[string]float
 		out[org] = sum / float64(len(results))
 	}
 	return out, nil
-}
-
-func sortFloats(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

@@ -38,17 +38,8 @@ func refMustDefinedIn(f *ir.Func, n int, entry []bool, blockDefs func(b *ir.Bloc
 			out := make([]bool, n)
 			copy(out, in[bi])
 			blockDefs(b, out)
-			term := &b.Ins[len(b.Ins)-1]
-			var succs [2]int
-			ns := 0
-			switch term.Op {
-			case ir.OpBr:
-				succs[0], ns = term.Blk0, 1
-			case ir.OpCondBr:
-				succs[0], succs[1], ns = term.Blk0, term.Blk1, 2
-			}
-			for si := 0; si < ns; si++ {
-				sb := succs[si]
+			succs, ns := b.Succs()
+			for _, sb := range succs[:ns] {
 				for i := range out {
 					if in[sb][i] && !out[i] {
 						in[sb][i] = false

@@ -461,8 +461,10 @@ func (s Bits) Has(i int) bool { return s[i>>6]&(1<<(uint(i)&63)) != 0 }
 // Add puts item i in the set.
 func (s Bits) Add(i int) { s[i>>6] |= 1 << (uint(i) & 63) }
 
-// succs returns a block's control-flow successors.
-func (b *Block) succs() ([2]int, int) {
+// Succs returns a block's control-flow successors and their count: the
+// one terminator walk of the block graph. A condbr whose targets are equal
+// yields its target twice.
+func (b *Block) Succs() ([2]int, int) {
 	term := &b.Ins[len(b.Ins)-1]
 	switch term.Op {
 	case OpBr:
@@ -499,7 +501,7 @@ func (f *Func) MustDefinedIn(n int, entry Bits, blockDefs func(b *Block, gen Bit
 	for changed := true; changed; {
 		changed = false
 		for bi, b := range f.Blocks {
-			succs, ns := b.succs()
+			succs, ns := b.Succs()
 			for _, s := range succs[:ns] {
 				for k, g := range gen[bi*w : (bi+1)*w] {
 					if v := in[s][k] & (in[bi][k] | g); v != in[s][k] {
@@ -529,6 +531,39 @@ func RegDefs(b *Block, gen Bits) {
 			gen.Add(d)
 		}
 	}
+}
+
+// RegsDefBeforeUse reports whether every register read in f is preceded
+// by a register write on all paths from entry, parameters counting as
+// written. Operands outside the register file count as unwritten.
+func (f *Func) RegsDefBeforeUse() bool {
+	nr := f.NumRegs
+	if nr == 0 {
+		return true
+	}
+	in := f.MustDefinedIn(nr, f.ParamSet(), RegDefs)
+	readOK := func(defined Bits, v Value) bool {
+		return v.Kind != ValReg || v.Reg >= 0 && v.Reg < nr && defined.Has(v.Reg)
+	}
+	defined := NewBits(nr)
+	for bi, b := range f.Blocks {
+		copy(defined, in[bi])
+		for ii := range b.Ins {
+			ins := &b.Ins[ii]
+			if !readOK(defined, ins.A) || !readOK(defined, ins.B) {
+				return false
+			}
+			for _, a := range ins.Args {
+				if !readOK(defined, a) {
+					return false
+				}
+			}
+			if dst := ins.Dst; dst >= 0 && dst < nr {
+				defined.Add(dst)
+			}
+		}
+	}
+	return true
 }
 
 // ParamSet returns the register set the caller materializes on entry.

@@ -16,12 +16,13 @@ package irgen
 // wherever a pair is available, and the movs whose destinations lose
 // their last use are left to the caller's dead-mov elision.
 //
-// For a single-assignment source the pass additionally checks that the
-// source's unique definition dominates the use block. The dataflow
-// already implies it, but the dominator check keeps the rewrite locally
-// auditable and is what ties a substitution to the VM's must-defined
-// register-clear elision: ir.Verify checks def-before-use only for
-// promoted registers.
+// A use rewrites whenever the dataflow holds a pair for it, with no
+// separate dominance test: a pair (d, s) available at a use means every
+// path from entry reached the use through `d = mov s` with no write to d
+// or s since, so the use reads the value that mov read. It also means s
+// is must-defined at the use wherever it was must-defined at each such
+// mov, so the VM's register-clear elision (ir.Func.RegsDefBeforeUse)
+// decides the same before and after the pass.
 //
 // The available-copy state is a copySet: a dense d→s array over the
 // function's registers plus the list of d's it holds, so a lookup is an
@@ -146,9 +147,6 @@ func crossBlockCopyProp(fn *ir.Func, st *copySet) bool {
 	}
 	rpo := reversePostorder(fn)
 	preds := predLists(fn)
-	idom := immediateDominators(fn, rpo, preds)
-	defBlock := saDefBlocks(fn)
-
 	cf := newCopyFlow(fn, st)
 	cf.solve(rpo, preds)
 
@@ -159,7 +157,7 @@ func crossBlockCopyProp(fn *ir.Func, st *copySet) bool {
 		b := fn.Blocks[bi]
 		for ii := range b.Ins {
 			in := &b.Ins[ii]
-			changed = substUses(in, st, idom, defBlock, bi) || changed
+			changed = substUses(in, st) || changed
 			copyTransfer(in, st)
 		}
 	}
@@ -168,9 +166,8 @@ func crossBlockCopyProp(fn *ir.Func, st *copySet) bool {
 }
 
 // substUses rewrites the register uses of one instruction through the
-// available-copy set, chasing chains to their root. A single-assignment
-// replacement register must be defined in a block dominating the use.
-func substUses(in *ir.Instr, st *copySet, idom []int, defBlock []int, bi int) bool {
+// available-copy set, chasing chains to their root.
+func substUses(in *ir.Instr, st *copySet) bool {
 	changed := false
 	sub := func(v *ir.Value) {
 		if v.Kind != ir.ValReg {
@@ -178,13 +175,10 @@ func substUses(in *ir.Instr, st *copySet, idom []int, defBlock []int, bi int) bo
 		}
 		r := v.Reg
 		// Chains are acyclic (generating (d,s) requires s live, and a
-		// write to s kills (d,s)), but bound the walk anyway.
-		for hops := 0; hops < len(idom)+8; hops++ {
+		// write to s kills (d,s)), but bound the walk by the pairs held.
+		for hops := len(st.dsts); hops > 0; hops-- {
 			s, ok := st.lookup(r)
 			if !ok {
-				break
-			}
-			if db := defBlock[s]; db >= 0 && db != bi && !dominates(idom, db, bi) {
 				break
 			}
 			r = s
@@ -327,18 +321,17 @@ func intersectPairs(a, b []copyPair) []copyPair {
 // ---- CFG scaffolding ----
 
 // predLists returns each block's predecessor list (reachability-agnostic:
-// an edge counts whether or not its source is reachable). The lists share
-// one backing array.
+// an edge counts whether or not its source is reachable; a condbr with
+// equal targets counts twice). The lists share one backing array.
 func predLists(fn *ir.Func) [][]int {
 	n := make([]int, len(fn.Blocks))
 	edges := 0
 	for _, b := range fn.Blocks {
-		for _, t := range blockSuccs(b) {
-			if t >= 0 {
-				n[t]++
-				edges++
-			}
+		succs, ns := b.Succs()
+		for _, t := range succs[:ns] {
+			n[t]++
 		}
+		edges += ns
 	}
 	flat := make([]int, edges)
 	preds := make([][]int, len(fn.Blocks))
@@ -348,26 +341,12 @@ func predLists(fn *ir.Func) [][]int {
 		off += n[bi]
 	}
 	for bi, b := range fn.Blocks {
-		for _, t := range blockSuccs(b) {
-			if t >= 0 {
-				preds[t] = append(preds[t], bi)
-			}
+		succs, ns := b.Succs()
+		for _, t := range succs[:ns] {
+			preds[t] = append(preds[t], bi)
 		}
 	}
 	return preds
-}
-
-// blockSuccs returns a block's distinct successors, -1 marking an absent
-// one.
-func blockSuccs(b *ir.Block) [2]int {
-	term := &b.Ins[len(b.Ins)-1]
-	switch {
-	case term.Op == ir.OpBr, term.Op == ir.OpCondBr && term.Blk1 == term.Blk0:
-		return [2]int{term.Blk0, -1}
-	case term.Op == ir.OpCondBr:
-		return [2]int{term.Blk0, term.Blk1}
-	}
-	return [2]int{-1, -1}
 }
 
 // reversePostorder returns the reachable blocks in reverse postorder of a
@@ -378,8 +357,9 @@ func reversePostorder(fn *ir.Func) []int {
 	var walk func(int)
 	walk = func(bi int) {
 		seen[bi] = true
-		for _, t := range blockSuccs(fn.Blocks[bi]) {
-			if t >= 0 && !seen[t] {
+		succs, ns := fn.Blocks[bi].Succs()
+		for _, t := range succs[:ns] {
+			if !seen[t] {
 				walk(t)
 			}
 		}
@@ -391,99 +371,4 @@ func reversePostorder(fn *ir.Func) []int {
 		rpo[len(post)-1-i] = bi
 	}
 	return rpo
-}
-
-// immediateDominators computes each reachable block's immediate dominator
-// with the Cooper-Harvey-Kennedy iterative algorithm over reverse
-// postorder. Unreachable blocks get idom -1; the entry is its own idom.
-func immediateDominators(fn *ir.Func, rpo []int, preds [][]int) []int {
-	nb := len(fn.Blocks)
-	rpoNum := make([]int, nb)
-	for i := range rpoNum {
-		rpoNum[i] = -1
-	}
-	for i, bi := range rpo {
-		rpoNum[bi] = i
-	}
-	idom := make([]int, nb)
-	for i := range idom {
-		idom[i] = -1
-	}
-	idom[0] = 0
-	intersect := func(a, b int) int {
-		for a != b {
-			for rpoNum[a] > rpoNum[b] {
-				a = idom[a]
-			}
-			for rpoNum[b] > rpoNum[a] {
-				b = idom[b]
-			}
-		}
-		return a
-	}
-	for {
-		changed := false
-		for _, bi := range rpo[1:] {
-			newIdom := -1
-			for _, p := range preds[bi] {
-				if idom[p] < 0 {
-					continue // unreachable or unprocessed predecessor
-				}
-				if newIdom < 0 {
-					newIdom = p
-				} else {
-					newIdom = intersect(newIdom, p)
-				}
-			}
-			if newIdom >= 0 && idom[bi] != newIdom {
-				idom[bi] = newIdom
-				changed = true
-			}
-		}
-		if !changed {
-			return idom
-		}
-	}
-}
-
-// dominates reports whether block a dominates block b (by walking b's
-// idom chain up to the entry).
-func dominates(idom []int, a, b int) bool {
-	if a == b {
-		return true
-	}
-	for b != 0 {
-		b = idom[b]
-		if b < 0 {
-			return false
-		}
-		if b == a {
-			return true
-		}
-	}
-	return a == 0
-}
-
-// saDefBlocks maps each single-assignment register to its defining block
-// (-1 for parameters, which every block may read, and for promoted
-// registers, whose validity the dataflow alone establishes).
-func saDefBlocks(fn *ir.Func) []int {
-	db := make([]int, fn.NumRegs)
-	for i := range db {
-		db[i] = -1
-	}
-	mutable := fn.MutableRegSet()
-	for bi, b := range fn.Blocks {
-		for ii := range b.Ins {
-			if d := b.Ins[ii].Dst; d >= 0 && d < len(db) && !mutable[d] {
-				db[d] = bi
-			}
-		}
-	}
-	for i := range fn.Params {
-		if i < len(db) {
-			db[i] = -1
-		}
-	}
-	return db
 }

@@ -34,15 +34,16 @@ package irgen
 //  4. cleanup — block-local copy propagation, a fold of `def t; mov r, t`
 //     into `def r`, and dead-move elimination shrink the mov traffic so an
 //     assignment usually costs a single instruction and a read costs none;
-//     cross-block copy propagation (copyprop.go) then forwards the copies
-//     that cross block boundaries, and a second dead-move elision drops
-//     the movs it leaves without a use. On the bundled workloads the
-//     cross-block pass reaches the same code without the local
-//     propagation and the first elision; they run first because they keep
-//     its available-copy sets small. Both propagations share one copySet,
-//     a dense d→s array over the function's registers. setjmp calls are a
-//     propagation barrier: a temporary captured before the call must not
-//     alias a variable mutated before the longjmp;
+//     cross-block copy propagation (copyprop.go) then rewrites every use
+//     for which its available-copies dataflow holds a pair, with no
+//     dominator tree, and a second dead-move elision drops the movs it
+//     leaves without a use. On the bundled workloads the cross-block pass
+//     reaches the same code without the local propagation and the first
+//     elision; they run first because they keep its available-copy sets
+//     small. Both propagations share one copySet, a dense d→s array over
+//     the function's registers. setjmp calls are a propagation barrier: a
+//     temporary captured before the call must not alias a variable
+//     mutated before the longjmp;
 //  5. frame compaction — promoted slots leave ir.Func.Frame and the
 //     surviving objects are re-laid out.
 //
@@ -203,17 +204,17 @@ func rewriteAccesses(fn *ir.Func, cand []bool, regOf []int) {
 	for _, b := range fn.Blocks {
 		kept := b.Ins[:0]
 		for ii := range b.Ins {
-			in := b.Ins[ii]
+			in := &b.Ins[ii]
 			switch {
 			case in.Op == ir.OpLoad && in.A.Kind == ir.ValFrame && cand[in.A.Index]:
-				in = ir.Instr{Op: ir.OpMov, Dst: in.Dst, A: ir.Reg(regOf[in.A.Index])}
+				*in = ir.Instr{Op: ir.OpMov, Dst: in.Dst, A: ir.Reg(regOf[in.A.Index])}
 			case in.Op == ir.OpStore && in.A.Kind == ir.ValFrame && cand[in.A.Index]:
-				in = ir.Instr{Op: ir.OpMov, Dst: regOf[in.A.Index], A: in.B}
+				*in = ir.Instr{Op: ir.OpMov, Dst: regOf[in.A.Index], A: in.B}
 			}
 			if in.Op == ir.OpMov && in.A.Kind == ir.ValReg && in.A.Reg == in.Dst {
 				continue // self-move
 			}
-			kept = append(kept, in)
+			kept = append(kept, *in)
 		}
 		b.Ins = kept
 	}
@@ -277,19 +278,17 @@ func foldMovIntoDef(fn *ir.Func) {
 	for _, b := range fn.Blocks {
 		kept := b.Ins[:0]
 		for ii := 0; ii < len(b.Ins); ii++ {
-			in := b.Ins[ii]
+			in := &b.Ins[ii]
 			if ii+1 < len(b.Ins) {
 				nx := &b.Ins[ii+1]
 				if nx.Op == ir.OpMov && nx.A.Kind == ir.ValReg &&
 					in.Dst >= 0 && nx.A.Reg == in.Dst && nx.Dst != in.Dst &&
 					!in.IsTerm() && !mutable[in.Dst] && uses[in.Dst] == 1 {
 					in.Dst = nx.Dst
-					kept = append(kept, in)
 					ii++ // the mov is consumed
-					continue
 				}
 			}
-			kept = append(kept, in)
+			kept = append(kept, *in)
 		}
 		b.Ins = kept
 	}
@@ -306,12 +305,12 @@ func elideDeadMovs(fn *ir.Func) {
 		for _, b := range fn.Blocks {
 			kept := b.Ins[:0]
 			for ii := range b.Ins {
-				in := b.Ins[ii]
+				in := &b.Ins[ii]
 				if in.Op == ir.OpMov && uses[in.Dst] == 0 {
 					removed = true
 					continue
 				}
-				kept = append(kept, in)
+				kept = append(kept, *in)
 			}
 			b.Ins = kept
 		}

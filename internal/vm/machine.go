@@ -41,7 +41,12 @@ const (
 var isoNames = [...]string{"segment", "infohide", "sfi"}
 
 // String names the isolation mode.
-func (m IsolationMode) String() string { return isoNames[m] }
+func (m IsolationMode) String() string {
+	if int(m) >= len(isoNames) {
+		return fmt.Sprintf("IsolationMode(%d)", m)
+	}
+	return isoNames[m]
+}
 
 // Config controls the runtime protection behaviour. The instruction-level
 // flags (which loads/stores use the safe pointer store) come from the
@@ -375,29 +380,38 @@ func NewShared(p *ir.Program, code *Code, cfg Config) (*Machine, error) {
 	if cfg.AuditSensitive && !code.AuditHooks {
 		return nil, errors.New("vm: AuditSensitive needs code predecoded with AuditHooks (without them, plain accesses skip the audit checks)")
 	}
+	if int(cfg.Isolation) >= len(isoNames) {
+		return nil, fmt.Errorf("vm: unknown isolation %v", cfg.Isolation)
+	}
 	enf, caps, err := newEnforcer(cfg)
 	if err != nil {
 		return nil, err
 	}
 	m := &Machine{
-		cfg:        cfg,
-		prog:       p,
-		code:       code,
-		mem:        mem.New(),
-		safe:       mem.New(),
-		enf:        enf,
-		caps:       caps,
-		allocs:     map[uint64]*allocation{},
-		freeLst:    map[int64][]uint64{},
-		rng:        uint64(cfg.Seed)*0x9E3779B97F4A7C15 + 0x7263_6970,
-		spsDirty:   true,
-		randState:  uint64(cfg.Seed)*6364136223846793005 + 1,
-		stepBudget: cfg.MaxSteps,
+		cfg:     cfg,
+		prog:    p,
+		code:    code,
+		mem:     mem.New(),
+		safe:    mem.New(),
+		enf:     enf,
+		caps:    caps,
+		allocs:  map[uint64]*allocation{},
+		freeLst: map[int64][]uint64{},
 	}
-	if err := m.load(); err != nil {
+	if err := m.start(); err != nil {
 		return nil, err
 	}
 	return m, nil
+}
+
+// start seeds the PRNGs and budgets from the configuration and lays out
+// the address space: the initialization NewShared and Reset share.
+func (m *Machine) start() error {
+	m.rng = uint64(m.cfg.Seed)*0x9E3779B97F4A7C15 + 0x7263_6970
+	m.randState = uint64(m.cfg.Seed)*6364136223846793005 + 1
+	m.stepBudget = m.cfg.MaxSteps
+	m.spsDirty = true
+	return m.load()
 }
 
 // nextRand is a small deterministic PRNG for layout and canaries.

@@ -95,9 +95,11 @@ type FuncCode struct {
 	// BlockPC maps a block index to the pc of its first instruction.
 	BlockPC []int32
 	// NeedsRegClear marks functions where some register read is not
-	// provably preceded by a write on every path (see regsDefBeforeUse):
-	// their pooled register files must be re-zeroed per activation. Most
-	// functions are proven clean and skip the per-call clear entirely.
+	// provably preceded by a write on every path (ir.Func.RegsDefBeforeUse;
+	// parameters count as written, since pushFrame materializes them and
+	// zero-fills any arity gap): their pooled register files must be
+	// re-zeroed per activation. Most functions are proven clean and skip
+	// the per-call clear entirely.
 	NeedsRegClear bool
 	// Segs maps a pc to the block-compiled segment anchored there (a
 	// zero-length ref for non-entry slots; see blocks.go), as an
@@ -294,7 +296,7 @@ func PredecodeWith(p *ir.Program, opt PredecodeOptions) *Code {
 				fc.Ins = append(fc.Ins, pi)
 			}
 		}
-		fc.NeedsRegClear = !regsDefBeforeUse(fn)
+		fc.NeedsRegClear = !fn.RegsDefBeforeUse()
 	}
 	c.NumRetSites = int(retOrd)
 	c.NumJmpSites = int(jmpOrd)
@@ -338,48 +340,6 @@ func PredecodeWith(p *ir.Program, opt PredecodeOptions) *Code {
 		tb.release()
 	}
 	return c
-}
-
-// regsDefBeforeUse reports whether every register read in fn is preceded by
-// a register write on all paths from entry (parameters count as written:
-// pushFrame materializes them, zero-filling any arity gap). Functions with
-// this property never observe a stale pooled register file, so newFrame
-// skips re-zeroing it. The block-graph dataflow is the shared
-// ir.MustDefinedIn lattice (also used by the verifier's promoted-register
-// invariant and the promotion pass's initialization check).
-func regsDefBeforeUse(fn *ir.Func) bool {
-	nr := fn.NumRegs
-	if nr == 0 {
-		return true
-	}
-	in := fn.MustDefinedIn(nr, fn.ParamSet(), ir.RegDefs)
-
-	// Check every read against the running must-defined set.
-	readOK := func(defined ir.Bits, v ir.Value) bool {
-		if v.Kind != ir.ValReg {
-			return true
-		}
-		return v.Reg >= 0 && v.Reg < nr && defined.Has(v.Reg)
-	}
-	defined := ir.NewBits(nr)
-	for bi, b := range fn.Blocks {
-		copy(defined, in[bi])
-		for ii := range b.Ins {
-			ins := &b.Ins[ii]
-			if !readOK(defined, ins.A) || !readOK(defined, ins.B) {
-				return false
-			}
-			for _, a := range ins.Args {
-				if !readOK(defined, a) {
-					return false
-				}
-			}
-			if dst := ins.Dst; dst >= 0 && dst < nr {
-				defined.Add(dst)
-			}
-		}
-	}
-	return true
 }
 
 // metaLiveness computes FuncCode.MetaLive, the registers whose metadata

@@ -196,7 +196,8 @@ int main(void) {
 // TestProtectionMechanisms pins the one protection selector's mapping onto
 // the runtime mechanisms: for every Protection, the enforcer newEnforcer
 // builds and the capabilities it fixes, safe stack and CFI included. An
-// out-of-range value is a construction error that names it.
+// out-of-range protection or isolation mode is a construction error that
+// names it.
 func TestProtectionMechanisms(t *testing.T) {
 	p := compile(t, `int main(void) { return 0; }`)
 	sr := func(active, check ir.Prot, trap TrapKind) enfCaps {
@@ -239,6 +240,13 @@ func TestProtectionMechanisms(t *testing.T) {
 	bad := backend.PAC + 1
 	if _, err := New(p, Config{Protect: bad}); err == nil || !strings.Contains(err.Error(), bad.String()) {
 		t.Errorf("New with Protect %v: error %v, want one naming it", bad, err)
+	}
+	badIso := IsoSFI + 1
+	if _, err := New(p, Config{Isolation: badIso}); err == nil || !strings.Contains(err.Error(), "IsolationMode(3)") {
+		t.Errorf("New with Isolation %v: error %v, want one naming it", badIso, err)
+	}
+	if got := HijackVia(9).String(); got != "HijackVia(9)" {
+		t.Errorf("HijackVia(9) names itself %q", got)
 	}
 }
 

@@ -38,7 +38,7 @@ var resetRules = map[string]string{
 	"blockEntries": "zeroed",
 	"extraDisp":    "zeroed",
 	"out":          "bytes.Buffer Reset (capacity retained)",
-	"rng":          "reseeded from cfg.Seed exactly as NewShared",
+	"rng":          "seeded from cfg.Seed by start(), as in NewShared",
 
 	"slideCode":   "zeroed; load() redraws under ASLR/PIE",
 	"slideData":   "zeroed; load() redraws under ASLR/PIE",
@@ -67,25 +67,27 @@ var resetRules = map[string]string{
 	"safeMetaW": "cleared through cap then truncated (setSafeMeta grows within cap assuming zeros)",
 	"safeMetaU": "map cleared in place",
 
-	"spsDirty":   "true, as constructed",
+	"spsDirty":   "set true by start(), as in NewShared",
 	"minSp":      "re-latched by load()",
 	"minSsp":     "re-latched by load()",
 	"memStats":   "zeroed (Globals recomputed by load())",
 	"heapLive":   "zeroed",
 	"exitCode":   "zeroed",
 	"trap":       "nil",
-	"randState":  "reseeded from cfg.Seed exactly as NewShared",
-	"stepBudget": "restored to cfg.MaxSteps",
+	"randState":  "seeded from cfg.Seed by start(), as in NewShared",
+	"stepBudget": "restored to cfg.MaxSteps by start(), as in NewShared",
 
 	"strBuf": "kept: scratch, dead between intrinsic calls",
 	"fmtBuf": "kept: scratch, dead between intrinsic calls",
 }
 
 // Reset returns the machine to the state NewShared(prog, code, cfg) would
-// construct, reusing backing storage in place. The PRNG reseeds from
-// cfg.Seed, so even an ASLR machine reproduces its own slides, canary and
-// pointer guard — a reset machine replays a fresh machine's run bit for
-// bit. On error the machine is not reusable and must be dropped.
+// construct, reusing backing storage in place: it clears what a run leaves
+// behind and then runs start(), NewShared's own seeding and layout. The
+// PRNG reseeds from cfg.Seed, so even an ASLR machine reproduces its own
+// slides, canary and pointer guard — a reset machine replays a fresh
+// machine's run bit for bit. On error the machine is not reusable and must
+// be dropped.
 func (m *Machine) Reset() error {
 	// Volatile execution state.
 	m.frames = m.frames[:0]
@@ -96,11 +98,6 @@ func (m *Machine) Reset() error {
 	m.trap = nil
 	m.exitCode = 0
 	m.hooks = nil
-
-	// PRNGs and budgets, exactly as NewShared seeds them.
-	m.rng = uint64(m.cfg.Seed)*0x9E3779B97F4A7C15 + 0x7263_6970
-	m.randState = uint64(m.cfg.Seed)*6364136223846793005 + 1
-	m.stepBudget = m.cfg.MaxSteps
 
 	// Layout state load() recomputes (finfo is kept; see resetRules).
 	m.slideCode, m.slideData, m.slideStack, m.slideHeap = 0, 0, 0, 0
@@ -139,9 +136,8 @@ func (m *Machine) Reset() error {
 	clear(m.safeMetaU)
 
 	// Peak accounting; load() re-latches the stack low-water marks.
-	m.spsDirty = true
 	m.minSp, m.minSsp = 0, 0
 	m.memStats = MemStats{}
 
-	return m.load()
+	return m.start()
 }

@@ -92,7 +92,12 @@ var viaNames = [...]string{
 }
 
 // String names the hijack vector.
-func (v HijackVia) String() string { return viaNames[v] }
+func (v HijackVia) String() string {
+	if int(v) >= len(viaNames) {
+		return fmt.Sprintf("HijackVia(%d)", v)
+	}
+	return viaNames[v]
+}
 
 // Trap describes a terminated execution.
 type Trap struct {
