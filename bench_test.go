@@ -378,3 +378,34 @@ func BenchmarkInterpreterThroughput(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCompileCorpus compiles and predecodes every bundled workload
+// source (micros, SPEC, Phoronix and both web-stack forms) under vanilla,
+// cps, cpi and pac with DEP on, the cells of the benchmark's compile-corpus
+// workload, so one op is one pass over the corpus and -benchmem's B/op and
+// allocs/op are what a pass allocates.
+func BenchmarkCompileCorpus(b *testing.B) {
+	var srcs []string
+	for _, set := range [][]workloads.Workload{workloads.Micro(), workloads.Spec(), workloads.Phoronix()} {
+		for _, w := range set {
+			srcs = append(srcs, w.Src)
+		}
+	}
+	for _, p := range append(workloads.WebStack(), workloads.WebServe()...) {
+		srcs = append(srcs, p.Src)
+	}
+	prots := []core.Protection{core.Vanilla, core.CPS, core.CPI, core.PAC}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, src := range srcs {
+			for _, p := range prots {
+				prog, err := core.Compile(src, core.Config{Protect: p, DEP: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				prog.Predecoded()
+			}
+		}
+	}
+	b.ReportMetric(float64(len(srcs)*len(prots)), "compiles/op")
+}

@@ -193,7 +193,7 @@ func markFrame(f *ir.Func) {
 // instrumentFunc flags one function's sensitive operations for bk.
 func instrumentFunc(p *ir.Program, f *ir.Func, bk backend.Backend, annotated annotSet, pt *analysis.PointsTo) {
 	fi := analysis.Analyze(f)
-	uses := analysis.Uses(f)
+	var uses map[int][]*ir.Instr // built by stringHeuristic on first need
 	markFrame(f)
 	touches := ctypes.Sensitive
 	if bk.Scope() == backend.ScopeCode {
@@ -205,7 +205,7 @@ func instrumentFunc(p *ir.Program, f *ir.Func, bk backend.Backend, annotated ann
 			in := &b.Ins[i]
 			switch in.Op {
 			case ir.OpLoad, ir.OpStore:
-				flagMemOp(p, fi, uses, in, bk, annotated, pt)
+				flagMemOp(p, fi, &uses, in, bk, annotated, pt)
 			case ir.OpCall:
 				if in.Callee < 0 {
 					flagIntrinsic(p, fi, in, pt, bk.SetjmpFlags(), bk.SafeIntrFlags(), touches)
@@ -226,7 +226,7 @@ func safeStackDirect(fi *analysis.FuncInfo, v ir.Value) bool {
 // classification front — safe-stack skip, annotation covers, type
 // classifier, string heuristic, points-to pruning — picks the class, the
 // backend emits the flags.
-func flagMemOp(p *ir.Program, fi *analysis.FuncInfo, uses map[int][]*ir.Instr, in *ir.Instr, bk backend.Backend, annotated annotSet, pt *analysis.PointsTo) {
+func flagMemOp(p *ir.Program, fi *analysis.FuncInfo, uses *map[int][]*ir.Instr, in *ir.Instr, bk backend.Backend, annotated annotSet, pt *analysis.PointsTo) {
 	ty := in.Ty
 	if ty == nil || safeStackDirect(fi, in.A) {
 		return
@@ -261,16 +261,21 @@ func flagMemOp(p *ir.Program, fi *analysis.FuncInfo, uses map[int][]*ir.Instr, i
 }
 
 // stringHeuristic applies the §3.2.1 char* refinement: char* values that
-// are manifestly strings are not treated as universal pointers.
-func stringHeuristic(fi *analysis.FuncInfo, uses map[int][]*ir.Instr, in *ir.Instr) bool {
+// are manifestly strings are not treated as universal pointers. *uses is
+// the function's register-use map, built here on the first char* access
+// that reaches the heuristic (most functions have none).
+func stringHeuristic(fi *analysis.FuncInfo, uses *map[int][]*ir.Instr, in *ir.Instr) bool {
 	if in.Ty == nil || !in.Ty.IsPtr() || in.Ty.Elem.Kind != ctypes.KindChar {
 		return false // only char*, not void*
 	}
+	if *uses == nil {
+		*uses = analysis.Uses(fi.Fn)
+	}
 	if in.Op == ir.OpStore {
-		return analysis.StringLike(fi, in.B, uses)
+		return analysis.StringLike(fi, in.B, *uses)
 	}
 	// Loads: string-like if the loaded value flows into string functions.
-	return analysis.StringLike(fi, ir.Reg(in.Dst), uses)
+	return analysis.StringLike(fi, ir.Reg(in.Dst), *uses)
 }
 
 // flagIntrinsic classifies memory-manipulation intrinsics (§3.2.2) and

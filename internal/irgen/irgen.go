@@ -55,7 +55,7 @@ func LowerWith(f *ast.File, opts Options) (*ir.Program, error) {
 	return p, err
 }
 
-// insPool holds block buffers (gen.ins) between LowerWith calls, so a
+// insPool holds instruction buffers (gen.ins) between LowerWith calls, so a
 // buffer is grown once rather than on every lowering.
 var insPool = sync.Pool{New: func() any { return new([]ir.Instr) }}
 
@@ -69,11 +69,14 @@ type gen struct {
 	// Per-function state.
 	fn   *ir.Func
 	decl *ast.FuncDecl
-	// blk is the block being generated. Its instructions collect in ins,
-	// a buffer reused across blocks, functions and (through insPool)
-	// programs, until enter seals them into blk.Ins at their exact size.
+	// blk is the block being generated. The function's instructions
+	// collect in ins, a buffer reused across functions and (through
+	// insPool) programs; blk's own start at ins[start:]. Each block left
+	// is a cap-limited window of the buffer (or of an array the buffer
+	// outgrew) until seal copies the function out after promotion.
 	blk      *ir.Block
 	ins      []ir.Instr
+	start    int
 	nParams  int
 	localOff int // frame index of first sema-assigned local
 	breaks   []int
@@ -107,6 +110,7 @@ func (g *gen) run() (*ir.Program, error) {
 		if g.opts.PromoteRegisters {
 			promoteFunc(fn)
 		}
+		g.seal(fn)
 		g.prog.Funcs = append(g.prog.Funcs, fn)
 	}
 	if err := g.prog.Verify(); err != nil {
@@ -239,12 +243,13 @@ func (g *gen) lowerFunc(fd *ast.FuncDecl) (*ir.Func, error) {
 
 	if fd.Body == nil {
 		fn.External = true
-		stub := fn.NewBlock("entry")
+		g.enter(fn.NewBlock("entry"))
 		ret := ir.Instr{Op: ir.OpRet, Dst: -1}
 		if !fd.Ret.IsVoid() {
 			ret.A = ir.Const(0)
 		}
-		stub.Emit(ret)
+		g.emit(ret)
+		g.enter(nil)
 		g.fn = nil
 		g.decl = nil
 		return fn, nil
@@ -279,7 +284,8 @@ func (g *gen) lowerFunc(fd *ast.FuncDecl) (*ir.Func, error) {
 	// Terminate every dangling block with an implicit return (the current
 	// block on fall-off-the-end paths, plus merge blocks that became
 	// unreachable because all predecessors returned). The current block
-	// takes it before it is sealed; a sealed block regrows.
+	// takes it in the buffer; a block already left is a cap-limited window,
+	// so Emit moves it out of the buffer rather than overwrite the next.
 	ret := ir.Instr{Op: ir.OpRet, Dst: -1}
 	if !fd.Ret.IsVoid() {
 		ret.A = ir.Const(0)
@@ -365,17 +371,36 @@ func (g *gen) newTemp() int {
 	return i
 }
 
-// enter makes b the block being generated (nil: none), sealing the one
-// being left: its instructions move from the buffer into one allocation
-// of their exact size. Every block is entered once, so a sealed block
-// gets no more instructions from the buffer.
+// enter makes b the block being generated (nil: none). The block being
+// left becomes the window of the buffer its instructions were emitted
+// into, capped at its length so that no append writes into the block after
+// it. Every block is entered once.
 func (g *gen) enter(b *ir.Block) {
-	if g.blk != nil && len(g.ins) > 0 {
-		g.blk.Ins = make([]ir.Instr, len(g.ins))
-		copy(g.blk.Ins, g.ins)
-		g.ins = g.ins[:0]
+	if g.blk != nil {
+		n := len(g.ins)
+		g.blk.Ins = g.ins[g.start:n:n]
+		g.start = n
 	}
 	g.blk = b
+}
+
+// seal moves fn's blocks out of the buffer into one allocation of their
+// exact total size, in block order, each block a cap-limited window of it,
+// and empties the buffer for the next function. It runs after promotion,
+// whose filters shrink blocks in place, so the program keeps no slack.
+func (g *gen) seal(fn *ir.Func) {
+	n := 0
+	for _, b := range fn.Blocks {
+		n += len(b.Ins)
+	}
+	all := make([]ir.Instr, n)
+	off := 0
+	for _, b := range fn.Blocks {
+		end := off + copy(all[off:], b.Ins)
+		b.Ins = all[off:end:end]
+		off = end
+	}
+	g.ins, g.start = g.ins[:0], 0
 }
 
 func (g *gen) emit(in ir.Instr) {
@@ -384,7 +409,7 @@ func (g *gen) emit(in ir.Instr) {
 
 func (g *gen) terminated() bool {
 	n := len(g.ins)
-	return n > 0 && g.ins[n-1].IsTerm()
+	return n > g.start && g.ins[n-1].IsTerm()
 }
 
 func (g *gen) br(target int) {

@@ -1,9 +1,13 @@
 package irgen
 
 import (
+	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ctypes"
 	"repro/internal/ir"
@@ -14,6 +18,11 @@ import (
 
 func lower(t *testing.T, src string) *ir.Program {
 	t.Helper()
+	return lowerOpts(t, src, Options{})
+}
+
+func lowerOpts(t *testing.T, src string, opts Options) *ir.Program {
+	t.Helper()
 	f, err := parser.Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
@@ -21,7 +30,7 @@ func lower(t *testing.T, src string) *ir.Program {
 	if err := sema.Check(f); err != nil {
 		t.Fatalf("sema: %v", err)
 	}
-	p, err := Lower(f)
+	p, err := LowerWith(f, opts)
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}
@@ -406,37 +415,76 @@ int f(void) {
 
 var _ = ast.RefFunc // keep import for doc reference
 
-// TestBlocksExactSize requires every block the lowering builds to hold its
-// instructions in an allocation of their exact size. Promotion's cleanup
-// passes filter blocks in place, so it is checked on the unpromoted
-// lowering.
+// TestBlocksExactSize requires each function the lowering builds, promoted
+// and unpromoted, to hold its instructions in one allocation of their exact
+// size: its blocks are consecutive cap-limited windows of one array, so
+// Emit on a block reallocates it rather than overwrite the block after it.
 func TestBlocksExactSize(t *testing.T) {
+	size := unsafe.Sizeof(ir.Instr{})
 	for name, src := range bundledSources() {
-		for _, fn := range lower(t, src).Funcs {
-			for _, b := range fn.Blocks {
-				if cap(b.Ins) != len(b.Ins) {
-					t.Errorf("%s, %s, block %d: cap %d, len %d", name, fn.Name, b.Index, cap(b.Ins), len(b.Ins))
+		for _, promote := range []bool{false, true} {
+			for _, fn := range lowerOpts(t, src, Options{PromoteRegisters: promote}).Funcs {
+				where := fmt.Sprintf("%s, promote=%v, %s", name, promote, fn.Name)
+				var sumLen, sumCap int
+				for i, b := range fn.Blocks {
+					sumLen += len(b.Ins)
+					sumCap += cap(b.Ins)
+					if i == 0 {
+						continue
+					}
+					prev := fn.Blocks[i-1]
+					if end := uintptr(unsafe.Pointer(unsafe.SliceData(prev.Ins))) + uintptr(len(prev.Ins))*size; end != uintptr(unsafe.Pointer(unsafe.SliceData(b.Ins))) {
+						t.Errorf("%s: block %d does not start where block %d ends", where, i, i-1)
+					}
+				}
+				if sumCap != sumLen {
+					t.Errorf("%s: blocks hold %d instructions in capacity %d", where, sumLen, sumCap)
+				}
+				for i := 0; i+1 < len(fn.Blocks); i++ {
+					next := fn.Blocks[i+1]
+					want := slices.Clone(next.Ins)
+					fn.Blocks[i].Emit(ir.Instr{Op: ir.OpRet, Dst: -1})
+					if !reflect.DeepEqual(next.Ins, want) {
+						t.Errorf("%s: Emit on block %d changed block %d", where, i, i+1)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestLowerReleasesBlockBuffer requires the block buffer LowerWith returns
-// to insPool to hold no instruction: their types and argument lists would
-// keep the lowered program alive for as long as the buffer waits. With one
-// P the pool hands the buffer just put back to the next Get.
+// TestLowerReleasesBlockBuffer requires the instruction buffer LowerWith
+// returns to insPool, after a promoted or an unpromoted lowering, to hold
+// no instruction (their types and argument lists would keep the lowered
+// program alive for as long as the buffer waits) and no block of the
+// program to be a window of it. With one P the pool hands the buffer just
+// put back to the next Get.
 func TestLowerReleasesBlockBuffer(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	lower(t, `int f(int *p, int n) { return p[n] + f(p, n - 1); } int main(void) { return 0; }`)
-	buf := insPool.Get().(*[]ir.Instr)
-	defer insPool.Put(buf)
-	if cap(*buf) == 0 {
-		t.Skip("the pool dropped the buffer (it may, under the race detector)")
-	}
-	for i, in := range (*buf)[:cap(*buf)] {
-		if in.Ty != nil || in.FromTy != nil || in.Args != nil || in.Op != 0 {
-			t.Fatalf("pooled buffer slot %d still holds %v", i, in)
+	const src = `int f(int *p, int n) { int s = 0; while (n > 0) { if (p[n]) s = s + f(p, n - 1); n = n - 1; } return s; }
+int main(void) { return 0; }`
+	for _, promote := range []bool{false, true} {
+		p := lowerOpts(t, src, Options{PromoteRegisters: promote})
+		buf := insPool.Get().(*[]ir.Instr)
+		if cap(*buf) == 0 {
+			insPool.Put(buf)
+			t.Skip("the pool dropped the buffer (it may, under the race detector)")
 		}
+		pooled := (*buf)[:cap(*buf)]
+		for i, in := range pooled {
+			if in.Ty != nil || in.FromTy != nil || in.Args != nil || in.Op != 0 {
+				t.Fatalf("promote=%v: pooled buffer slot %d still holds %v", promote, i, in)
+			}
+		}
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(pooled)))
+		hi := lo + uintptr(len(pooled))*unsafe.Sizeof(ir.Instr{})
+		for _, fn := range p.Funcs {
+			for _, b := range fn.Blocks {
+				if at := uintptr(unsafe.Pointer(unsafe.SliceData(b.Ins))); at >= lo && at < hi {
+					t.Errorf("promote=%v: %s block %d lies in the pooled buffer", promote, fn.Name, b.Index)
+				}
+			}
+		}
+		insPool.Put(buf)
 	}
 }

@@ -10,21 +10,7 @@ import (
 
 func lowerPromoted(t *testing.T, src string) *ir.Program {
 	t.Helper()
-	f, err := parser.Parse(src)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	if err := sema.Check(f); err != nil {
-		t.Fatalf("sema: %v", err)
-	}
-	p, err := LowerWith(f, Options{PromoteRegisters: true})
-	if err != nil {
-		t.Fatalf("lower: %v", err)
-	}
-	if err := p.Verify(); err != nil {
-		t.Fatalf("verify: %v\n%s", err, p)
-	}
-	return p
+	return lowerOpts(t, src, Options{PromoteRegisters: true})
 }
 
 func frameNames(fn *ir.Func) []string {

@@ -263,16 +263,20 @@ func (p *parser) internStruct(name string) *ctypes.Struct {
 }
 
 // typeBase parses the base type: int/char/void/struct X, absorbing const,
-// unsigned and long qualifiers (all integers are 64-bit in mini-C; unsigned
-// arithmetic semantics are not modelled because no measured property depends
-// on them).
+// unsigned and long qualifiers. The qualifiers are ignored: every integer
+// but char is 64-bit and signed in mini-C, and char is an unsigned byte, so
+// `unsigned char` is char and `unsigned long` is int (unsigned arithmetic
+// is not modelled because no measured property depends on it).
 func (p *parser) typeBase() *ctypes.Type {
 	for p.accept(token.KwConst) || p.accept(token.KwStatic) {
 	}
 	switch p.kind() {
 	case token.KwUnsigned, token.KwLong:
 		p.next()
-		for p.accept(token.KwLong) || p.accept(token.KwInt) || p.accept(token.KwChar) {
+		for p.accept(token.KwLong) || p.accept(token.KwInt) {
+		}
+		if p.accept(token.KwChar) {
+			return ctypes.Char
 		}
 		return ctypes.Int
 	case token.KwInt:
